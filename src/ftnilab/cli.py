@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import corpus, lang, seccomp
-from .faultlab import TAU
+from .faultlab import environment_from_text, faulted_step
 from .machine import (
     HIGH,
     LOW,
@@ -42,7 +42,6 @@ from .verify import (
     check_strong_security,
     check_timing_balance,
 )
-from .faultlab import environment_from_text
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -177,9 +176,14 @@ def cmd_run(args) -> int:
     for item in args.mem or ():
         key, _, value = item.partition("=")
         try:
-            mem[int(key)] = int(value)
+            addr = int(key)
+            mem[addr] = int(value)
         except ValueError:
             return _fail(EXIT_USAGE, f"bad --mem entry {item!r}")
+        if not 0 <= addr < cfg.memory_size:
+            return _fail(
+                EXIT_USAGE, f"--mem address {addr} outside memory of {cfg.memory_size} cells"
+            )
     script: dict[int, frozenset[str]] = {}
     if args.faults:
         try:
@@ -199,15 +203,7 @@ def cmd_run(args) -> int:
         if bad:
             return _fail(EXIT_IO, f"fault script names non-flippable locations: {sorted(bad)}")
         pc = system.decode(state).pc
-        if stuck_before:
-            action, state = TAU, state
-        else:
-            flipped = state ^ system.mask_of(faults)
-            outcome = system.step(flipped)
-            if outcome is None:
-                action, state = TAU, flipped
-            else:
-                action, state = outcome
+        action, state = faulted_step(system, state, system.mask_of(faults))
         rendered = ",".join(sorted(faults))
         print(f"{pc}; {action}; flipped={{{rendered}}}")
     return EXIT_OK
@@ -236,7 +232,10 @@ def cmd_check(args) -> int:
                 env = environment_from_text(_read(args.env))
             except (OSError, ValueError) as exc:
                 return _fail(EXIT_IO, f"environment file error: {exc}")
-            verdict = check_pni(program, cfg, env, check)
+            try:
+                verdict = check_pni(program, cfg, env, check)
+            except ValueError as exc:
+                return _fail(EXIT_IO, f"environment error: {exc}")
     except BudgetExceeded as exc:
         return _fail(EXIT_BUDGET, f"resource budget exceeded: {exc}")
     print(json.dumps(verdict.to_json(), sort_keys=True))

@@ -101,9 +101,6 @@ class FaultProneSystem:
     def step(self, state: int) -> tuple[Action, int] | None:
         raise NotImplementedError
 
-    def is_stuck(self, state: int) -> bool:
-        return self.step(state) is None
-
     def mask_of(self, names: Iterable[str]) -> int:
         mask = 0
         for name in names:
@@ -353,6 +350,22 @@ def environment_from_text(text: str) -> EnvironmentSpec:
 # ---------------------------------------------------------------------------
 
 
+def faulted_step(system: FaultProneSystem, state: int, mask: int) -> tuple[Action, int]:
+    """One step under a fault mask: the single definition of a faulted step.
+
+    A stuck state idles silently and takes no flip.  Otherwise the masked
+    bits are flipped and the flipped state steps; if the flip made it stuck,
+    it idles silently and keeps the flipped bits.
+    """
+    if system.step(state) is None:
+        return (TAU, state)
+    flipped = state ^ mask
+    result = system.step(flipped)
+    if result is None:
+        return (TAU, flipped)
+    return result
+
+
 def compose_step(
     system: FaultProneSystem,
     state: int,
@@ -362,25 +375,17 @@ def compose_step(
     """One probabilistic step of the system running inside the environment.
 
     Entries are aggregated on identical (action, successor); the attacker
-    advances by the public view of the action.  A stuck system, or one made
-    stuck by a flip, yields a silent step (the flipped state is retained), so
-    total probability mass is always exactly 1.
+    advances by the public view of the action.  Each fault set takes a
+    ``faulted_step``, which never halts, so total probability mass is
+    exactly 1.
     """
-    if system.step(state) is None:
-        succ = env.advance(env_state, TAU)
-        return [(TAU, Fraction(1), state, succ)]
     acc: dict[tuple[Action, int], Fraction] = {}
     dist = env.fault_distribution(env_state)
     for subset in sorted(dist, key=lambda s: tuple(sorted(s))):
         prob = dist[subset]
         if prob == 0:
             continue
-        flipped = state ^ system.mask_of(subset)
-        result = system.step(flipped)
-        if result is None:
-            key = (TAU, flipped)
-        else:
-            key = result
+        key = faulted_step(system, state, system.mask_of(subset))
         acc[key] = acc.get(key, Fraction(0)) + prob
     return [
         (action, prob, succ, env.advance(env_state, low(action)))
@@ -395,30 +400,17 @@ def augmented_step(
 ) -> list[tuple[frozenset[str], Action, int]]:
     """All fault-labelled transitions: one entry per subset of the fault scope."""
     names = tuple(sorted(system.faulty_names if scope is None else set(scope)))
-    stuck = system.step(state) is None
-    out = []
-    for subset in _subsets(names):
-        if stuck:
-            out.append((subset, TAU, state))
-            continue
-        flipped = state ^ system.mask_of(subset)
-        result = system.step(flipped)
-        if result is None:
-            out.append((subset, TAU, flipped))
-        else:
-            action, succ = result
-            out.append((subset, action, succ))
-    return out
+    return [
+        (subset, *faulted_step(system, state, system.mask_of(subset)))
+        for subset in _subsets(names)
+    ]
 
 
 def termination_transparent_step(
     system: FaultProneSystem, state: int
 ) -> tuple[Action, int]:
     """Fault-free step where stuck states silently loop instead of halting."""
-    result = system.step(state)
-    if result is None:
-        return (TAU, state)
-    return result
+    return faulted_step(system, state, 0)
 
 
 # ---------------------------------------------------------------------------

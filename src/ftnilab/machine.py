@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from collections import Counter
+from typing import NamedTuple
 
 from .faultlab import (
     Action,
@@ -103,6 +104,7 @@ class RiscProgram:
         for instr in self.instructions:
             if instr.target is not None and instr.target not in labels:
                 raise AssemblyError(f"unknown label {instr.target!r}")
+        self._decoded: tuple[MachineConfig, tuple[Decoded, ...]] | None = None
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -297,61 +299,111 @@ def signed(value: int, width: int) -> int:
     return value - (1 << width) if value >= half else value
 
 
+class Decoded(NamedTuple):
+    """An instruction resolved against a machine configuration.
+
+    Cells index the concatenation ``regs + mem`` of a machine state.
+    """
+
+    op: str
+    dest: int | None  # the cell written, if any
+    sources: tuple[int, ...]  # the cells read, in operand order
+    const: int | None  # the movek constant, masked to the word
+    target: int | None  # the jump target pc
+    channel: str | None
+
+
+def _decode_one(instr: Instruction, program: RiscProgram, cfg: MachineConfig) -> Decoded:
+    op = instr.op
+    reg = None if instr.reg is None else cfg.register_index(instr.reg)
+    reg2 = None if instr.reg2 is None else cfg.register_index(instr.reg2)
+    cell = None if instr.addr is None else len(cfg.registers) + instr.addr
+    if op == "load":
+        dest, sources = reg, (cell,)
+    elif op == "store":
+        dest, sources = cell, (reg,)
+    elif op == "movek":
+        dest, sources = reg, ()
+    elif op == "mover":
+        dest, sources = reg, (reg2,)
+    elif op in BINARY_OPS:
+        dest, sources = reg, (reg, reg2)
+    else:
+        dest, sources = None, () if reg is None else (reg,)
+    const = None if instr.value is None else instr.value & (cfg.word_values - 1)
+    target = None if instr.target is None else program.resolve_label(instr.target)
+    return Decoded(op, dest, sources, const, target, instr.channel)
+
+
+def decode(program: RiscProgram, cfg: MachineConfig) -> tuple[Decoded, ...]:
+    """Resolve every instruction once; the result is cached on the program."""
+    cached = program._decoded
+    if cached is not None and (cached[0] is cfg or cached[0] == cfg):
+        return cached[1]
+    ops = tuple(_decode_one(instr, program, cfg) for instr in program.instructions)
+    program._decoded = (cfg, ops)
+    return ops
+
+
+def effect(
+    instr: Decoded, args: tuple[int, ...] | list[int], pc: int, width: int
+) -> tuple[Action, int | None, int]:
+    """The instruction semantics: (action, value written to ``dest`` or None, next pc).
+
+    ``args`` holds the values of ``instr.sources``, in order.  This is the
+    only opcode switch that executes anything: the machine step and the
+    strong-security summaries both call it.
+    """
+    op = instr.op
+    nxt = pc + 1
+    if op in ("load", "store", "mover"):
+        return (TAU, args[0], nxt)
+    if op == "movek":
+        return (TAU, instr.const, nxt)
+    if op == "add":
+        return (TAU, (args[0] + args[1]) & ((1 << width) - 1), nxt)
+    if op == "sub":
+        return (TAU, (args[0] - args[1]) & ((1 << width) - 1), nxt)
+    if op == "mul":
+        return (TAU, (args[0] * args[1]) & ((1 << width) - 1), nxt)
+    if op == "and":
+        return (TAU, args[0] & args[1], nxt)
+    if op == "jmp":
+        return (TAU, None, instr.target)
+    if op == "jz":
+        return (TAU, None, instr.target if args[0] == 0 else nxt)
+    if op == "jlez":
+        return (TAU, None, instr.target if signed(args[0], width) <= 0 else nxt)
+    if op == "nop":
+        return (TAU, None, nxt)
+    if op == "out":
+        return (output(instr.channel, args[0]), None, nxt)
+    raise AssemblyError(f"unknown opcode {op}")
+
+
 def step(
     program: RiscProgram, state: MachineState, cfg: MachineConfig
 ) -> tuple[Action, MachineState] | None:
     """Execute one instruction; None when the program counter has left the code."""
-    if not 0 <= state.pc < len(program):
+    ops = decode(program, cfg)
+    pc = state.pc
+    if not 0 <= pc < len(ops):
         return None
-    instr = program[state.pc]
-    mask = cfg.word_values - 1
-    pc1 = state.pc + 1
-    if instr.op == "load":
-        regs = list(state.regs)
-        regs[cfg.register_index(instr.reg)] = state.mem[instr.addr]
-        return (TAU, MachineState(pc1, tuple(regs), state.mem))
-    if instr.op == "store":
-        mem = list(state.mem)
-        mem[instr.addr] = state.regs[cfg.register_index(instr.reg)]
-        return (TAU, MachineState(pc1, state.regs, tuple(mem)))
-    if instr.op == "jmp":
-        return (TAU, MachineState(program.resolve_label(instr.target), state.regs, state.mem))
-    if instr.op == "jz":
-        if state.regs[cfg.register_index(instr.reg)] == 0:
-            return (TAU, MachineState(program.resolve_label(instr.target), state.regs, state.mem))
-        return (TAU, MachineState(pc1, state.regs, state.mem))
-    if instr.op == "jlez":
-        if signed(state.regs[cfg.register_index(instr.reg)], cfg.width) <= 0:
-            return (TAU, MachineState(program.resolve_label(instr.target), state.regs, state.mem))
-        return (TAU, MachineState(pc1, state.regs, state.mem))
-    if instr.op == "nop":
-        return (TAU, MachineState(pc1, state.regs, state.mem))
-    if instr.op == "movek":
-        regs = list(state.regs)
-        regs[cfg.register_index(instr.reg)] = instr.value & mask
-        return (TAU, MachineState(pc1, tuple(regs), state.mem))
-    if instr.op == "mover":
-        regs = list(state.regs)
-        regs[cfg.register_index(instr.reg)] = state.regs[cfg.register_index(instr.reg2)]
-        return (TAU, MachineState(pc1, tuple(regs), state.mem))
-    if instr.op in BINARY_OPS:
-        a = state.regs[cfg.register_index(instr.reg)]
-        b = state.regs[cfg.register_index(instr.reg2)]
-        if instr.op == "add":
-            val = (a + b) & mask
-        elif instr.op == "sub":
-            val = (a - b) & mask
-        elif instr.op == "mul":
-            val = (a * b) & mask
+    instr = ops[pc]
+    regs, mem = state.regs, state.mem
+    cells = regs + mem
+    action, value, nxt = effect(instr, [cells[c] for c in instr.sources], pc, cfg.width)
+    if value is not None:
+        dest = instr.dest
+        if dest < len(regs):
+            written = list(regs)
+            written[dest] = value
+            regs = tuple(written)
         else:
-            val = a & b
-        regs = list(state.regs)
-        regs[cfg.register_index(instr.reg)] = val
-        return (TAU, MachineState(pc1, tuple(regs), state.mem))
-    if instr.op == "out":
-        value = state.regs[cfg.register_index(instr.reg)]
-        return (output(instr.channel, value), MachineState(pc1, state.regs, state.mem))
-    raise AssemblyError(f"unknown opcode {instr.op}")
+            written = list(mem)
+            written[dest - len(regs)] = value
+            mem = tuple(written)
+    return (action, MachineState(nxt, regs, mem))
 
 
 def run(

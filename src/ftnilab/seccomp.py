@@ -15,7 +15,7 @@ preferring registers that cache nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import lang
@@ -243,16 +243,7 @@ class _Emitter:
 
     def emit(self, instr: Instruction) -> int:
         if self.pending is not None:
-            instr = Instruction(
-                instr.op,
-                self.pending,
-                reg=instr.reg,
-                reg2=instr.reg2,
-                addr=instr.addr,
-                value=instr.value,
-                target=instr.target,
-                channel=instr.channel,
-            )
+            instr = replace(instr, label=self.pending)
             self.pending = None
         self.instrs.append(instr)
         return len(self.instrs) - 1

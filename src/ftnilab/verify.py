@@ -25,14 +25,15 @@ from random import Random
 
 from .faultlab import (
     TAU,
-    Action,
     Composition,
     EnvironmentSpec,
     Location,
     TableSystem,
     Tolerance,
+    faulted_step,
     low,
     output,
+    parse_action,
     scripted_environment,
     uniform_environment,
 )
@@ -44,6 +45,8 @@ from .machine import (
     MachineState,
     RiscProgram,
     RiscSystem,
+    decode,
+    effect,
     step as machine_step,
 )
 from .seccomp import CompileResult
@@ -179,21 +182,21 @@ class _SSTables:
 
     For each pc and assignment of the low registers and cells, the summary
     is the set of (public action, next low part, next pc) triples reachable
-    as the high part ranges over all values.  It is computed symbolically
-    per instruction, so the high space is never enumerated.
+    as the high part ranges over all values.  It runs ``machine.effect`` over
+    the value sets of the cells the instruction reads (a singleton for a low
+    cell, every word for a high one), so the high space is never enumerated.
     """
 
     def __init__(self, program: RiscProgram, cfg: MachineConfig):
         self.program = program
         self.cfg = cfg
+        self.ops = decode(program, cfg)
         self.lows, self.highs = _cells_by_level(cfg)
-        self.reg_slot: dict[int, int] = {}
-        self.mem_slot: dict[int, int] = {}
-        for slot, (kind, idx) in enumerate(self.lows):
-            if kind == "reg":
-                self.reg_slot[idx] = slot
-            else:
-                self.mem_slot[idx] = slot
+        nregs = len(cfg.registers)
+        self.slot_of_cell = {
+            (idx if kind == "reg" else nregs + idx): slot
+            for slot, (kind, idx) in enumerate(self.lows)
+        }
         self.lo_space = list(
             itertools.product(_values(cfg, None), repeat=len(self.lows))
         )
@@ -205,90 +208,22 @@ class _SSTables:
         return self._cache[pc]
 
     def _summarize(self, pc: int, lo: tuple) -> frozenset:
-        cfg = self.cfg
-        program = self.program
-        every = range(cfg.word_values)
-        if not 0 <= pc < len(program):
+        if not 0 <= pc < len(self.ops):
             return frozenset({(TAU, lo, pc)})
-        instr = program[pc]
-        nxt = pc + 1
-        mask = cfg.word_values - 1
-
-        def reg_read(name: str):
-            """Value set of a register: a singleton if low, the full range if high."""
-            idx = cfg.register_index(name)
-            if idx in self.reg_slot:
-                return (lo[self.reg_slot[idx]],)
-            return every
-
-        def with_reg(name: str, value: int) -> tuple:
-            idx = cfg.register_index(name)
-            if idx in self.reg_slot:
-                slot = self.reg_slot[idx]
-                return lo[:slot] + (value,) + lo[slot + 1 :]
-            return lo
-
-        if instr.op == "nop":
-            return frozenset({(TAU, lo, nxt)})
-        if instr.op == "jmp":
-            return frozenset({(TAU, lo, program.resolve_label(instr.target))})
-        if instr.op == "movek":
-            return frozenset({(TAU, with_reg(instr.reg, instr.value & mask), nxt)})
-        if instr.op == "mover":
-            return frozenset(
-                {(TAU, with_reg(instr.reg, v), nxt) for v in reg_read(instr.reg2)}
-            )
-        if instr.op == "load":
-            if instr.addr in self.mem_slot:
-                values = (lo[self.mem_slot[instr.addr]],)
-            else:
-                values = every
-            return frozenset({(TAU, with_reg(instr.reg, v), nxt) for v in values})
-        if instr.op == "store":
-            if instr.addr in self.mem_slot:
-                slot = self.mem_slot[instr.addr]
-                return frozenset(
-                    {
-                        (TAU, lo[:slot] + (v,) + lo[slot + 1 :], nxt)
-                        for v in reg_read(instr.reg)
-                    }
-                )
-            return frozenset({(TAU, lo, nxt)})
-        if instr.op in ("add", "sub", "mul", "and"):
-            outs = set()
-            for a in reg_read(instr.reg):
-                for b in reg_read(instr.reg2):
-                    if instr.op == "add":
-                        v = (a + b) & mask
-                    elif instr.op == "sub":
-                        v = (a - b) & mask
-                    elif instr.op == "mul":
-                        v = (a * b) & mask
-                    else:
-                        v = a & b
-                    outs.add((TAU, with_reg(instr.reg, v), nxt))
-            return frozenset(outs)
-        if instr.op == "jz":
-            target = program.resolve_label(instr.target)
-            return frozenset(
-                {(TAU, lo, target if v == 0 else nxt) for v in reg_read(instr.reg)}
-            )
-        if instr.op == "jlez":
-            target = program.resolve_label(instr.target)
-            half = 1 << (cfg.width - 1)
-            return frozenset(
-                {
-                    (TAU, lo, target if (v == 0 or v >= half) else nxt)
-                    for v in reg_read(instr.reg)
-                }
-            )
-        if instr.op == "out":
-            if instr.channel == "low":
-                return frozenset(
-                    {(output("low", v), lo, nxt) for v in reg_read(instr.reg)}
-                )
-            return frozenset({(TAU, lo, nxt)})
-        raise ValueError(f"unknown opcode {instr.op}")
+        instr = self.ops[pc]
+        slots = self.slot_of_cell
+        every = range(self.cfg.word_values)
+        value_sets = [
+            (lo[slots[c]],) if c in slots else every for c in instr.sources
+        ]
+        dest = slots.get(instr.dest)
+        width = self.cfg.width
+        out = set()
+        for args in itertools.product(*value_sets):
+            action, value, nxt = effect(instr, args, pc, width)
+            after = lo if value is None or dest is None else lo[:dest] + (value,) + lo[dest + 1 :]
+            out.add((low(action), after, nxt))
+        return frozenset(out)
 
     def realize(self, pc: int, lo: tuple, entry: tuple) -> MachineState | None:
         """Find a concrete state whose summarized step matches the entry."""
@@ -355,12 +290,12 @@ def check_strong_security(
                     None,
                 )
                 if b_entry is None:
+                    # every entry of e2s projects like a_entry, so some entry
+                    # of e1s differs from them; b_entry must come from e2s,
+                    # since the witness realizes it at q
+                    b_entry = next(iter(e2s))
                     a_entry = next(
-                        e for e in e1s
-                        if any((e[0], e[1]) != (f[0], f[1]) for f in e1s | e2s)
-                    )
-                    b_entry = next(
-                        f for f in e1s | e2s if (f[0], f[1]) != (a_entry[0], a_entry[1])
+                        e for e in e1s if (e[0], e[1]) != (b_entry[0], b_entry[1])
                     )
                 failure = ("mismatch", lo, a_entry, b_entry)
                 break
@@ -484,16 +419,6 @@ def _initial_groups(system: RiscSystem, check: CheckConfig):
         yield lo_vec, states
 
 
-def _augmented(system: RiscSystem, state: int, mask: int) -> tuple[Action, int]:
-    if system.step(state) is None:
-        return (TAU, state)
-    flipped = state ^ mask
-    result = system.step(flipped)
-    if result is None:
-        return (TAU, flipped)
-    return result
-
-
 def check_poni(
     program: RiscProgram, cfg: MachineConfig, check: CheckConfig = CheckConfig()
 ) -> Verdict:
@@ -534,8 +459,8 @@ def check_poni(
         for pair in frontier:
             sa, sb = pair
             for mask in masks:
-                act_a, succ_a = _augmented(system, sa, mask)
-                act_b, succ_b = _augmented(system, sb, mask)
+                act_a, succ_a = faulted_step(system, sa, mask)
+                act_b, succ_b = faulted_step(system, sb, mask)
                 if low(act_a) != low(act_b):
                     violation = (pair, mask, act_a, act_b)
                     break
@@ -600,8 +525,8 @@ def replay_poni_witness(program: RiscProgram, cfg: MachineConfig, witness: dict)
     sb = system.state_of(bits_b)
     for i, entry in enumerate(witness["trace"]):
         mask = system.mask_of(entry["faults"])
-        act_a, sa = _augmented(system, sa, mask)
-        act_b, sb = _augmented(system, sb, mask)
+        act_a, sa = faulted_step(system, sa, mask)
+        act_b, sb = faulted_step(system, sb, mask)
         if str(low(act_a)) != entry["low_a"] or str(low(act_b)) != entry["low_b"]:
             return False
         last = i == len(witness["trace"]) - 1
@@ -629,8 +554,8 @@ def check_pni(
     """
     system = RiscSystem(program, cfg)
     scope = _scope_names(system, check)
+    env.validate(system.faulty_names)
     scoped = env.restricted(scope)
-    scoped.validate(system.faulty_names)
     comp = Composition(system, scoped)
     budget = check.effective_budget()
 
@@ -699,16 +624,10 @@ def replay_pni_witness(
     for loc in system.locations:
         bits_a.setdefault(loc.name, 0)
         bits_b.setdefault(loc.name, 0)
-    trace = tuple(parse_action_text(t) for t in witness["trace"])
+    trace = tuple(parse_action(t) for t in witness["trace"])
     pa = comp.trace_probability(system.state_of(bits_a), scoped.initial, trace)
     pb = comp.trace_probability(system.state_of(bits_b), scoped.initial, trace)
     return (str(pa), str(pb)) == tuple(witness["probabilities"]) and pa != pb
-
-
-def parse_action_text(text: str) -> Action:
-    from .faultlab import parse_action
-
-    return parse_action(text)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ftnilab.cli import main
 
 GOOD_SOURCE = "low x; high h;\nx := 1;\nout low x\n"
@@ -102,6 +104,16 @@ def test_run_rejects_fault_on_protected_bit(tmp_path, capsys):
     assert code == 1 and "non-flippable" in err
 
 
+@pytest.mark.parametrize("command", ["run", "inject"])
+@pytest.mark.parametrize("item", ["5=1", "-1=3"])
+def test_run_rejects_memory_address_outside_memory(tmp_path, capsys, command, item):
+    out, _ = compile_ok(tmp_path, capsys)
+    script = write(tmp_path, "faults.txt", "0: -\n")
+    code, stdout, err = invoke(capsys, command, out, f"--mem={item}", "--faults", script)
+    assert code == 64 and stdout == ""
+    assert "outside memory of 2 cells" in err
+
+
 def test_inject_requires_fault_script(tmp_path, capsys):
     out, _ = compile_ok(tmp_path, capsys)
     code, _, _ = invoke(capsys, "inject", out)
@@ -144,6 +156,23 @@ def test_check_pni_with_env_file(tmp_path, capsys):
     assert code == 3
     doc = json.loads(stdout)
     assert doc["witness"]["probabilities"] == ["1", "0"]
+
+
+@pytest.mark.parametrize(
+    "fault_line, message",
+    [
+        ("fault E0 bogus_0 1", "not within faulty locations"),
+        ("fault E0 - 1/2", "sums to 1/2"),
+    ],
+)
+def test_check_pni_rejects_bad_environment(tmp_path, capsys, fault_line, message):
+    out, _ = compile_ok(tmp_path, capsys)
+    env = write(tmp_path, "env.txt", f"start E0\ntrans E0 * E0\n{fault_line}\n")
+    code, stdout, err = invoke(
+        capsys, "check", out, "--mode", "pni", "--width", "1", "--depth", "3", "--env", env
+    )
+    assert code == 1 and stdout == ""
+    assert message in err
 
 
 def test_check_budget_exit_4(tmp_path, capsys, monkeypatch):

@@ -149,6 +149,17 @@ def test_stuck_when_pc_leaves_program():
     assert step(program, after, cfg) is None
 
 
+def test_step_follows_the_config_it_is_given():
+    # The decoded program is cached; a config with another register order
+    # must be decoded afresh, and switching back must work too.
+    program = assemble("movek rl0 1\nstore 0 rl0")
+    a = MachineConfig(1, (("rl0", LOW), ("rh0", HIGH)), (LOW,))
+    b = MachineConfig(1, (("rh0", HIGH), ("rl0", LOW)), (LOW,))
+    for cfg, regs in ((a, (1, 0)), (b, (0, 1)), (a, (1, 0))):
+        _, final, done = run(program, initial_state(cfg), cfg, 5)
+        assert done and final.regs == regs and final.mem == (1,)
+
+
 def test_signed_helper():
     assert signed(0, 4) == 0
     assert signed(7, 4) == 7

@@ -93,6 +93,19 @@ def test_ss_secret_branch_with_low_write_violation():
     assert replay_ss_witness(assemble(text), tiny_cfg(), verdict.witness)
 
 
+def test_ss_witnesses_of_random_programs_replay():
+    # Which mismatching summary entries a witness takes depends on set
+    # iteration order, hence on the hash seed; every choice must replay.
+    for width in (1, 2):
+        rng = Random(7)
+        cfg = standard_config(width, 1, 1, (LOW, HIGH))
+        for draw in range(400):
+            program = random_risc_program(rng, cfg, 8)
+            verdict = check_strong_security(program, cfg)
+            if not verdict.secure:
+                assert replay_ss_witness(program, cfg, verdict.witness), (width, draw)
+
+
 def test_ss_summaries_match_brute_force_enumeration():
     # The symbolic per-instruction summaries must agree with direct
     # enumeration of every high assignment.
