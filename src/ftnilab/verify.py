@@ -4,7 +4,12 @@ All three checkers enumerate concrete state spaces at small word widths:
 
 * ``check_strong_security`` computes the greatest bisimulation over program
   points of the termination-transparent fault-free machine, quantifying over
-  every pair of low-equal data states at each step.
+  every pair of low-equal data states at each step.  A point pair is checked
+  only over the low cells its two instructions read or write, with zeros in
+  the rest; this is exact, because a cell that neither step reads or writes
+  holds one value before and after on both sides, so it cannot tell them
+  apart, and the zeros make a witness name the first failing low part of
+  the whole low space.
 * ``check_poni`` compares the sets of fault-annotated traces of low-equal
   initial states, with the fault locations made observable.
 * ``check_pni`` compares exact rational trace probabilities of low-equal
@@ -56,6 +61,12 @@ DEFAULT_BUDGET = 2_000_000
 
 class BudgetExceeded(Exception):
     """The state/fault space outgrew the configured ceiling."""
+
+
+def _charge(size: int, what: str, budget: int) -> None:
+    """Refuse, before it starts, an enumeration of ``size`` items."""
+    if size > budget:
+        raise BudgetExceeded(f"{what} exceeds {budget}")
 
 
 @dataclass(frozen=True)
@@ -119,14 +130,14 @@ def _values(cfg: MachineConfig, bound: int | None):
     return range(top)
 
 
-def _build_state(cfg, lows, highs, lo_vec, hi_vec) -> MachineState:
+def _build_state(cfg, lows, highs, lo_vec, hi_vec, pc: int = 0) -> MachineState:
     regs = [0] * len(cfg.registers)
     mem = [0] * cfg.memory_size
     for (kind, idx), value in zip(lows, lo_vec):
         (regs if kind == "reg" else mem)[idx] = value
     for (kind, idx), value in zip(highs, hi_vec):
         (regs if kind == "reg" else mem)[idx] = value
-    return MachineState(0, tuple(regs), tuple(mem))
+    return MachineState(pc, tuple(regs), tuple(mem))
 
 
 def _scope_names(system: RiscSystem, check: CheckConfig) -> tuple[str, ...]:
@@ -178,13 +189,19 @@ def _bits_named(system: RiscSystem, state: int, mask: int) -> dict[str, int]:
 
 
 class _SSTables:
-    """Successor summaries per (program point, low data part).
+    """Successor summaries per program point, over the low cells it touches.
 
-    For each pc and assignment of the low registers and cells, the summary
-    is the set of (public action, next low part, next pc) triples reachable
-    as the high part ranges over all values.  It runs ``machine.effect`` over
-    the value sets of the cells the instruction reads (a singleton for a low
-    cell, every word for a high one), so the high space is never enumerated.
+    An entry of pc is a (public action, low write, next pc) triple reachable
+    as the high part ranges over all values.  The low write is ``(slot,
+    value)``, or ``()`` when no low slot changes, so entries with equal action
+    and write leave equal low parts.  Entries come from ``machine.effect``
+    run over the value sets of the cells the instruction reads (a singleton
+    for a low cell, every word for a high one), so the high space is never
+    enumerated.  They depend only on the low slots the instruction reads or
+    writes (``touched``), are memoised on those slots' values, and are
+    sorted, so checks and witnesses meet them in one order on every run.
+    A point pair is checked only over the slots either side touches, which
+    is exact (see the module docstring).
     """
 
     def __init__(self, program: RiscProgram, cfg: MachineConfig):
@@ -193,23 +210,26 @@ class _SSTables:
         self.ops = decode(program, cfg)
         self.lows, self.highs = _cells_by_level(cfg)
         nregs = len(cfg.registers)
-        self.slot_of_cell = {
+        slots = self.slot_of_cell = {
             (idx if kind == "reg" else nregs + idx): slot
             for slot, (kind, idx) in enumerate(self.lows)
         }
-        self.lo_space = list(
-            itertools.product(_values(cfg, None), repeat=len(self.lows))
-        )
-        self._cache: dict[int, dict[tuple, frozenset]] = {}
+        self.touched = {
+            pc: tuple(sorted({slots[c] for c in (*op.sources, op.dest) if c in slots}))
+            for pc, op in enumerate(self.ops)
+        }
+        self._entries: dict[tuple[int, tuple], tuple] = {}
 
-    def summaries(self, pc: int) -> dict[tuple, frozenset]:
-        if pc not in self._cache:
-            self._cache[pc] = {lo: self._summarize(pc, lo) for lo in self.lo_space}
-        return self._cache[pc]
+    def entries(self, pc: int, lo: tuple) -> tuple:
+        """The sorted summary entries of pc from the low part ``lo``."""
+        key = (pc, tuple(lo[slot] for slot in self.touched.get(pc, ())))
+        if key not in self._entries:
+            self._entries[key] = self._summarize(pc, lo)
+        return self._entries[key]
 
-    def _summarize(self, pc: int, lo: tuple) -> frozenset:
+    def _summarize(self, pc: int, lo: tuple) -> tuple:
         if not 0 <= pc < len(self.ops):
-            return frozenset({(TAU, lo, pc)})
+            return ((TAU, (), pc),)
         instr = self.ops[pc]
         slots = self.slot_of_cell
         every = range(self.cfg.word_values)
@@ -221,32 +241,31 @@ class _SSTables:
         out = set()
         for args in itertools.product(*value_sets):
             action, value, nxt = effect(instr, args, pc, width)
-            after = lo if value is None or dest is None else lo[:dest] + (value,) + lo[dest + 1 :]
-            out.add((low(action), after, nxt))
-        return frozenset(out)
+            write = () if dest is None or value in (None, lo[dest]) else (dest, value)
+            out.add((low(action), write, nxt))
+        return tuple(sorted(out, key=lambda e: (str(e[0]), e[1], e[2])))
+
+    @staticmethod
+    def after(lo: tuple, entry: tuple) -> tuple:
+        """The entry as (public action, low part after the step, next pc) from ``lo``."""
+        action, write, nxt = entry
+        if write:
+            slot, value = write
+            lo = lo[:slot] + (value,) + lo[slot + 1 :]
+        return (action, lo, nxt)
 
     def realize(self, pc: int, lo: tuple, entry: tuple) -> MachineState | None:
         """Find a concrete state whose summarized step matches the entry."""
         for hi_vec in itertools.product(_values(self.cfg, None), repeat=len(self.highs)):
-            state = _build_state(self.cfg, self.lows, self.highs, lo, hi_vec)
-            state = MachineState(pc, state.regs, state.mem)
-            got = self.observe(state)
-            if got == entry:
+            state = _build_state(self.cfg, self.lows, self.highs, lo, hi_vec, pc)
+            if self.observe(state) == entry:
                 return state
         return None
 
     def observe(self, state: MachineState) -> tuple:
         """Project one termination-transparent step to (public action, low part, pc)."""
-        result = machine_step(self.program, state, self.cfg)
-        if result is None:
-            action, succ = TAU, state
-        else:
-            action, succ = result
-        lo = tuple(
-            succ.regs[idx] if kind == "reg" else succ.mem[idx]
-            for kind, idx in self.lows
-        )
-        return (low(action), lo, succ.pc)
+        action, succ = machine_step(self.program, state, self.cfg) or (TAU, state)
+        return (low(action), _cells_of(succ, self.lows), succ.pc)
 
 
 def check_strong_security(
@@ -261,56 +280,41 @@ def check_strong_security(
     """
     tables = _SSTables(program, cfg)
     budget = check.effective_budget()
-    if (len(program) + 1) * len(tables.lo_space) > budget:
-        raise BudgetExceeded(
-            f"{len(program) + 1} points x {len(tables.lo_space)} low states exceeds {budget}"
-        )
+    points, lo_states = len(program) + 1, cfg.word_values ** len(tables.lows)
+    _charge(points * lo_states, f"{points} points x {lo_states} low states", budget)
+    every = range(cfg.word_values)
     start = (0, 0)
     status: dict[tuple[int, int], bool] = {}
     reasons: dict[tuple[int, int], tuple] = {}
-    deps: dict[tuple[int, int], set] = {}
-    rdeps: dict[tuple[int, int], set] = {}
-    dep_witness: dict[tuple[tuple[int, int], tuple[int, int]], tuple] = {}
+    # deps[pair][succ]: the first (low part, entry at p, entry at q) leading to succ
+    deps: dict[tuple[int, int], dict] = {}
+    rdeps: dict[tuple[int, int], list] = {}
 
     queue = deque([start])
     status[start] = True
     while queue:
         pair = queue.popleft()
         p, q = pair
-        gp, gq = tables.summaries(p), tables.summaries(q)
-        pair_deps: set = set()
+        touched = {*tables.touched.get(p, ()), *tables.touched.get(q, ())}
+        value_sets = [every if s in touched else (0,) for s in range(len(tables.lows))]
+        pair_deps: dict = {}
         failure = None
-        for lo in tables.lo_space:
-            e1s, e2s = gp[lo], gq[lo]
-            projections = {(a, l2) for a, l2, _ in e1s} | {(a, l2) for a, l2, _ in e2s}
-            if len(projections) > 1:
-                a_entry = next(iter(e1s))
-                b_entry = next(
-                    (e for e in e2s if (e[0], e[1]) != (a_entry[0], a_entry[1])),
-                    None,
-                )
-                if b_entry is None:
-                    # every entry of e2s projects like a_entry, so some entry
-                    # of e1s differs from them; b_entry must come from e2s,
-                    # since the witness realizes it at q
-                    b_entry = next(iter(e2s))
-                    a_entry = next(
-                        e for e in e1s if (e[0], e[1]) != (b_entry[0], b_entry[1])
-                    )
-                failure = ("mismatch", lo, a_entry, b_entry)
+        for lo in itertools.product(*value_sets):
+            e1s, e2s = tables.entries(p, lo), tables.entries(q, lo)
+            split = next(((a, b) for a in e1s for b in e2s if a[:2] != b[:2]), None)
+            if split is not None:
+                failure = ("mismatch", lo, *split)
                 break
             for e1 in e1s:
                 for e2 in e2s:
-                    succ = (e1[2], e2[2])
-                    pair_deps.add(succ)
-                    dep_witness.setdefault((pair, succ), (lo, e1, e2))
+                    pair_deps.setdefault((e1[2], e2[2]), (lo, e1, e2))
         if failure is not None:
             status[pair] = False
             reasons[pair] = failure
             continue
         deps[pair] = pair_deps
         for succ in pair_deps:
-            rdeps.setdefault(succ, set()).add(pair)
+            rdeps.setdefault(succ, []).append(pair)
             if succ not in status:
                 status[succ] = True
                 queue.append(succ)
@@ -323,7 +327,7 @@ def check_strong_security(
         for parent in rdeps.get(gone, ()):
             if status[parent]:
                 status[parent] = False
-                reasons[parent] = ("dep", *dep_witness[(parent, gone)], gone)
+                reasons[parent] = ("dep", *deps[parent][gone], gone)
                 dead.append(parent)
 
     if status[start]:
@@ -338,7 +342,8 @@ def _ss_witness(tables: _SSTables, start, reasons) -> dict:
     first = None
     while True:
         reason = reasons[pair]
-        kind, lo, e1, e2 = reason[0], reason[1], reason[2], reason[3]
+        kind, lo = reason[0], reason[1]
+        e1, e2 = tables.after(lo, reason[2]), tables.after(lo, reason[3])
         state_a = tables.realize(pair[0], lo, e1)
         state_b = tables.realize(pair[1], lo, e2)
         if first is None:
@@ -360,25 +365,21 @@ def _ss_witness(tables: _SSTables, start, reasons) -> dict:
         if kind == "mismatch":
             break
         pair = reason[4]
-    lows, _ = _cells_by_level(tables.cfg)
     state_a, state_b = first
     return {
-        "initial_low": {
-            f"{kind}{idx}": (state_a.regs[idx] if kind == "reg" else state_a.mem[idx])
-            for kind, idx in lows
-        },
-        "initial_high_a": _high_part(tables.cfg, state_a),
-        "initial_high_b": _high_part(tables.cfg, state_b),
+        "initial_low": _cells_named(state_a, tables.lows),
+        "initial_high_a": _cells_named(state_a, tables.highs),
+        "initial_high_b": _cells_named(state_b, tables.highs),
         "trace": steps,
     }
 
 
-def _high_part(cfg: MachineConfig, state: MachineState) -> dict:
-    _, highs = _cells_by_level(cfg)
-    return {
-        f"{kind}{idx}": (state.regs[idx] if kind == "reg" else state.mem[idx])
-        for kind, idx in highs
-    }
+def _cells_of(state: MachineState, cells) -> tuple:
+    return tuple(state.regs[idx] if kind == "reg" else state.mem[idx] for kind, idx in cells)
+
+
+def _cells_named(state: MachineState, cells) -> dict:
+    return {f"{kind}{idx}": value for (kind, idx), value in zip(cells, _cells_of(state, cells))}
 
 
 def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -> bool:
@@ -410,11 +411,10 @@ def _initial_groups(system: RiscSystem, check: CheckConfig):
     cfg = system.cfg
     lows, highs = _cells_by_level(cfg)
     values = _values(cfg, check.init_value_bound)
-    hi_vectors = list(itertools.product(values, repeat=len(highs)))
     for lo_vec in itertools.product(values, repeat=len(lows)):
         states = [
             system.encode(_build_state(cfg, lows, highs, lo_vec, hi_vec))
-            for hi_vec in hi_vectors
+            for hi_vec in itertools.product(values, repeat=len(highs))
         ]
         yield lo_vec, states
 
@@ -430,26 +430,25 @@ def check_poni(
     """
     system = RiscSystem(program, cfg)
     scope = _scope_names(system, check)
+    budget = check.effective_budget()
+    _charge(2 ** len(scope), f"{2 ** len(scope)} fault masks", budget)
+    # the seed pairs below: each low part's first state with every other one
+    lows, highs = _cells_by_level(cfg)
+    words = len(_values(cfg, check.init_value_bound))
+    pairs = words ** len(lows) * (words ** len(highs) - 1)
+    _charge(pairs, f"{pairs} initial state pairs", budget)
     masks = sorted(
         system.mask_of(sub)
         for sub in (frozenset(c) for r in range(len(scope) + 1)
                     for c in itertools.combinations(scope, r))
     )
-    budget = check.effective_budget()
 
-    seeds = []
-    for _, states in _initial_groups(system, check):
-        ref = states[0]
-        for other in states[1:]:
-            if other != ref:
-                seeds.append((ref, other))
-
-    parent: dict[tuple[int, int], tuple | None] = {}
-    frontier: list[tuple[int, int]] = []
-    for seed in seeds:
-        if seed not in parent:
-            parent[seed] = None
-            frontier.append(seed)
+    parent: dict[tuple[int, int], tuple | None] = {
+        (states[0], other): None
+        for _, states in _initial_groups(system, check)
+        for other in states[1:]
+    }
+    frontier = list(parent)
 
     violation = None
     for _ in range(check.depth):

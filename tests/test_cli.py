@@ -1,13 +1,15 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from ftnilab.cli import main
+from ftnilab.cli import _load_program, main
+from ftnilab.verify import replay_ss_witness
 
 GOOD_SOURCE = "low x; high h;\nx := 1;\nout low x\n"
 LEAKY_SOURCE = "low x; high h;\nout low h\n"
@@ -20,6 +22,19 @@ def invoke(capsys, *argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _cli(*argv, timeout=30, **env):
+    """Run ``ftni`` in a fresh interpreter, with ``env`` added to the environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ftnilab.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
 
 
 def write(tmp_path, name, text):
@@ -205,9 +220,35 @@ def test_demo_hash_rejects_small_width(capsys):
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "ftnilab.cli", "demo-hash"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _cli("demo-hash")
     assert proc.returncode == 0
+
+
+def test_check_ss_witness_is_the_same_under_every_hash_seed(tmp_path):
+    asm = write(tmp_path, "leak.s", "load rh0 0\nout low rh0\n")
+    runs = [
+        _cli("check", asm, "--mode", "ss", "--width", "2", PYTHONHASHSEED=str(seed))
+        for seed in range(4)
+    ]
+    assert {(run.returncode, run.stdout) for run in runs} == {(3, runs[0].stdout)}
+    witness = json.loads(runs[0].stdout)["witness"]
+    program, cfg, _ = _load_program(asm, 2)
+    assert replay_ss_witness(program, cfg, witness)
+
+
+def test_check_poni_budget_trips_before_enumerating_masks(tmp_path, capsys):
+    # 24 faulty bits at width 4: 2**24 fault masks, charged before any is built
+    src = write(
+        tmp_path, "p.src", "high h; low x; if h then h := 1 else skip; out low 3\n"
+    )
+    out = str(tmp_path / "p.s")
+    code, _, err = invoke(
+        capsys, "compile", src, "--out", out, "--meta", str(tmp_path / "p.meta.json"),
+        "--width", "4",
+    )
+    assert code == 0, err
+    run = _cli(
+        "check", out, "--mode", "poni", "--depth", "2", "--width", "4",
+        timeout=5, FTNI_BUDGET="1000",
+    )
+    assert run.returncode == 4 and "budget" in run.stderr

@@ -5,8 +5,8 @@ compiled corpus and on a fixed pool of random programs.  Any change to the
 machine semantics, the faulted step or the checkers that alters a verdict or
 a witness shows up here.
 
-SS witnesses of the random pool are left out: which witness SS builds depends
-on set iteration order, which changes with the hash seed.
+SS witnesses of the random pool are left out; ``test_verify`` replays them,
+and ``test_cli`` checks that one is the same under several hash seeds.
 
 Regenerate (only when a verdict change is intended) with
 ``PYTHONPATH=src python tests/test_golden_verdicts.py > tests/golden_verdicts.json``.

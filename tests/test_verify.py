@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from ftnilab.corpus import config_for_source
+from ftnilab.corpus import CORPUS, SHRUNKEN_HASH, config_for_source
 from ftnilab.faultlab import uniform_environment
 from ftnilab.lang import parse
 from ftnilab.machine import (
@@ -93,9 +93,18 @@ def test_ss_secret_branch_with_low_write_violation():
     assert replay_ss_witness(assemble(text), tiny_cfg(), verdict.witness)
 
 
+def test_ss_witness_starts_from_the_first_failing_low_part():
+    # The leak needs rl0 != 0; slots no instruction on the path touches are 0,
+    # as in the first failing vector of the whole low space.
+    text = "jz l1 rl0\nout low rh0\nl1: nop"
+    verdict = check_strong_security(assemble(text), tiny_cfg())
+    assert verdict.witness["initial_low"] == {"reg0": 1, "reg1": 0, "mem0": 0}
+    assert replay_ss_witness(assemble(text), tiny_cfg(), verdict.witness)
+
+
 def test_ss_witnesses_of_random_programs_replay():
-    # Which mismatching summary entries a witness takes depends on set
-    # iteration order, hence on the hash seed; every choice must replay.
+    # A witness picks one of possibly many mismatching summary entries; the
+    # one it picks must replay.
     for width in (1, 2):
         rng = Random(7)
         cfg = standard_config(width, 1, 1, (LOW, HIGH))
@@ -107,8 +116,9 @@ def test_ss_witnesses_of_random_programs_replay():
 
 
 def test_ss_summaries_match_brute_force_enumeration():
-    # The symbolic per-instruction summaries must agree with direct
-    # enumeration of every high assignment.
+    # The per-pc summaries, memoised on the low slots each pc touches and
+    # lifted onto every full low vector, must agree with direct enumeration
+    # of every high assignment.
     rng = Random(13)
     cfg = tiny_cfg(mem=(LOW, HIGH, HIGH))
     for _ in range(12):
@@ -116,7 +126,7 @@ def test_ss_summaries_match_brute_force_enumeration():
         tables = _SSTables(program, cfg)
         hi_cells = tables.highs
         for pc in range(len(program) + 1):
-            for lo in tables.lo_space:
+            for lo in itertools.product(range(cfg.word_values), repeat=len(tables.lows)):
                 brute = set()
                 for hi_vec in itertools.product(range(cfg.word_values), repeat=len(hi_cells)):
                     regs = [0] * len(cfg.registers)
@@ -127,7 +137,8 @@ def test_ss_summaries_match_brute_force_enumeration():
                         (regs if kind == "reg" else mem)[idx] = val
                     state = MachineState(pc, tuple(regs), tuple(mem))
                     brute.add(tables.observe(state))
-                assert brute == tables.summaries(pc)[lo], (pc, lo)
+                lifted = {tables.after(lo, e) for e in tables.entries(pc, lo)}
+                assert brute == lifted, (pc, lo)
 
 
 def brute_force_strong_security(program, cfg):
@@ -149,25 +160,24 @@ def brute_force_strong_security(program, cfg):
     for d in data_states:
         groups.setdefault(low_of[d], []).append(d)
     points = range(len(program) + 1)
+    # the one-step observations of every data state in a low group, per point
+    seen = {
+        (pc, lo): {tables.observe(MachineState(pc, regs, mem)) for regs, mem in group}
+        for pc in points
+        for lo, group in groups.items()
+    }
     related = {(p, q) for p in points for q in points}
     changed = True
     while changed:
         changed = False
         for pair in sorted(related):
             p, q = pair
-            ok = True
-            for group in groups.values():
-                for (regs_a, mem_a) in group:
-                    act_a, lo_a, pc_a = tables.observe(MachineState(p, regs_a, mem_a))
-                    for (regs_b, mem_b) in group:
-                        act_b, lo_b, pc_b = tables.observe(MachineState(q, regs_b, mem_b))
-                        if act_a != act_b or lo_a != lo_b or (pc_a, pc_b) not in related:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
+            ok = all(
+                act_a == act_b and lo_a == lo_b and (pc_a, pc_b) in related
+                for lo in groups
+                for act_a, lo_a, pc_a in seen[(p, lo)]
+                for act_b, lo_b, pc_b in seen[(q, lo)]
+            )
             if not ok:
                 related.discard(pair)
                 changed = True
@@ -175,21 +185,38 @@ def brute_force_strong_security(program, cfg):
 
 
 def test_ss_matches_brute_force_refinement():
-    rng = Random(59)
-    cfg = tiny_cfg(mem=(LOW, HIGH))
-    programs = [random_risc_program(rng, cfg, length=5) for _ in range(15)]
-    programs.append(assemble(CONSTANT_OUT))
-    programs.append(assemble(LEAKY_OUT))
-    for program in programs:
-        expected = brute_force_strong_security(program, cfg)
-        got = check_strong_security(program, cfg).secure
-        assert got == expected, disassemble_for_debug(program)
+    # Both configs have two low registers and a low cell; random programs mix
+    # them, so the low slots touched by the two points of a pair differ.
+    for cfg in (tiny_cfg(mem=(LOW, HIGH)), standard_config(2, 2, 1, (LOW, HIGH))):
+        rng = Random(59)
+        programs = [random_risc_program(rng, cfg, length=5) for _ in range(40)]
+        programs.append(assemble(CONSTANT_OUT))
+        programs.append(assemble(LEAKY_OUT))
+        for program in programs:
+            expected = brute_force_strong_security(program, cfg)
+            got = check_strong_security(program, cfg).secure
+            assert got == expected, (cfg.width, disassemble_for_debug(program))
 
 
 def disassemble_for_debug(program):
     from ftnilab.machine import disassemble
 
     return disassemble(program)
+
+
+@pytest.mark.parametrize(
+    "source, width, jlez",
+    [
+        pytest.param(SHRUNKEN_HASH, 4, True, id="shrunken_hash-w4"),
+        pytest.param(dict(CORPUS)["cache_churn"], 3, False, id="cache_churn-w3"),
+    ],
+)
+def test_ss_secure_over_large_low_spaces(source, width, jlez):
+    # 16**4 and 8**5 low states: each point pair is checked over the few low
+    # cells its two instructions touch, never over the whole low space.
+    src = parse(source, allow_positive_guards=jlez)
+    cfg = config_for_source(src, width, enable_jlez=jlez)
+    assert check_strong_security(compile_program(src, cfg).program, cfg).secure
 
 
 def test_ss_budget_guard():
