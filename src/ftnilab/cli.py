@@ -8,13 +8,20 @@ bundled keyed-hash showcase.
 
 Exit codes: 0 success/secure, 1 I/O or parse error, 2 type error,
 3 violation, 4 resource budget exceeded, 5 demo mismatch, 64 usage error.
-The environment variable FTNI_BUDGET caps checker state-space size.
+The environment variable FTNI_BUDGET, a positive decimal integer read once
+by ``check`` and ``demo-hash``, sets the checkers' one limit on work
+(default 2000000): strong security charges the low assignments it walks;
+the possibilistic checker its fault masks and initial state pairs before it
+builds them, then the state pairs it explores; the probabilistic checker one
+low group's initial states before it builds them, then the composed states
+it expands.  Any other value exits 64.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -35,6 +42,7 @@ from .machine import (
     validate_program,
 )
 from .verify import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     CheckConfig,
     check_pni,
@@ -66,6 +74,17 @@ def _fail(code: int, message: str) -> int:
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def _budget() -> int:
+    """The checkers' limit from FTNI_BUDGET, or the default when it is unset."""
+    text = os.environ.get("FTNI_BUDGET")
+    if text is None:
+        return DEFAULT_BUDGET
+    if not (text.isascii() and text.isdigit()) or int(text) == 0:
+        print(f"FTNI_BUDGET must be a positive decimal integer, not {text!r}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +234,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
+    check = CheckConfig(depth=args.depth, budget=_budget())
     try:
         program, cfg, _ = _load_program(args.asm, args.width)
     except (OSError, AssemblyError) as exc:
         return _fail(EXIT_IO, f"assembly error: {exc}")
-    check = CheckConfig(depth=args.depth)
     try:
         if args.mode == "ss":
             verdict = check_strong_security(program, cfg, check)
@@ -248,6 +267,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_demo_hash(args) -> int:
+    check = CheckConfig(budget=_budget())
     if args.width < 8:
         return _fail(EXIT_USAGE, "--width must be at least 8 for the hash demo")
     src = corpus.hash_source()
@@ -285,7 +305,7 @@ def cmd_demo_hash(args) -> int:
     small_cfg = corpus.config_for_source(small_src, 2, enable_jlez=True)
     small = seccomp.compile_program(small_src, small_cfg)
     try:
-        verdict = check_strong_security(small.program, small_cfg)
+        verdict = check_strong_security(small.program, small_cfg, check)
     except BudgetExceeded as exc:
         return _fail(EXIT_BUDGET, f"resource budget exceeded: {exc}")
     print(f"reduced variant at width 2: strong security {verdict.status}")

@@ -52,21 +52,15 @@ class Action:
 
 
 TAU = Action()
-LOW_CHANNEL = "low"
-HIGH_CHANNEL = "high"
 
 
 def output(channel: str, value: int) -> Action:
     return Action(channel, value)
 
 
-def is_low_action(action: Action) -> bool:
-    return action.channel == LOW_CHANNEL
-
-
 def low(action: Action) -> Action:
     """Public projection: low-channel outputs pass through, everything else is silent."""
-    return action if is_low_action(action) else TAU
+    return action if action.channel == "low" else TAU
 
 
 def parse_action(text: str) -> Action:
@@ -253,11 +247,7 @@ def uniform_environment(epsilon: Fraction, faulty: Iterable[str]) -> Environment
     )
 
 
-def scripted_environment(
-    stages: Iterable[tuple[FaultDist, str]],
-    *,
-    name_prefix: str = "S",
-) -> EnvironmentSpec:
+def scripted_environment(stages: Iterable[tuple[FaultDist, str]]) -> EnvironmentSpec:
     """Attacker that walks an ordered script of fault tables.
 
     Each stage is (distribution, advance) with advance either ``"low"``
@@ -266,7 +256,7 @@ def scripted_environment(
     After the last stage the attacker stays put and stops flipping.
     """
     stage_list = list(stages)
-    states = tuple(f"{name_prefix}{i}" for i in range(len(stage_list) + 1))
+    states = tuple(f"S{i}" for i in range(len(stage_list) + 1))
     final = states[-1]
     transitions: dict[tuple[str, object], str] = {(final, WILDCARD): final}
     faults: dict[str, FaultDist] = {final: {frozenset(): Fraction(1)}}
@@ -404,13 +394,6 @@ def augmented_step(
         (subset, *faulted_step(system, state, system.mask_of(subset)))
         for subset in _subsets(names)
     ]
-
-
-def termination_transparent_step(
-    system: FaultProneSystem, state: int
-) -> tuple[Action, int]:
-    """Fault-free step where stuck states silently loop instead of halting."""
-    return faulted_step(system, state, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -90,12 +90,6 @@ class SourceProgram:
     levels: tuple[tuple[str, SecurityLevel], ...]
     body: Cmd
 
-    def level_of(self, var: str) -> SecurityLevel:
-        for name, level in self.levels:
-            if name == var:
-                return level
-        raise KeyError(var)
-
     def variables(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.levels)
 

@@ -507,9 +507,6 @@ class RiscSystem(FaultProneSystem):
         self._step_cache[state] = encoded
         return encoded
 
-    def low_equal(self, a: int, b: int) -> bool:
-        return (a ^ b) & self.low_mask == 0
-
 
 # ---------------------------------------------------------------------------
 # Block-structural program comparison

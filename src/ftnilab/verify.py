@@ -22,7 +22,6 @@ replayable witness.
 from __future__ import annotations
 
 import itertools
-import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,9 +63,12 @@ class BudgetExceeded(Exception):
 
 
 def _charge(size: int, what: str, budget: int) -> None:
-    """Refuse, before it starts, an enumeration of ``size`` items."""
+    """The one budget check: refuse ``size`` items of ``what`` over the limit.
+
+    Checkers call it before they build an enumeration and as a table grows.
+    """
     if size > budget:
-        raise BudgetExceeded(f"{what} exceeds {budget}")
+        raise BudgetExceeded(f"{what}: {size} exceeds the limit of {budget}")
 
 
 @dataclass(frozen=True)
@@ -75,21 +77,17 @@ class CheckConfig:
 
     ``fault_scope`` restricts which faulty locations an experiment exposes
     (None exposes all of them); ``depth`` bounds trace length for the
-    possibilistic and probabilistic checkers; ``budget`` caps explored state
-    counts, defaulting to the FTNI_BUDGET environment variable;
-    ``init_value_bound`` caps the per-cell values enumerated for initial
-    states (None enumerates the full word range).
+    possibilistic and probabilistic checkers; ``budget`` is the one limit on
+    work, charged by every checker: strong security, the low assignments it
+    walks over all point pairs; POni, its fault masks and initial state pairs
+    before it builds them, then the state pairs it explores; PNI, one low
+    group's initial states before it builds them, then the composed states
+    it expands.
     """
 
     depth: int = 4
     fault_scope: tuple[str, ...] | None = None
-    budget: int | None = None
-    init_value_bound: int | None = None
-
-    def effective_budget(self) -> int:
-        if self.budget is not None:
-            return self.budget
-        return int(os.environ.get("FTNI_BUDGET", DEFAULT_BUDGET))
+    budget: int = DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -123,11 +121,6 @@ def _cells_by_level(cfg: MachineConfig):
     for addr, level in enumerate(cfg.memory_levels):
         (lows if level is LOW else highs).append(("mem", addr))
     return lows, highs
-
-
-def _values(cfg: MachineConfig, bound: int | None):
-    top = cfg.word_values if bound is None else min(bound, cfg.word_values)
-    return range(top)
 
 
 def _build_state(cfg, lows, highs, lo_vec, hi_vec, pc: int = 0) -> MachineState:
@@ -255,8 +248,21 @@ class _SSTables:
         return (action, lo, nxt)
 
     def realize(self, pc: int, lo: tuple, entry: tuple) -> MachineState | None:
-        """Find a concrete state whose summarized step matches the entry."""
-        for hi_vec in itertools.product(_values(self.cfg, None), repeat=len(self.highs)):
+        """The first concrete state, in high-vector order, whose step matches the entry.
+
+        Only the high cells the instruction reads are searched, with every
+        other high cell at zero: the step sees the high part only through
+        those cells, so the matching states are the ones their values pick,
+        and the first of them is zero everywhere else.
+        """
+        reads = self.ops[pc].sources if 0 <= pc < len(self.ops) else ()
+        nregs = len(self.cfg.registers)
+        every = range(self.cfg.word_values)
+        value_sets = [
+            every if (idx if kind == "reg" else nregs + idx) in reads else (0,)
+            for kind, idx in self.highs
+        ]
+        for hi_vec in itertools.product(*value_sets):
             state = _build_state(self.cfg, self.lows, self.highs, lo, hi_vec, pc)
             if self.observe(state) == entry:
                 return state
@@ -279,10 +285,8 @@ def check_strong_security(
     iff the entry point survives paired with itself.
     """
     tables = _SSTables(program, cfg)
-    budget = check.effective_budget()
-    points, lo_states = len(program) + 1, cfg.word_values ** len(tables.lows)
-    _charge(points * lo_states, f"{points} points x {lo_states} low states", budget)
     every = range(cfg.word_values)
+    walked = 0  # low assignments walked over all point pairs so far
     start = (0, 0)
     status: dict[tuple[int, int], bool] = {}
     reasons: dict[tuple[int, int], tuple] = {}
@@ -296,6 +300,8 @@ def check_strong_security(
         pair = queue.popleft()
         p, q = pair
         touched = {*tables.touched.get(p, ()), *tables.touched.get(q, ())}
+        walked += cfg.word_values ** len(touched)
+        _charge(walked, "low assignments walked", check.budget)
         value_sets = [every if s in touched else (0,) for s in range(len(tables.lows))]
         pair_deps: dict = {}
         failure = None
@@ -318,8 +324,6 @@ def check_strong_security(
             if succ not in status:
                 status[succ] = True
                 queue.append(succ)
-                if len(status) > budget:
-                    raise BudgetExceeded(f"more than {budget} program-point pairs")
 
     dead = deque(pair for pair, alive in status.items() if not alive)
     while dead:
@@ -406,11 +410,11 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
 # ---------------------------------------------------------------------------
 
 
-def _initial_groups(system: RiscSystem, check: CheckConfig):
+def _initial_groups(system: RiscSystem):
     """Yield (lo_vec, [encoded states sharing that low part])."""
     cfg = system.cfg
     lows, highs = _cells_by_level(cfg)
-    values = _values(cfg, check.init_value_bound)
+    values = range(cfg.word_values)
     for lo_vec in itertools.product(values, repeat=len(lows)):
         states = [
             system.encode(_build_state(cfg, lows, highs, lo_vec, hi_vec))
@@ -430,13 +434,11 @@ def check_poni(
     """
     system = RiscSystem(program, cfg)
     scope = _scope_names(system, check)
-    budget = check.effective_budget()
-    _charge(2 ** len(scope), f"{2 ** len(scope)} fault masks", budget)
+    _charge(2 ** len(scope), "fault masks", check.budget)
     # the seed pairs below: each low part's first state with every other one
     lows, highs = _cells_by_level(cfg)
-    words = len(_values(cfg, check.init_value_bound))
-    pairs = words ** len(lows) * (words ** len(highs) - 1)
-    _charge(pairs, f"{pairs} initial state pairs", budget)
+    words = cfg.word_values
+    _charge(words ** len(lows) * (words ** len(highs) - 1), "initial state pairs", check.budget)
     masks = sorted(
         system.mask_of(sub)
         for sub in (frozenset(c) for r in range(len(scope) + 1)
@@ -445,7 +447,7 @@ def check_poni(
 
     parent: dict[tuple[int, int], tuple | None] = {
         (states[0], other): None
-        for _, states in _initial_groups(system, check)
+        for _, states in _initial_groups(system)
         for other in states[1:]
     }
     frontier = list(parent)
@@ -469,8 +471,7 @@ def check_poni(
                     nxt.append(succ)
             if violation:
                 break
-        if len(parent) > budget:
-            raise BudgetExceeded(f"more than {budget} state pairs explored")
+        _charge(len(parent), "state pairs explored", check.budget)
         frontier = nxt
 
     if violation is None:
@@ -556,17 +557,17 @@ def check_pni(
     env.validate(system.faulty_names)
     scoped = env.restricted(scope)
     comp = Composition(system, scoped)
-    budget = check.effective_budget()
+    _, highs = _cells_by_level(cfg)
+    _charge(cfg.word_values ** len(highs), "initial states per low group", check.budget)
 
-    for _, states in _initial_groups(system, check):
+    for _, states in _initial_groups(system):
         ref = states[0]
         ref_dist = comp.trace_distribution(ref, scoped.initial, check.depth)
         for other in states[1:]:
             if other == ref:
                 continue
             dist = comp.trace_distribution(other, scoped.initial, check.depth)
-            if len(comp._steps) > budget:
-                raise BudgetExceeded(f"more than {budget} composed states expanded")
+            _charge(len(comp._steps), "composed states expanded", check.budget)
             if dist != ref_dist:
                 witness = _pni_witness(system, comp, scoped, ref, other, check.depth)
                 return Verdict("pni", "violation", check.depth, witness)
@@ -655,17 +656,15 @@ def check_ss_implies_poni(
     }
 
 
-def check_timing_balance(
-    result: CompileResult,
-    cfg: MachineConfig,
-    low_values: dict[int, int] | None = None,
-    max_steps: int = 10_000,
-) -> tuple[bool, dict]:
+TIMING_MAX_STEPS = 10_000
+
+
+def check_timing_balance(result: CompileResult, cfg: MachineConfig) -> tuple[bool, dict]:
     """Padded-conditional audit: equal branch sizes, secret-blind low timing.
 
     Statically, both padded branch regions of every high conditional must
     contain the same number of instructions.  Dynamically, runs from every
-    assignment of the high memory cells (low cells fixed) must produce
+    assignment of the high cells (low cells at zero) must produce
     identical sequences of (step index, low output).  Termination time by
     itself is not an observation: stuck states silently idle in this model.
     """
@@ -679,22 +678,15 @@ def check_timing_balance(
         balanced = balanced and ok
         sites.append({"then_len": then_len, "else_len": else_len, "balanced": ok})
 
-    lows, highs = _cells_by_level(cfg)
-    low_cells = dict(low_values or {})
+    _, highs = _cells_by_level(cfg)
     observations = None
     sweep_ok = True
     witness = None
     for hi_vec in itertools.product(range(cfg.word_values), repeat=len(highs)):
-        regs = [0] * len(cfg.registers)
-        mem = [0] * cfg.memory_size
-        for (kind, idx), value in zip(highs, hi_vec):
-            (regs if kind == "reg" else mem)[idx] = value
-        for addr, value in low_cells.items():
-            mem[addr] = value % cfg.word_values
-        state = MachineState(0, tuple(regs), tuple(mem))
+        state = _build_state(cfg, (), highs, (), hi_vec)
         timed: list[tuple[int, str]] = []
         steps = 0
-        while steps < max_steps:
+        while steps < TIMING_MAX_STEPS:
             outcome = machine_step(program, state, cfg)
             if outcome is None:
                 break

@@ -197,6 +197,45 @@ def test_check_budget_exit_4(tmp_path, capsys, monkeypatch):
     assert code == 4 and "budget" in err
 
 
+FAULT_FREE_ENV = "start E0\ntrans E0 * E0\nfault E0 - 1\n"
+# No side-car: every cell is high.  At width 4 the six high cells give 16**6
+# initial states per low group; at width 8 a brute-force witness search over
+# them would take 256**6 steps.
+SIX_HIGH_CELLS_LEAK = "load rh1 1\nstore 2 rh1\nstore 3 rh1\nout low rh0\n"
+
+
+@pytest.mark.parametrize("mode", ["ss", "poni", "pni"])
+@pytest.mark.parametrize("value", ["abc", "1e3", "-5", "0"])
+def test_check_rejects_malformed_budget(tmp_path, capsys, monkeypatch, value, mode):
+    monkeypatch.setenv("FTNI_BUDGET", value)
+    out, _ = compile_ok(tmp_path, capsys)
+    env = write(tmp_path, "env.txt", FAULT_FREE_ENV)
+    code, stdout, err = invoke(
+        capsys, "check", out, "--mode", mode, "--width", "1", "--env", env
+    )
+    assert code == 64 and stdout == ""
+    assert "FTNI_BUDGET" in err and "Traceback" not in err
+
+
+def test_check_pni_budget_trips_before_building_initial_states(tmp_path):
+    asm = write(tmp_path, "leak.s", SIX_HIGH_CELLS_LEAK)
+    env = write(tmp_path, "env.txt", FAULT_FREE_ENV)
+    run = _cli(
+        "check", asm, "--mode", "pni", "--depth", "2", "--width", "4", "--env", env,
+        timeout=5, FTNI_BUDGET="1000",
+    )
+    assert run.returncode == 4
+    assert "initial states per low group: 16777216 exceeds the limit of 1000" in run.stderr
+
+
+def test_check_ss_witness_searches_only_the_high_cells_read(tmp_path):
+    asm = write(tmp_path, "leak.s", SIX_HIGH_CELLS_LEAK)
+    run = _cli("check", asm, "--mode", "ss", "--width", "8", timeout=5)
+    assert run.returncode == 3, run.stderr
+    program, cfg, _ = _load_program(asm, 8)
+    assert replay_ss_witness(program, cfg, json.loads(run.stdout)["witness"])
+
+
 def test_outputs_are_deterministic(tmp_path, capsys):
     out, meta = compile_ok(tmp_path, capsys)
     first = (Path(out).read_text(), Path(meta).read_text())

@@ -17,11 +17,11 @@ from ftnilab.faultlab import (
     enumerate_runs,
     environment_from_text,
     environment_to_text,
+    faulted_step,
     flip,
     low,
     output,
     scripted_environment,
-    termination_transparent_step,
     trace_distribution,
     trace_probability,
     uniform_environment,
@@ -171,11 +171,12 @@ def test_augmented_step_respects_scope():
 
 
 def test_termination_transparent_step():
+    # the fault-free step (mask 0): a stuck state idles silently
     system = TableSystem(locs("a|"), {0: (output("low", 1), 1)})
-    assert termination_transparent_step(system, 0) == (output("low", 1), 1)
+    assert faulted_step(system, 0, 0) == (output("low", 1), 1)
     state = 1
     for _ in range(5):
-        action, state = termination_transparent_step(system, state)
+        action, state = faulted_step(system, state, 0)
         assert action == TAU and state == 1
 
 

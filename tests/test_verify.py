@@ -115,6 +115,48 @@ def test_ss_witnesses_of_random_programs_replay():
                 assert replay_ss_witness(program, cfg, verdict.witness), (width, draw)
 
 
+def test_ss_witness_high_parts_are_the_first_matching_high_vectors():
+    # realize searches only the high cells a step reads; each state it picks
+    # must be the first full high vector, in product order, that steps alike.
+    for width in (1, 2):
+        rng = Random(23)
+        cfg = standard_config(width, 1, 1, (LOW, HIGH))
+        violations = 0
+        for draw in range(150):
+            program = random_risc_program(rng, cfg, 6)
+            verdict = check_strong_security(program, cfg)
+            if verdict.secure:
+                continue
+            violations += 1
+            tables = _SSTables(program, cfg)
+            for entry in verdict.witness["trace"]:
+                for side in "ab":
+                    pc = entry[f"pc_{side}"]
+                    regs, mem = entry[f"regs_{side}"], entry[f"mem_{side}"]
+                    state = MachineState(pc, tuple(regs), tuple(mem))
+                    seen = tables.observe(state)
+                    first = next(
+                        hi_vec
+                        for hi_vec in itertools.product(
+                            range(cfg.word_values), repeat=len(tables.highs)
+                        )
+                        if tables.observe(_with_high(state, tables.highs, hi_vec)) == seen
+                    )
+                    assert _high_of(state, tables.highs) == first, (width, draw, pc)
+        assert violations, width
+
+
+def _with_high(state, highs, hi_vec):
+    regs, mem = list(state.regs), list(state.mem)
+    for (kind, idx), val in zip(highs, hi_vec):
+        (regs if kind == "reg" else mem)[idx] = val
+    return MachineState(state.pc, tuple(regs), tuple(mem))
+
+
+def _high_of(state, highs):
+    return tuple(state.regs[idx] if kind == "reg" else state.mem[idx] for kind, idx in highs)
+
+
 def test_ss_summaries_match_brute_force_enumeration():
     # The per-pc summaries, memoised on the low slots each pc touches and
     # lifted onto every full low vector, must agree with direct enumeration
@@ -209,20 +251,23 @@ def disassemble_for_debug(program):
     [
         pytest.param(SHRUNKEN_HASH, 4, True, id="shrunken_hash-w4"),
         pytest.param(dict(CORPUS)["cache_churn"], 3, False, id="cache_churn-w3"),
+        pytest.param(dict(CORPUS)["cache_churn"], 4, False, id="cache_churn-w4"),
     ],
 )
 def test_ss_secure_over_large_low_spaces(source, width, jlez):
-    # 16**4 and 8**5 low states: each point pair is checked over the few low
-    # cells its two instructions touch, never over the whole low space.
+    # 16**4, 8**5 and 16**5 low states: each point pair is checked over the
+    # few low cells its two instructions touch, never over the whole low
+    # space, and the budget is charged for those cells only.
     src = parse(source, allow_positive_guards=jlez)
     cfg = config_for_source(src, width, enable_jlez=jlez)
     assert check_strong_security(compile_program(src, cfg).program, cfg).secure
 
 
 def test_ss_budget_guard():
+    # the first point pair walks the 8**2 values of the two low registers it reads
     cfg = standard_config(3, 2, 2, (LOW,) * 4)
-    program = assemble("nop")
-    with pytest.raises(BudgetExceeded):
+    program = assemble("add rl0 rl1")
+    with pytest.raises(BudgetExceeded, match="low assignments walked: 64 exceeds the limit of 10"):
         check_strong_security(program, cfg, CheckConfig(budget=10))
 
 
@@ -316,7 +361,7 @@ def brute_force_poni(program, cfg, check):
 
     system = RiscSystem(program, cfg)
     scope = _scope_names(system, check)
-    for _, states in _initial_groups(system, check):
+    for _, states in _initial_groups(system):
         sets = [
             frozenset(run.trace for run in enumerate_augmented_runs(system, s, check.depth, scope))
             for s in states
