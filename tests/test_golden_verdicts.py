@@ -1,9 +1,11 @@
 """Golden verdicts: checker output pinned byte for byte.
 
 ``golden_verdicts.json`` holds the verdict JSON of the three checkers on the
-compiled corpus and on a fixed pool of random programs.  Any change to the
-machine semantics, the faulted step or the checkers that alters a verdict or
-a witness shows up here.
+compiled corpus and on two fixed pools of random programs: 60 at width 1
+with SS, POni and PNI, and 20 at width 2 with POni and PNI only, where the
+default scope's masks and the 1/4 environment's weights reach two-bit words.
+Any change to the machine semantics, the faulted step or the checkers that
+alters a verdict or a witness shows up here.
 
 SS witnesses of the random pool are left out; ``test_verify`` replays them,
 and ``test_cli`` checks that one is the same under several hash seeds.
@@ -34,6 +36,7 @@ GOLDEN = Path(__file__).with_name("golden_verdicts.json")
 DEPTH = 3
 EPSILON = Fraction(1, 4)
 RANDOM_DRAWS = 60
+RANDOM_DRAWS_W2 = 20
 
 
 def _fault_verdicts(program, cfg) -> dict:
@@ -66,7 +69,13 @@ def compute_golden() -> dict:
         entry = {"asm": disassemble(program), "ss": check_strong_security(program, cfg).status}
         entry.update(_fault_verdicts(program, cfg))
         pool.append(entry)
-    return {"corpus": corpus, "random_w1": pool}
+    rng = Random(7)
+    cfg = standard_config(2, 1, 1, (LOW, HIGH))
+    pool_w2 = []
+    for _ in range(RANDOM_DRAWS_W2):
+        program = random_risc_program(rng, cfg, 8)
+        pool_w2.append({"asm": disassemble(program), **_fault_verdicts(program, cfg)})
+    return {"corpus": corpus, "random_w1": pool, "random_w2": pool_w2}
 
 
 def render(doc: dict) -> str:
