@@ -4,17 +4,20 @@ Models deterministic transition systems over named bit locations, attackers
 that flip subsets of the faulty bits with exact rational probabilities, and
 the three ways system and attacker interact: probabilistic composition,
 nondeterministic fault-labelled transitions, and termination-transparent
-fault-free execution.  All probability arithmetic is exact (fractions.Fraction);
-floating point is never used.
+fault-free execution.  All probability arithmetic is exact: the composition
+works in integer weights over the attacker's common denominator, and
+fractions.Fraction appears only at its interface; floating point is never
+used.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 
 class Tolerance(Enum):
@@ -340,20 +343,28 @@ def environment_from_text(text: str) -> EnvironmentSpec:
 # ---------------------------------------------------------------------------
 
 
-def faulted_step(system: FaultProneSystem, state: int, mask: int) -> tuple[Action, int]:
-    """One step under a fault mask: the single definition of a faulted step.
+def faulted_steps(
+    system: FaultProneSystem, state: int, masks: Iterable[int]
+) -> list[tuple[Action, int]]:
+    """One step under each fault mask: the single definition of a faulted step.
 
     A stuck state idles silently and takes no flip.  Otherwise the masked
     bits are flipped and the flipped state steps; if the flip made it stuck,
     it idles silently and keeps the flipped bits.
     """
     if system.step(state) is None:
-        return (TAU, state)
-    flipped = state ^ mask
-    result = system.step(flipped)
-    if result is None:
-        return (TAU, flipped)
-    return result
+        return [(TAU, state) for _ in masks]
+    row = []
+    for mask in masks:
+        flipped = state ^ mask
+        result = system.step(flipped)
+        row.append((TAU, flipped) if result is None else result)
+    return row
+
+
+def faulted_step(system: FaultProneSystem, state: int, mask: int) -> tuple[Action, int]:
+    """One step under one fault mask (see ``faulted_steps``)."""
+    return faulted_steps(system, state, (mask,))[0]
 
 
 def compose_step(
@@ -366,20 +377,12 @@ def compose_step(
 
     Entries are aggregated on identical (action, successor); the attacker
     advances by the public view of the action.  Each fault set takes a
-    ``faulted_step``, which never halts, so total probability mass is
-    exactly 1.
+    faulted step, which never halts, so total probability mass is exactly 1.
     """
-    acc: dict[tuple[Action, int], Fraction] = {}
-    dist = env.fault_distribution(env_state)
-    for subset in sorted(dist, key=lambda s: tuple(sorted(s))):
-        prob = dist[subset]
-        if prob == 0:
-            continue
-        key = faulted_step(system, state, system.mask_of(subset))
-        acc[key] = acc.get(key, Fraction(0)) + prob
+    comp = Composition(system, env)
     return [
-        (action, prob, succ, env.advance(env_state, low(action)))
-        for (action, succ), prob in acc.items()
+        (action, Fraction(weight, comp.denominator), succ, env2)
+        for action, weight, succ, env2 in comp.step(state, env_state)
     ]
 
 
@@ -475,51 +478,119 @@ def enumerate_augmented_runs(
 
 
 class Composition:
-    """Memoizing view of a system composed with one environment."""
+    """Memoizing view of a system composed with one environment.
 
-    def __init__(self, system: FaultProneSystem, env: EnvironmentSpec):
+    Probabilities are kept as integer weights over one common denominator,
+    ``denominator``: the lcm of the environment's fault-probability
+    denominators.  A step's weights sum to ``denominator``, and a trace of
+    length n has a count over ``denominator ** n``.  Fractions are built only
+    at the interface: ``compose_step``, ``trace_distribution`` and
+    ``trace_probability``.
+
+    ``charge``, when given, is called with the running number of faulted
+    steps taken (composed states expanded times their nonzero fault sets)
+    before each new expansion, and may raise to stop the run.
+    """
+
+    def __init__(
+        self,
+        system: FaultProneSystem,
+        env: EnvironmentSpec,
+        charge: Optional[Callable[[int], None]] = None,
+    ):
         self.system = system
         self.env = env
-        self._steps: dict[tuple[int, str], list[tuple[Action, Fraction, int, str]]] = {}
-        self._dists: dict[tuple[int, str, int], dict[tuple[Action, ...], Fraction]] = {}
+        self.denominator = math.lcm(
+            *(prob.denominator for dist in env.faults.values() for prob in dist.values())
+        )
+        self.charge = charge
+        self.steps_taken = 0
+        self._tables: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._steps: dict[tuple[int, str], list[tuple[Action, int, int, str]]] = {}
+        self._counts: dict[tuple[int, str, int], dict[tuple[Action, ...], int]] = {}
 
-    def step(self, state: int, env_state: str):
+    def _table(self, env_state: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The fault masks of an attacker state with nonzero odds, and their weights."""
+        table = self._tables.get(env_state)
+        if table is None:
+            dist = self.env.fault_distribution(env_state)
+            rows = [
+                (self.system.mask_of(subset), int(dist[subset] * self.denominator))
+                for subset in sorted(dist, key=lambda s: tuple(sorted(s)))
+                if dist[subset] != 0
+            ]
+            table = self._tables[env_state] = (
+                tuple(mask for mask, _ in rows),
+                tuple(weight for _, weight in rows),
+            )
+        return table
+
+    def step(self, state: int, env_state: str) -> list[tuple[Action, int, int, str]]:
+        """(action, weight over ``denominator``, successor, attacker state) entries,
+        aggregated on identical (action, successor)."""
         key = (state, env_state)
-        if key not in self._steps:
-            self._steps[key] = compose_step(self.system, state, env_state, self.env)
-        return self._steps[key]
+        entries = self._steps.get(key)
+        if entries is None:
+            masks, weights = self._table(env_state)
+            self.steps_taken += len(masks)
+            if self.charge is not None:
+                self.charge(self.steps_taken)
+            acc: dict[tuple[Action, int], int] = {}
+            for outcome, weight in zip(faulted_steps(self.system, state, masks), weights):
+                acc[outcome] = acc.get(outcome, 0) + weight
+            advance = self.env.advance
+            entries = self._steps[key] = [
+                (action, weight, succ, advance(env_state, low(action)))
+                for (action, succ), weight in acc.items()
+            ]
+        return entries
+
+    def trace_counts(
+        self, state: int, env_state: str, depth: int
+    ) -> dict[tuple[Action, ...], int]:
+        """Weight of every public trace of exactly the given length, over
+        ``denominator ** depth``."""
+        key = (state, env_state, depth)
+        counts = self._counts.get(key)
+        if counts is None:
+            if depth == 0:
+                counts = {(): 1}
+            else:
+                counts = {}
+                for action, weight, s2, e2 in self.step(state, env_state):
+                    obs = low(action)
+                    for suffix, count in self.trace_counts(s2, e2, depth - 1).items():
+                        trace = (obs,) + suffix
+                        counts[trace] = counts.get(trace, 0) + weight * count
+            self._counts[key] = counts
+        return counts
 
     def trace_distribution(
         self, state: int, env_state: str, depth: int
     ) -> dict[tuple[Action, ...], Fraction]:
         """Probability of every public trace of exactly the given length."""
-        key = (state, env_state, depth)
-        if key in self._dists:
-            return self._dists[key]
-        if depth == 0:
-            dist = {(): Fraction(1)}
-        else:
-            dist = {}
-            for action, prob, s2, e2 in self.step(state, env_state):
-                obs = low(action)
-                for suffix, q in self.trace_distribution(s2, e2, depth - 1).items():
-                    trace = (obs,) + suffix
-                    dist[trace] = dist.get(trace, Fraction(0)) + prob * q
-        self._dists[key] = dist
-        return dist
+        scale = self.denominator ** depth
+        return {
+            trace: Fraction(count, scale)
+            for trace, count in self.trace_counts(state, env_state, depth).items()
+        }
 
     def trace_probability(
         self, state: int, env_state: str, trace: tuple[Action, ...]
     ) -> Fraction:
         """Summed probability of all runs whose public trace equals ``trace``."""
+        weight = self._trace_weight(state, env_state, trace)
+        return Fraction(weight, self.denominator ** len(trace))
+
+    def _trace_weight(self, state: int, env_state: str, trace: tuple[Action, ...]) -> int:
         if not trace:
-            return Fraction(1)
-        total = Fraction(0)
+            return 1
         head, rest = trace[0], trace[1:]
-        for action, prob, s2, e2 in self.step(state, env_state):
-            if low(action) == head:
-                total += prob * self.trace_probability(s2, e2, rest)
-        return total
+        return sum(
+            weight * self._trace_weight(s2, e2, rest)
+            for action, weight, s2, e2 in self.step(state, env_state)
+            if low(action) == head
+        )
 
 
 def trace_probability(

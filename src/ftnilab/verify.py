@@ -12,8 +12,9 @@ All three checkers enumerate concrete state spaces at small word widths:
   the whole low space.
 * ``check_poni`` compares the sets of fault-annotated traces of low-equal
   initial states, with the fault locations made observable.
-* ``check_pni`` compares exact rational trace probabilities of low-equal
-  initial states composed with a concrete attacker.
+* ``check_pni`` compares exact trace probabilities of low-equal initial
+  states composed with a concrete attacker, as integer counts over a power
+  of the attacker's common denominator.
 
 Verdicts are ``secure-up-to-bound`` or ``violation``; violations carry a
 replayable witness.
@@ -35,6 +36,7 @@ from .faultlab import (
     TableSystem,
     Tolerance,
     faulted_step,
+    faulted_steps,
     low,
     output,
     parse_action,
@@ -80,9 +82,11 @@ class CheckConfig:
     possibilistic and probabilistic checkers; ``budget`` is the one limit on
     work, charged by every checker: strong security, the low assignments it
     walks over all point pairs; POni, its fault masks and initial state pairs
-    before it builds them, then the state pairs it explores; PNI, one low
-    group's initial states before it builds them, then the composed states
-    it expands.
+    before it builds them, then the running total of faulted step pairs
+    (frontier times masks) before it walks each level; PNI, one low group's
+    initial states before it builds them, then the running total of faulted
+    steps the composition takes (composed states times their fault sets)
+    before it takes each state's.
     """
 
     depth: int = 4
@@ -431,6 +435,8 @@ def check_poni(
     The fault-labelled system is deterministic once the flipped set is part
     of the label, so trace-set equality reduces to a synchronized walk: both
     sides take the same fault sequence and must show the same public actions.
+    Each state's faulted steps under every mask (its row) are taken once, and
+    a pair compares the two rows' public actions.
     """
     system = RiscSystem(program, cfg)
     scope = _scope_names(system, check)
@@ -444,7 +450,17 @@ def check_poni(
         for sub in (frozenset(c) for r in range(len(scope) + 1)
                     for c in itertools.combinations(scope, r))
     )
+    # per state, its fault row: the public action and the successor per mask
+    rows: dict[int, tuple[tuple, tuple]] = {}
 
+    def row(state: int) -> tuple[tuple, tuple]:
+        found = rows.get(state)
+        if found is None:
+            actions, succs = zip(*faulted_steps(system, state, masks))
+            found = rows[state] = (tuple(map(low, actions)), succs)
+        return found
+
+    # each explored pair maps to (the pair it came from, the mask's index)
     parent: dict[tuple[int, int], tuple | None] = {
         (states[0], other): None
         for _, states in _initial_groups(system)
@@ -453,62 +469,49 @@ def check_poni(
     frontier = list(parent)
 
     violation = None
+    walked = 0
     for _ in range(check.depth):
-        if violation or not frontier:
+        if not frontier:
             break
+        walked += len(frontier) * len(masks)
+        _charge(walked, "faulted step pairs", check.budget)
         nxt: list[tuple[int, int]] = []
         for pair in frontier:
-            sa, sb = pair
-            for mask in masks:
-                act_a, succ_a = faulted_step(system, sa, mask)
-                act_b, succ_b = faulted_step(system, sb, mask)
-                if low(act_a) != low(act_b):
-                    violation = (pair, mask, act_a, act_b)
-                    break
-                succ = (succ_a, succ_b)
-                if succ not in parent:
-                    parent[succ] = (pair, mask, act_a, act_b)
-                    nxt.append(succ)
-            if violation:
+            lows_a, succs_a = row(pair[0])
+            lows_b, succs_b = row(pair[1])
+            if lows_a != lows_b:
+                violation = (pair, next(i for i, x in enumerate(lows_a) if x != lows_b[i]))
                 break
-        _charge(len(parent), "state pairs explored", check.budget)
+            for i, succ in enumerate(zip(succs_a, succs_b)):
+                if succ not in parent:
+                    parent[succ] = (pair, i)
+                    nxt.append(succ)
+        if violation:
+            break
         frontier = nxt
 
     if violation is None:
         return Verdict("poni", "secure-up-to-bound", check.depth)
 
-    origin_a, origin_b = _trace_origin(parent, violation[0])
+    chain = [violation]
+    while parent[chain[-1][0]] is not None:
+        chain.append(parent[chain[-1][0]])
+    chain.reverse()
+    origin_a, origin_b = chain[0][0]
     witness = {
         "initial_low": _bits_named(system, origin_a, system.low_mask),
         "initial_high_a": _bits_named(system, origin_a, system.high_mask),
         "initial_high_b": _bits_named(system, origin_b, system.high_mask),
-        "trace": _poni_trace(system, parent, violation),
+        "trace": [
+            {
+                "faults": sorted(system.names_of(masks[i])),
+                "low_a": str(rows[sa][0][i]),
+                "low_b": str(rows[sb][0][i]),
+            }
+            for (sa, sb), i in chain
+        ],
     }
     return Verdict("poni", "violation", check.depth, witness)
-
-
-def _trace_origin(parent, pair):
-    while parent[pair] is not None:
-        pair = parent[pair][0]
-    return pair
-
-
-def _poni_trace(system, parent, violation) -> list[dict]:
-    pair, mask, act_a, act_b = violation
-    chain = [(mask, act_a, act_b)]
-    while parent[pair] is not None:
-        prev_pair, prev_mask, prev_a, prev_b = parent[pair]
-        chain.append((prev_mask, prev_a, prev_b))
-        pair = prev_pair
-    chain.reverse()
-    return [
-        {
-            "faults": sorted(system.names_of(m)),
-            "low_a": str(low(a)),
-            "low_b": str(low(b)),
-        }
-        for m, a, b in chain
-    ]
 
 
 def replay_poni_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -> bool:
@@ -550,48 +553,48 @@ def check_pni(
 
     Distributions of length-``depth`` traces determine the probability of
     every shorter trace by marginalization, so equality is tested at the
-    bound only; a violation witness reports the shortest differing trace.
+    bound only, on the integer trace counts of ``Composition.trace_counts``;
+    a violation witness reports the shortest differing trace.
     """
     system = RiscSystem(program, cfg)
     scope = _scope_names(system, check)
     env.validate(system.faulty_names)
     scoped = env.restricted(scope)
-    comp = Composition(system, scoped)
+    comp = Composition(
+        system, scoped, lambda taken: _charge(taken, "faulted steps composed", check.budget)
+    )
     _, highs = _cells_by_level(cfg)
     _charge(cfg.word_values ** len(highs), "initial states per low group", check.budget)
 
     for _, states in _initial_groups(system):
         ref = states[0]
-        ref_dist = comp.trace_distribution(ref, scoped.initial, check.depth)
+        ref_counts = comp.trace_counts(ref, scoped.initial, check.depth)
         for other in states[1:]:
-            if other == ref:
-                continue
-            dist = comp.trace_distribution(other, scoped.initial, check.depth)
-            _charge(len(comp._steps), "composed states expanded", check.budget)
-            if dist != ref_dist:
+            if comp.trace_counts(other, scoped.initial, check.depth) != ref_counts:
                 witness = _pni_witness(system, comp, scoped, ref, other, check.depth)
                 return Verdict("pni", "violation", check.depth, witness)
     return Verdict("pni", "secure-up-to-bound", check.depth)
 
 
-def _marginal(dist: dict, length: int) -> dict:
+def _marginal(counts: dict, length: int) -> dict:
     out: dict = {}
-    for trace, prob in dist.items():
+    for trace, count in counts.items():
         key = trace[:length]
-        out[key] = out.get(key, Fraction(0)) + prob
+        out[key] = out.get(key, 0) + count
     return out
 
 
 def _pni_witness(system, comp, env, ref, other, depth) -> dict:
-    dist_a = comp.trace_distribution(ref, env.initial, depth)
-    dist_b = comp.trace_distribution(other, env.initial, depth)
+    counts_a = comp.trace_counts(ref, env.initial, depth)
+    counts_b = comp.trace_counts(other, env.initial, depth)
+    scale = comp.denominator ** depth
     for length in range(1, depth + 1):
-        ma = _marginal(dist_a, length)
-        mb = _marginal(dist_b, length)
+        ma = _marginal(counts_a, length)
+        mb = _marginal(counts_b, length)
         diffs = [
             t
             for t in sorted(set(ma) | set(mb), key=lambda t: tuple(map(str, t)))
-            if ma.get(t, Fraction(0)) != mb.get(t, Fraction(0))
+            if ma.get(t, 0) != mb.get(t, 0)
         ]
         if diffs:
             trace = diffs[0]
@@ -601,8 +604,8 @@ def _pni_witness(system, comp, env, ref, other, depth) -> dict:
                 "initial_high_b": _bits_named(system, other, system.high_mask),
                 "trace": [str(a) for a in trace],
                 "probabilities": [
-                    str(ma.get(trace, Fraction(0))),
-                    str(mb.get(trace, Fraction(0))),
+                    str(Fraction(ma.get(trace, 0), scale)),
+                    str(Fraction(mb.get(trace, 0), scale)),
                 ],
             }
     raise AssertionError("distributions differ but no differing trace found")

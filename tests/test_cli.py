@@ -4,11 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ftnilab.cli import _load_program, main
+from ftnilab.faultlab import environment_to_text, uniform_environment
+from ftnilab.machine import RiscSystem
 from ftnilab.verify import replay_ss_witness
 
 GOOD_SOURCE = "low x; high h;\nx := 1;\nout low x\n"
@@ -275,19 +278,51 @@ def test_check_ss_witness_is_the_same_under_every_hash_seed(tmp_path):
     assert replay_ss_witness(program, cfg, witness)
 
 
-def test_check_poni_budget_trips_before_enumerating_masks(tmp_path, capsys):
-    # 24 faulty bits at width 4: 2**24 fault masks, charged before any is built
+def compile_padded_if(tmp_path, capsys, width):
+    """A padded high conditional with 6 * width faulty bits; returns the assembly path."""
     src = write(
         tmp_path, "p.src", "high h; low x; if h then h := 1 else skip; out low 3\n"
     )
     out = str(tmp_path / "p.s")
     code, _, err = invoke(
         capsys, "compile", src, "--out", out, "--meta", str(tmp_path / "p.meta.json"),
-        "--width", "4",
+        "--width", str(width),
     )
     assert code == 0, err
+    return out
+
+
+def test_check_poni_budget_trips_before_enumerating_masks(tmp_path, capsys):
+    # 24 faulty bits at width 4: 2**24 fault masks, charged before any is built
+    out = compile_padded_if(tmp_path, capsys, 4)
     run = _cli(
         "check", out, "--mode", "poni", "--depth", "2", "--width", "4",
         timeout=5, FTNI_BUDGET="1000",
     )
     assert run.returncode == 4 and "budget" in run.stderr
+
+
+def test_check_poni_budget_trips_before_walking_a_level(tmp_path, capsys):
+    # 12 faulty bits at width 2: 4,096 masks and 4,032 seed pairs, each under
+    # the limit, but the first level walks 4,096 * 4,032 faulted step pairs
+    out = compile_padded_if(tmp_path, capsys, 2)
+    run = _cli(
+        "check", out, "--mode", "poni", "--depth", "3", "--width", "2",
+        timeout=5, FTNI_BUDGET="5000",
+    )
+    assert run.returncode == 4
+    assert "faulted step pairs: 16515072 exceeds the limit of 5000" in run.stderr
+
+
+def test_check_pni_budget_trips_while_composing(tmp_path, capsys):
+    # a uniform attacker on all 12 faulty bits: 4,096 fault sets per composed state
+    out = compile_padded_if(tmp_path, capsys, 2)
+    program, cfg, _ = _load_program(out, 2)
+    env = uniform_environment(Fraction(1, 4), RiscSystem(program, cfg).faulty_names)
+    env_path = write(tmp_path, "env.txt", environment_to_text(env))
+    run = _cli(
+        "check", out, "--mode", "pni", "--depth", "3", "--width", "2", "--env", env_path,
+        timeout=5, FTNI_BUDGET="1000",
+    )
+    assert run.returncode == 4
+    assert "faulted steps composed: 4096 exceeds the limit of 1000" in run.stderr

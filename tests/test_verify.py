@@ -7,7 +7,14 @@ from random import Random
 import pytest
 
 from ftnilab.corpus import CORPUS, SHRUNKEN_HASH, config_for_source
-from ftnilab.faultlab import uniform_environment
+from ftnilab.faultlab import (
+    Composition,
+    enumerate_runs,
+    faulted_step,
+    low,
+    scripted_environment,
+    uniform_environment,
+)
 from ftnilab.lang import parse
 from ftnilab.machine import (
     HIGH,
@@ -15,6 +22,7 @@ from ftnilab.machine import (
     MachineState,
     RiscProgram,
     assemble,
+    disassemble,
     standard_config,
 )
 from ftnilab.seccomp import (
@@ -28,6 +36,7 @@ from ftnilab.verify import (
     BudgetExceeded,
     CheckConfig,
     _SSTables,
+    _initial_groups,
     check_pni,
     check_poni,
     check_ss_implies_poni,
@@ -371,6 +380,12 @@ def brute_force_poni(program, cfg, check):
     return True
 
 
+# Raw random programs at width 1; this seed's eight draws are half secure and
+# half leaky at the scope below.
+_RNG = Random(5)
+RANDOM_W1_DRAWS = [disassemble(random_risc_program(_RNG, tiny_cfg(), 8)) for _ in range(8)]
+
+
 @pytest.mark.parametrize(
     "text,mem",
     [
@@ -379,6 +394,10 @@ def brute_force_poni(program, cfg, check):
         ("load rl0 0\nout low rl0", (LOW, HIGH)),
         ("load rh0 1\nstore 0 rh0", (LOW, HIGH)),
         ("jz l0 rh0\nnop\nl0: out low rl0", (LOW,)),
+    ]
+    + [
+        pytest.param(text, (LOW, HIGH), id=f"draw{i}")
+        for i, text in enumerate(RANDOM_W1_DRAWS)
     ],
 )
 def test_poni_matches_brute_force_trace_sets(text, mem):
@@ -387,7 +406,82 @@ def test_poni_matches_brute_force_trace_sets(text, mem):
     scope = ("rl0_0", "rh0_0")
     check = CheckConfig(depth=3, fault_scope=scope)
     expected = brute_force_poni(program, cfg, check)
-    assert check_poni(program, cfg, check).secure == expected
+    verdict = check_poni(program, cfg, check)
+    assert verdict.secure == expected
+    assert verdict.secure or replay_poni_witness(program, cfg, verdict.witness)
+
+
+def fault_sequence_oracle(system, env, state, depth):
+    """Trace probabilities summed over every sequence of fault sets with
+    nonzero odds, one faulted step each, in Fractions and unaggregated."""
+    dist: dict = {}
+
+    def go(s, e, n, prob, trace):
+        if n == 0:
+            dist[trace] = dist.get(trace, Fraction(0)) + prob
+            return
+        for subset, odds in env.fault_distribution(e).items():
+            if odds:
+                action, succ = faulted_step(system, s, system.mask_of(subset))
+                obs = low(action)
+                go(succ, env.advance(e, obs), n - 1, prob * odds, trace + (obs,))
+
+    go(state, env.initial, depth, Fraction(1), ())
+    return dist
+
+
+# Fault odds with denominators 3 and 4 (a common denominator of 12) and one
+# fault set of odds zero; the attacker moves on after each step.
+MIXED_ODDS_ENV = scripted_environment(
+    [
+        (
+            {
+                frozenset(): Fraction(2, 3),
+                frozenset({"rh0_0"}): Fraction(1, 3),
+                frozenset({"rl0_0"}): Fraction(0),
+            },
+            "step",
+        ),
+        ({frozenset(): Fraction(1, 4), frozenset({"rl0_0", "rh0_0"}): Fraction(3, 4)}, "step"),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(CONSTANT_OUT, id="constant"),
+        pytest.param(LEAKY_OUT, id="leaky"),
+        pytest.param("load rl0 0\nout low rl0", id="low-load"),
+        pytest.param("jz l0 rh0\nnop\nl0: out low rl0", id="high-branch"),
+    ]
+    + [pytest.param(text, id=f"draw{i}") for i, text in enumerate(RANDOM_W1_DRAWS[:4])],
+)
+def test_pni_integer_weights_match_the_fraction_oracle(text):
+    """Trace distributions equal summed run probabilities, and check_pni's
+    verdict equals the comparison of those oracle distributions."""
+    program = assemble(text)
+    cfg = tiny_cfg()
+    system = RiscSystem(program, cfg)
+    env = MIXED_ODDS_ENV
+    depth = 3
+    comp = Composition(system, env)
+    assert comp.denominator == 12
+    secure = True
+    for _, states in _initial_groups(system):
+        dists = []
+        for state in states:
+            oracle: dict = {}
+            for run in enumerate_runs(system, env, state, env.initial, depth):
+                oracle[run.trace] = oracle.get(run.trace, Fraction(0)) + run.probability
+            assert comp.trace_distribution(state, env.initial, depth) == oracle
+            assert fault_sequence_oracle(system, env, state, depth) == oracle
+            dists.append(oracle)
+        secure = secure and all(dist == dists[0] for dist in dists)
+    check = CheckConfig(depth=depth, fault_scope=("rl0_0", "rh0_0"))
+    verdict = check_pni(program, cfg, env, check)
+    assert verdict.secure == secure
+    assert secure or replay_pni_witness(program, cfg, env, verdict.witness, check)
 
 
 # -- bridging property -------------------------------------------------------------
