@@ -12,9 +12,12 @@ The environment variable FTNI_BUDGET, a positive decimal integer read once
 by ``check`` and ``demo-hash``, sets the checkers' one limit on work
 (default 2000000): strong security charges the low assignments it walks;
 the possibilistic checker its fault masks and initial state pairs before it
-builds them, then the state pairs it explores; the probabilistic checker one
-low group's initial states before it builds them, then the composed states
-it expands.  Any other value exits 64.
+builds them, then the running total of faulted step pairs (frontier times
+masks) before each level; the probabilistic checker one low group's initial
+states before it builds them, then the running total of faulted steps it
+composes (composed states times their fault sets) before each expansion.
+Any other value exits 64, as do a ``--width`` or ``--depth`` below 1 and a
+``--steps`` below 0.
 """
 
 from __future__ import annotations
@@ -65,6 +68,19 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _at_least(low: int):
+    """An argparse type: a decimal integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
 
 
 def _fail(code: int, message: str) -> int:
@@ -327,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compile", help="compile a source file to assembly")
     c.add_argument("source")
-    c.add_argument("--width", type=int, default=8)
+    c.add_argument("--width", type=_at_least(1), default=8)
     c.add_argument("--jlez", action="store_true", help="enable the signed-jump extension")
     c.add_argument("--out", required=True, help="assembly output path")
     c.add_argument("--meta", required=True, help="JSON side-car output path")
@@ -336,22 +352,22 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="execute an assembly file")
     r.add_argument("asm")
     r.add_argument("--mem", action="append", metavar="ADDR=VAL")
-    r.add_argument("--steps", type=int, default=None)
+    r.add_argument("--steps", type=_at_least(0), default=None)
     r.add_argument("--faults", help="fault script: lines 'step: loc1,loc2' ('-' for none)")
     r.set_defaults(func=cmd_run)
 
     i = sub.add_parser("inject", help="run under a mandatory fault script")
     i.add_argument("asm")
     i.add_argument("--mem", action="append", metavar="ADDR=VAL")
-    i.add_argument("--steps", type=int, default=None)
+    i.add_argument("--steps", type=_at_least(0), default=None)
     i.add_argument("--faults", required=True)
     i.set_defaults(func=cmd_run)
 
     k = sub.add_parser("check", help="check a security property")
     k.add_argument("asm")
     k.add_argument("--mode", required=True, choices=("ss", "poni", "pni"))
-    k.add_argument("--depth", type=int, default=4)
-    k.add_argument("--width", type=int, default=None)
+    k.add_argument("--depth", type=_at_least(1), default=4)
+    k.add_argument("--width", type=_at_least(1), default=None)
     k.add_argument("--env", help="environment table (required for pni)")
     k.set_defaults(func=cmd_check)
 

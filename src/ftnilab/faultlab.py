@@ -8,6 +8,14 @@ fault-free execution.  All probability arithmetic is exact: the composition
 works in integer weights over the attacker's common denominator, and
 fractions.Fraction appears only at its interface; floating point is never
 used.
+
+The fault checkers run on an integer kernel.  A system's public step,
+``public_step``, gives each state's successor with an observation code in
+place of the action: a small int that ``observations`` maps back to the
+public action, with 0 for the silent one.  The possibilistic rows, the
+composition and its trace counts hold only these codes and int states;
+``Action`` objects are rebuilt at the interface (``compose_step``,
+``trace_distribution``, ``trace_probability`` and the witnesses).
 """
 
 from __future__ import annotations
@@ -56,6 +64,8 @@ class Action:
 
 TAU = Action()
 
+UNSEEN = object()  # marks a state missing from a step cache, where None means stuck
+
 
 def output(channel: str, value: int) -> Action:
     return Action(channel, value)
@@ -80,7 +90,10 @@ class FaultProneSystem:
 
     States are ints; bit i of a state is the value of ``locations[i]``.
     Subclasses implement ``step``, returning the unique successor or None
-    when the state is stuck.
+    when the state is stuck.  ``public_step`` is its public view, cached per
+    state: (observation code, successor), where ``observations[code]`` is
+    the public action and code 0 is ``TAU``.  Here codes are assigned in
+    the order the actions are first seen.
     """
 
     locations: tuple[Location, ...] = ()
@@ -94,9 +107,26 @@ class FaultProneSystem:
         self._index = {loc.name: i for i, loc in enumerate(locs)}
         self.faulty_names = frozenset(loc.name for loc in locs if loc.faulty)
         self.faulty_mask = sum(1 << i for i, loc in enumerate(locs) if loc.faulty)
+        self.observations: list[Action] = [TAU]
+        self._codes = {TAU: 0}
+        self._public: dict[int, tuple[int, int] | None] = {}
 
     def step(self, state: int) -> tuple[Action, int] | None:
         raise NotImplementedError
+
+    def public_step(self, state: int) -> tuple[int, int] | None:
+        found = self._public.get(state, UNSEEN)
+        if found is UNSEEN:
+            found = self.step(state)
+            if found is not None:
+                obs = low(found[0])
+                code = self._codes.get(obs)
+                if code is None:
+                    code = self._codes[obs] = len(self.observations)
+                    self.observations.append(obs)
+                found = (code, found[1])
+            self._public[state] = found
+        return found
 
     def mask_of(self, names: Iterable[str]) -> int:
         mask = 0
@@ -344,21 +374,24 @@ def environment_from_text(text: str) -> EnvironmentSpec:
 
 
 def faulted_steps(
-    system: FaultProneSystem, state: int, masks: Iterable[int]
-) -> list[tuple[Action, int]]:
+    system: FaultProneSystem, state: int, masks: Iterable[int], public: bool = False
+) -> list[tuple]:
     """One step under each fault mask: the single definition of a faulted step.
 
     A stuck state idles silently and takes no flip.  Otherwise the masked
     bits are flipped and the flipped state steps; if the flip made it stuck,
-    it idles silently and keeps the flipped bits.
+    it idles silently and keeps the flipped bits.  Entries are (action,
+    successor), or with ``public`` (observation code, successor) from
+    ``system.public_step``.
     """
-    if system.step(state) is None:
-        return [(TAU, state) for _ in masks]
+    step, idle = (system.public_step, 0) if public else (system.step, TAU)
+    if step(state) is None:
+        return [(idle, state) for _ in masks]
     row = []
     for mask in masks:
         flipped = state ^ mask
-        result = system.step(flipped)
-        row.append((TAU, flipped) if result is None else result)
+        result = step(flipped)
+        row.append((idle, flipped) if result is None else result)
     return row
 
 
@@ -381,8 +414,8 @@ def compose_step(
     """
     comp = Composition(system, env)
     return [
-        (action, Fraction(weight, comp.denominator), succ, env2)
-        for action, weight, succ, env2 in comp.step(state, env_state)
+        (action, Fraction(weight, comp.denominator), succ, env.advance(env_state, low(action)))
+        for (action, succ), weight in comp._aggregate(state, env_state).items()
     ]
 
 
@@ -483,9 +516,10 @@ class Composition:
     Probabilities are kept as integer weights over one common denominator,
     ``denominator``: the lcm of the environment's fault-probability
     denominators.  A step's weights sum to ``denominator``, and a trace of
-    length n has a count over ``denominator ** n``.  Fractions are built only
-    at the interface: ``compose_step``, ``trace_distribution`` and
-    ``trace_probability``.
+    length n has a count over ``denominator ** n``.  Steps and traces carry
+    the system's observation codes; Fractions and ``Action`` objects are
+    built only at the interface: ``compose_step``, ``trace_distribution``
+    and ``trace_probability``.
 
     ``charge``, when given, is called with the running number of faulted
     steps taken (composed states expanded times their nonzero fault sets)
@@ -506,8 +540,9 @@ class Composition:
         self.charge = charge
         self.steps_taken = 0
         self._tables: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._steps: dict[tuple[int, str], list[tuple[Action, int, int, str]]] = {}
-        self._counts: dict[tuple[int, str, int], dict[tuple[Action, ...], int]] = {}
+        self._advances: dict[tuple[str, int], str] = {}
+        self._steps: dict[tuple[int, str], list[tuple[int, int, int, str]]] = {}
+        self._counts: dict[tuple[int, str, int], dict[tuple[int, ...], int]] = {}
 
     def _table(self, env_state: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The fault masks of an attacker state with nonzero odds, and their weights."""
@@ -525,31 +560,46 @@ class Composition:
             )
         return table
 
-    def step(self, state: int, env_state: str) -> list[tuple[Action, int, int, str]]:
-        """(action, weight over ``denominator``, successor, attacker state) entries,
-        aggregated on identical (action, successor)."""
+    def _aggregate(self, state: int, env_state: str, public: bool = False) -> dict[tuple, int]:
+        """Weight over ``denominator`` of each distinct faulted step (see
+        ``faulted_steps``) under the attacker state's fault table."""
+        masks, weights = self._table(env_state)
+        acc: dict[tuple, int] = {}
+        for outcome, weight in zip(faulted_steps(self.system, state, masks, public), weights):
+            acc[outcome] = acc.get(outcome, 0) + weight
+        return acc
+
+    def _advance(self, env_state: str, code: int) -> str:
+        """The attacker's next state on an observation code."""
+        key = (env_state, code)
+        found = self._advances.get(key)
+        if found is None:
+            found = self._advances[key] = self.env.advance(
+                env_state, self.system.observations[code]
+            )
+        return found
+
+    def step(self, state: int, env_state: str) -> list[tuple[int, int, int, str]]:
+        """(observation code, weight over ``denominator``, successor, attacker
+        state) entries, aggregated on identical (code, successor)."""
         key = (state, env_state)
         entries = self._steps.get(key)
         if entries is None:
-            masks, weights = self._table(env_state)
-            self.steps_taken += len(masks)
+            self.steps_taken += len(self._table(env_state)[0])
             if self.charge is not None:
                 self.charge(self.steps_taken)
-            acc: dict[tuple[Action, int], int] = {}
-            for outcome, weight in zip(faulted_steps(self.system, state, masks), weights):
-                acc[outcome] = acc.get(outcome, 0) + weight
-            advance = self.env.advance
+            advance = self._advance
             entries = self._steps[key] = [
-                (action, weight, succ, advance(env_state, low(action)))
-                for (action, succ), weight in acc.items()
+                (code, weight, succ, advance(env_state, code))
+                for (code, succ), weight in self._aggregate(state, env_state, True).items()
             ]
         return entries
 
     def trace_counts(
         self, state: int, env_state: str, depth: int
-    ) -> dict[tuple[Action, ...], int]:
+    ) -> dict[tuple[int, ...], int]:
         """Weight of every public trace of exactly the given length, over
-        ``denominator ** depth``."""
+        ``denominator ** depth``; a trace is a tuple of observation codes."""
         key = (state, env_state, depth)
         counts = self._counts.get(key)
         if counts is None:
@@ -557,10 +607,9 @@ class Composition:
                 counts = {(): 1}
             else:
                 counts = {}
-                for action, weight, s2, e2 in self.step(state, env_state):
-                    obs = low(action)
+                for code, weight, s2, e2 in self.step(state, env_state):
                     for suffix, count in self.trace_counts(s2, e2, depth - 1).items():
-                        trace = (obs,) + suffix
+                        trace = (code,) + suffix
                         counts[trace] = counts.get(trace, 0) + weight * count
             self._counts[key] = counts
         return counts
@@ -572,8 +621,13 @@ class Composition:
         scale = self.denominator ** depth
         return {
             trace: Fraction(count, scale)
-            for trace, count in self.trace_counts(state, env_state, depth).items()
+            for trace, count in self.decoded(self.trace_counts(state, env_state, depth)).items()
         }
+
+    def decoded(self, counts: dict[tuple[int, ...], int]) -> dict[tuple[Action, ...], int]:
+        """Trace counts keyed by public actions instead of observation codes."""
+        observations = self.system.observations
+        return {tuple(observations[c] for c in trace): n for trace, n in counts.items()}
 
     def trace_probability(
         self, state: int, env_state: str, trace: tuple[Action, ...]
@@ -586,10 +640,11 @@ class Composition:
         if not trace:
             return 1
         head, rest = trace[0], trace[1:]
+        observations = self.system.observations
         return sum(
             weight * self._trace_weight(s2, e2, rest)
-            for action, weight, s2, e2 in self.step(state, env_state)
-            if low(action) == head
+            for code, weight, s2, e2 in self.step(state, env_state)
+            if observations[code] == head
         )
 
 

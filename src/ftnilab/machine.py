@@ -20,6 +20,7 @@ from .faultlab import (
     Location,
     Tolerance,
     TAU,
+    UNSEEN,
     output,
 )
 
@@ -473,6 +474,8 @@ class RiscSystem(FaultProneSystem):
                 self.high_mask |= chunk
             pos += w
         self.pc_mask = ((1 << self.pc_bits) - 1) << self._pc_shift
+        self.observations = _LowObservations(w)
+        self._kernel: tuple | None = None
         self._step_cache: dict[int, tuple[Action, int] | None] = {}
 
     def encode(self, state: MachineState) -> int:
@@ -499,13 +502,75 @@ class RiscSystem(FaultProneSystem):
         pc = bits >> self._pc_shift & ((1 << self.pc_bits) - 1)
         return MachineState(pc, tuple(values[:nregs]), tuple(values[nregs:]))
 
+    def _execute(self, state: int) -> tuple[Action, int] | None:
+        """``machine.step`` on the encoded int, with no ``MachineState`` built.
+
+        The source cells are shifted and masked out of the int, ``effect``
+        runs, and the written word and the next pc are put back by mask.
+        """
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = self._build_kernel()
+        pc = state >> self._pc_shift
+        if pc >= len(kernel):
+            return None
+        instr, shifts, keep, dest = kernel[pc]
+        word = (1 << self.cfg.width) - 1
+        action, value, nxt = effect(
+            instr, [state >> shift & word for shift in shifts], pc, self.cfg.width
+        )
+        if value is not None:
+            return action, state & keep | value << dest | nxt << self._pc_shift
+        return action, state & keep | nxt << self._pc_shift
+
+    def _build_kernel(self) -> tuple:
+        """Per pc: the decoded instruction, its source cells' bit offsets, the
+        mask of the data bits the step keeps, and the written cell's offset."""
+        w = self.cfg.width
+        data = (1 << self.data_bits) - 1
+        kernel = []
+        for instr in decode(self.program, self.cfg):
+            shifts = tuple(cell * w for cell in instr.sources)
+            if instr.dest is None:
+                kernel.append((instr, shifts, data, None))
+            else:
+                dest = instr.dest * w
+                kernel.append((instr, shifts, data & ~(((1 << w) - 1) << dest), dest))
+        return tuple(kernel)
+
     def step(self, state: int) -> tuple[Action, int] | None:
         if state in self._step_cache:
             return self._step_cache[state]
-        result = step(self.program, self.decode(state), self.cfg)
-        encoded = None if result is None else (result[0], self.encode(result[1]))
-        self._step_cache[state] = encoded
-        return encoded
+        result = self._step_cache[state] = self._execute(state)
+        return result
+
+    def public_step(self, state: int) -> tuple[int, int] | None:
+        found = self._public.get(state, UNSEEN)
+        if found is UNSEEN:
+            found = self._execute(state)
+            if found is not None:
+                action, succ = found
+                found = (1 + action.value if action.channel == "low" else 0, succ)
+            self._public[state] = found
+        return found
+
+
+class _LowObservations:
+    """The observation codes of a machine word, decoded on demand: 0 is
+    silent (``tau`` or a high output) and ``1 + v`` is ``low!v``."""
+
+    __slots__ = ("width",)
+
+    def __init__(self, width: int):
+        self.width = width
+
+    def __len__(self) -> int:
+        return (1 << self.width) + 1
+
+    def __getitem__(self, code: int) -> Action:
+        if not 0 <= code <= 1 << self.width:
+            raise IndexError(code)
+        return TAU if code == 0 else output("low", code - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -435,8 +435,8 @@ def check_poni(
     The fault-labelled system is deterministic once the flipped set is part
     of the label, so trace-set equality reduces to a synchronized walk: both
     sides take the same fault sequence and must show the same public actions.
-    Each state's faulted steps under every mask (its row) are taken once, and
-    a pair compares the two rows' public actions.
+    Each state's public faulted steps under every mask (its row) are taken
+    once, and a pair compares the two rows' observation codes.
     """
     system = RiscSystem(program, cfg)
     scope = _scope_names(system, check)
@@ -450,14 +450,13 @@ def check_poni(
         for sub in (frozenset(c) for r in range(len(scope) + 1)
                     for c in itertools.combinations(scope, r))
     )
-    # per state, its fault row: the public action and the successor per mask
+    # per state, its fault row: the observation code and the successor per mask
     rows: dict[int, tuple[tuple, tuple]] = {}
 
     def row(state: int) -> tuple[tuple, tuple]:
         found = rows.get(state)
         if found is None:
-            actions, succs = zip(*faulted_steps(system, state, masks))
-            found = rows[state] = (tuple(map(low, actions)), succs)
+            found = rows[state] = tuple(zip(*faulted_steps(system, state, masks, True)))
         return found
 
     # each explored pair maps to (the pair it came from, the mask's index)
@@ -498,6 +497,7 @@ def check_poni(
         chain.append(parent[chain[-1][0]])
     chain.reverse()
     origin_a, origin_b = chain[0][0]
+    observations = system.observations
     witness = {
         "initial_low": _bits_named(system, origin_a, system.low_mask),
         "initial_high_a": _bits_named(system, origin_a, system.high_mask),
@@ -505,8 +505,8 @@ def check_poni(
         "trace": [
             {
                 "faults": sorted(system.names_of(masks[i])),
-                "low_a": str(rows[sa][0][i]),
-                "low_b": str(rows[sb][0][i]),
+                "low_a": str(observations[rows[sa][0][i]]),
+                "low_b": str(observations[rows[sb][0][i]]),
             }
             for (sa, sb), i in chain
         ],
@@ -585,8 +585,8 @@ def _marginal(counts: dict, length: int) -> dict:
 
 
 def _pni_witness(system, comp, env, ref, other, depth) -> dict:
-    counts_a = comp.trace_counts(ref, env.initial, depth)
-    counts_b = comp.trace_counts(other, env.initial, depth)
+    counts_a = comp.decoded(comp.trace_counts(ref, env.initial, depth))
+    counts_b = comp.decoded(comp.trace_counts(other, env.initial, depth))
     scale = comp.denominator ** depth
     for length in range(1, depth + 1):
         ma = _marginal(counts_a, length)
@@ -634,29 +634,8 @@ def replay_pni_witness(
 
 
 # ---------------------------------------------------------------------------
-# Bridging checks
+# Timing balance
 # ---------------------------------------------------------------------------
-
-
-def check_ss_implies_poni(
-    programs: list[tuple[str, RiscProgram]],
-    cfg: MachineConfig,
-    check: CheckConfig = CheckConfig(),
-) -> dict:
-    """No program may be strongly secure yet possibilistically leaky."""
-    counterexamples = []
-    results = []
-    for name, program in programs:
-        ss = check_strong_security(program, cfg, check)
-        poni = check_poni(program, cfg, check)
-        results.append({"program": name, "ss": ss.status, "poni": poni.status})
-        if ss.secure and not poni.secure:
-            counterexamples.append(name)
-    return {
-        "programs": len(programs),
-        "results": results,
-        "counterexamples": counterexamples,
-    }
 
 
 TIMING_MAX_STEPS = 10_000

@@ -193,6 +193,48 @@ def test_check_pni_rejects_bad_environment(tmp_path, capsys, fault_line, message
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "{asm}", "--mode", "pni", "--depth", "-1", "--env", "{env}"], "--depth"),
+        (["check", "{asm}", "--mode", "poni", "--depth", "-1"], "--depth"),
+        (["check", "{asm}", "--mode", "poni", "--depth", "0"], "--depth"),
+        (["check", "{asm}", "--mode", "poni", "--width", "-1"], "--width"),
+        (["check", "{asm}", "--mode", "pni", "--width", "-1", "--env", "{env}"], "--width"),
+        (["check", "{asm}", "--mode", "poni", "--width", "0"], "--width"),
+        (["compile", "{src}", "--width", "-2", "--out", "{out}", "--meta", "{meta}"], "--width"),
+        (["run", "{asm}", "--steps", "-1"], "--steps"),
+        (["inject", "{asm}", "--steps", "-1", "--faults", "{faults}"], "--steps"),
+    ],
+    ids=[
+        "check-pni-depth--1",
+        "check-poni-depth--1",
+        "check-poni-depth-0",
+        "check-poni-width--1",
+        "check-pni-width--1",
+        "check-poni-width-0",
+        "compile-width--2",
+        "run-steps--1",
+        "inject-steps--1",
+    ],
+)
+def test_out_of_range_numbers_exit_64(tmp_path, capsys, argv, message):
+    asm, _ = compile_ok(tmp_path, capsys)
+    paths = {
+        "asm": asm,
+        "env": write(tmp_path, "env.txt", "start E0\ntrans E0 * E0\nfault E0 - 1\n"),
+        "src": write(tmp_path, "other.src", GOOD_SOURCE),
+        "out": str(tmp_path / "other.s"),
+        "meta": str(tmp_path / "other.meta.json"),
+        "faults": write(tmp_path, "faults.txt", "0: -\n"),
+    }
+    code, stdout, err = invoke(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 64 and stdout == ""
+    assert message in err and "must be at least" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "other.s").exists()
+
+
 def test_check_budget_exit_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FTNI_BUDGET", "2")
     out, _ = compile_ok(tmp_path, capsys)

@@ -5,13 +5,15 @@ from random import Random
 
 import pytest
 
-from ftnilab.faultlab import TAU, flip, output
+from ftnilab.faultlab import TAU, flip, low, output
 from ftnilab.machine import (
     HIGH,
     LOW,
     AssemblyError,
+    Instruction,
     MachineConfig,
     MachineState,
+    RiscProgram,
     RiscSystem,
     assemble,
     disassemble,
@@ -252,6 +254,61 @@ def test_machine_step_determinism_through_bits():
     system = RiscSystem(program, cfg)
     for state in list(system.all_states())[:64]:
         assert system.step(state) == system.step(state)
+
+
+KERNEL_OPS = ("load", "store", "movek", "mover", "add", "sub", "mul", "and", "nop",
+              "jmp", "jz", "jlez", "out")
+
+
+def random_kernel_program(rng, cfg, length):
+    """A random program over every opcode, jumping to labels at any pc."""
+    regs = cfg.register_names()
+    instrs = []
+    for i in range(length):
+        op = rng.choice(KERNEL_OPS)
+        reg, reg2 = rng.choice(regs), rng.choice(regs)
+        fields = {"label": f"l{i}"}
+        if op in ("load", "store"):
+            fields.update(reg=reg, addr=rng.randrange(cfg.memory_size))
+        elif op == "movek":
+            fields.update(reg=reg, value=rng.randrange(cfg.word_values))
+        elif op in ("mover", "add", "sub", "mul", "and"):
+            fields.update(reg=reg, reg2=reg2)
+        elif op == "jmp":
+            fields.update(target=f"l{rng.randrange(length)}")
+        elif op in ("jz", "jlez"):
+            fields.update(target=f"l{rng.randrange(length)}", reg=reg)
+        elif op == "out":
+            fields.update(channel=rng.choice(("low", "high")), reg=reg)
+        instrs.append(Instruction(op, **fields))
+    return RiscProgram(instrs)
+
+
+def test_integer_kernel_agrees_with_machine_step():
+    """RiscSystem steps the encoded int in place; from every encoded state,
+    pcs past the end included, it must match decode, machine.step, encode,
+    and its public step must carry the code of the public action."""
+    rng = Random(6)
+    seen = set()
+    for width, memory, draws in ((1, (LOW, HIGH), 5), (2, (LOW, HIGH), 3), (3, (HIGH,), 2)):
+        cfg = standard_config(width, 1, 1, memory, enable_jlez=True)
+        for _ in range(draws):
+            program = random_kernel_program(rng, cfg, 7)
+            seen.update((i.op, i.channel) for i in program.instructions)
+            system = RiscSystem(program, cfg)
+            assert system.pc_bits == 3  # pc 7 is past the end
+            for state in system.all_states():
+                expected = step(program, system.decode(state), cfg)
+                public = system.public_step(state)
+                if expected is None:
+                    assert system.step(state) is None and public is None
+                    continue
+                action, succ = expected
+                assert system.step(state) == (action, system.encode(succ))
+                assert public[1] == system.encode(succ)
+                assert system.observations[public[0]] == low(action)
+    assert {(op, None) for op in KERNEL_OPS if op != "out"} < seen
+    assert {("out", "low"), ("out", "high")} < seen
 
 
 def test_structural_equivalence_ignores_register_names():

@@ -8,10 +8,14 @@ import pytest
 
 from ftnilab.corpus import CORPUS, SHRUNKEN_HASH, config_for_source
 from ftnilab.faultlab import (
+    TAU,
+    WILDCARD,
     Composition,
+    EnvironmentSpec,
     enumerate_runs,
     faulted_step,
     low,
+    output,
     scripted_environment,
     uniform_environment,
 )
@@ -39,7 +43,6 @@ from ftnilab.verify import (
     _initial_groups,
     check_pni,
     check_poni,
-    check_ss_implies_poni,
     check_strong_security,
     check_timing_balance,
     default_scope,
@@ -484,25 +487,89 @@ def test_pni_integer_weights_match_the_fraction_oracle(text):
     assert secure or replay_pni_witness(program, cfg, env, verdict.witness, check)
 
 
+# An attacker that reads the public channel: its transitions name tau, low!0
+# and low!1 explicitly, and every other observation (low!2 and low!3 at
+# width 2) falls to the wildcard.
+OBSERVING_ENV = EnvironmentSpec(
+    ("A", "B", "C"),
+    "A",
+    {
+        ("A", TAU): "A",
+        ("A", output("low", 0)): "B",
+        ("A", output("low", 1)): "C",
+        ("A", WILDCARD): "B",
+        ("B", output("low", 1)): "A",
+        ("B", WILDCARD): "C",
+        ("C", TAU): "C",
+        ("C", output("low", 0)): "B",
+        ("C", WILDCARD): "A",
+    },
+    {
+        "A": {frozenset(): Fraction(1, 2), frozenset({"rh0_0"}): Fraction(1, 2)},
+        "B": {frozenset(): Fraction(1, 3), frozenset({"rl0_0"}): Fraction(2, 3)},
+        "C": {frozenset(): Fraction(3, 4), frozenset({"rl0_0", "rh0_0"}): Fraction(1, 4)},
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "text,width",
+    [
+        pytest.param(CONSTANT_OUT, 1, id="constant-w1"),
+        pytest.param(LEAKY_OUT, 1, id="masked-by-the-flips-w1"),
+        pytest.param("out low rh1\nout low rl0", 1, id="leaky-w1"),
+        pytest.param("load rl0 0\nout low rl0\nout low rl0", 1, id="low-load-w1"),
+        pytest.param(RANDOM_W1_DRAWS[0], 1, id="draw0-w1"),
+        pytest.param(RANDOM_W1_DRAWS[1], 1, id="draw1-w1"),
+        pytest.param("movek rl0 3\nout low rl0\nout low rl0", 2, id="constant-w2"),
+        pytest.param("load rl0 0\nout low rl0\nadd rl0 rl0\nout low rl0", 2, id="low-w2"),
+        pytest.param("load rh0 1\nout low rh0\nout low rh0", 2, id="leaky-w2"),
+    ],
+)
+def test_pni_matches_the_run_oracle_under_an_observing_attacker(text, width):
+    """The composition advances the attacker per (attacker state, observation
+    code); distributions, verdicts and witnesses must match the run oracle."""
+    program = assemble(text)
+    cfg = standard_config(width, 1, 1, (LOW, HIGH)) if width == 2 else tiny_cfg()
+    system = RiscSystem(program, cfg)
+    env = OBSERVING_ENV
+    depth = 3
+    comp = Composition(system, env)
+    secure = True
+    for _, states in _initial_groups(system):
+        dists = []
+        for state in states:
+            oracle: dict = {}
+            for run in enumerate_runs(system, env, state, env.initial, depth):
+                oracle[run.trace] = oracle.get(run.trace, Fraction(0)) + run.probability
+            assert comp.trace_distribution(state, env.initial, depth) == oracle
+            dists.append(oracle)
+        secure = secure and all(dist == dists[0] for dist in dists)
+    check = CheckConfig(depth=depth, fault_scope=("rl0_0", "rh0_0"))
+    verdict = check_pni(program, cfg, env, check)
+    assert verdict.secure == secure
+    assert secure or replay_pni_witness(program, cfg, env, verdict.witness, check)
+
+
 # -- bridging property -------------------------------------------------------------
 
 
 def test_no_program_is_ss_secure_but_poni_leaky():
     rng = Random(101)
     cfg = tiny_cfg(mem=(LOW, HIGH))
-    programs = [(f"r{i}", random_risc_program(rng, cfg, length=6)) for i in range(10)]
-    scope = ("rl0_0", "rh0_0", "m0_0", "m1_0")
-    report = check_ss_implies_poni(programs, cfg, CheckConfig(depth=4, fault_scope=scope))
-    assert report["counterexamples"] == []
-    assert report["programs"] == 10
+    check = CheckConfig(depth=4, fault_scope=("rl0_0", "rh0_0", "m0_0", "m1_0"))
+    for _ in range(10):
+        program = random_risc_program(rng, cfg, length=6)
+        if check_strong_security(program, cfg, check).secure:
+            assert check_poni(program, cfg, check).secure
 
 
 def test_ss_violating_program_is_outside_the_implication():
     cfg = tiny_cfg()
     program = assemble(LEAKY_OUT)
-    report = check_ss_implies_poni([("leak", program)], cfg, CheckConfig(depth=3))
-    assert report["counterexamples"] == []
-    assert report["results"][0]["ss"] == "violation"
+    check = CheckConfig(depth=3)
+    assert check_strong_security(program, cfg, check).status == "violation"
+    assert not check_poni(program, cfg, check).secure
 
 
 # -- timing balance -----------------------------------------------------------------
