@@ -7,8 +7,10 @@ default scope's masks and the 1/4 environment's weights reach two-bit words.
 Any change to the machine semantics, the faulted step or the checkers that
 alters a verdict or a witness shows up here.
 
-SS witnesses of the random pool are left out; ``test_verify`` replays them,
-and ``test_cli`` checks that one is the same under several hash seeds.
+The width-1 pool keeps every witness, SS ones included: most of its draws
+leak, and its configuration interleaves low and high cells (``rl0``,
+``rh0``, ``m0`` low, ``m1`` high), so the SS witnesses pin how the
+checkers lay out and name the cells of each level.
 
 Regenerate (only when a verdict change is intended) with
 ``PYTHONPATH=src python tests/test_golden_verdicts.py > tests/golden_verdicts.json``.
@@ -66,7 +68,7 @@ def compute_golden() -> dict:
     pool = []
     for _ in range(RANDOM_DRAWS):
         program = random_risc_program(rng, cfg, 8)
-        entry = {"asm": disassemble(program), "ss": check_strong_security(program, cfg).status}
+        entry = {"asm": disassemble(program), "ss": check_strong_security(program, cfg).to_json()}
         entry.update(_fault_verdicts(program, cfg))
         pool.append(entry)
     rng = Random(7)
