@@ -16,8 +16,8 @@ builds them, then the running total of faulted step pairs (frontier times
 masks) before each level; the probabilistic checker one low group's initial
 states before it builds them, then the running total of faulted steps it
 composes (composed states times their fault sets) before each expansion.
-Any other value exits 64, as do a ``--width`` or ``--depth`` below 1 and a
-``--steps`` below 0.
+Any other value exits 64, as do a ``--width`` or ``--depth`` below 1, a
+``--steps`` below 0 and a ``--mem`` value outside the machine word.
 """
 
 from __future__ import annotations
@@ -196,6 +196,8 @@ def _parse_fault_script(text: str) -> dict[int, frozenset[str]]:
         try:
             index = int(head.strip())
         except ValueError:
+            index = -1
+        if index < 0:
             raise ValueError(f"fault script line {lineno}: bad step index {head!r}")
         names = rest.strip()
         script[index] = frozenset() if names in ("", "-") else frozenset(names.split(","))
@@ -218,6 +220,10 @@ def cmd_run(args) -> int:
         if not 0 <= addr < cfg.memory_size:
             return _fail(
                 EXIT_USAGE, f"--mem address {addr} outside memory of {cfg.memory_size} cells"
+            )
+        if not 0 <= mem[addr] < cfg.word_values:
+            return _fail(
+                EXIT_USAGE, f"--mem value {mem[addr]} outside the {cfg.width}-bit word"
             )
     script: dict[int, frozenset[str]] = {}
     if args.faults:

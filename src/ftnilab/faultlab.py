@@ -10,10 +10,11 @@ fractions.Fraction appears only at its interface; floating point is never
 used.
 
 The fault checkers run on an integer kernel.  A system's public step,
-``public_step``, gives each state's successor with an observation code in
-place of the action: a small int that ``observations`` maps back to the
-public action, with 0 for the silent one.  The possibilistic rows, the
-composition and its trace counts hold only these codes and int states;
+``FaultProneSystem.public_step``, gives each state's successor with an
+observation code in place of the action projected by ``low``: a small int
+that ``observations`` maps back to the public action, with 0 for the silent
+one and the others numbered as they are first met.  The possibilistic rows,
+the composition and its trace counts hold only these codes and int states;
 ``Action`` objects are rebuilt at the interface (``compose_step``,
 ``trace_distribution``, ``trace_probability`` and the witnesses).
 """
@@ -90,10 +91,10 @@ class FaultProneSystem:
 
     States are ints; bit i of a state is the value of ``locations[i]``.
     Subclasses implement ``step``, returning the unique successor or None
-    when the state is stuck.  ``public_step`` is its public view, cached per
-    state: (observation code, successor), where ``observations[code]`` is
-    the public action and code 0 is ``TAU``.  Here codes are assigned in
-    the order the actions are first seen.
+    when the state is stuck.  ``public_step`` is its public view, the one
+    for every system, cached per state: (observation code, successor), where
+    ``observations[code]`` is the public action and code 0 is ``TAU``.  The
+    other codes are assigned in the order the actions are first seen.
     """
 
     locations: tuple[Location, ...] = ()

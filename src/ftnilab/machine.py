@@ -20,7 +20,6 @@ from .faultlab import (
     Location,
     Tolerance,
     TAU,
-    UNSEEN,
     output,
 )
 
@@ -254,6 +253,11 @@ class MachineConfig:
     def registers_of_level(self, level: SecurityLevel) -> tuple[str, ...]:
         return tuple(name for name, lev in self.registers if lev is level)
 
+    def cells_of_level(self, level: SecurityLevel) -> tuple[int, ...]:
+        """The data cells of one level, as indices into ``regs + mem`` (see ``Decoded``)."""
+        levels = [lev for _, lev in self.registers] + list(self.memory_levels)
+        return tuple(cell for cell, lev in enumerate(levels) if lev is level)
+
 
 def standard_config(
     width: int,
@@ -454,41 +458,25 @@ class RiscSystem(FaultProneSystem):
             Location(f"pc_{b}", Tolerance.FAULT_TOLERANT) for b in range(self.pc_bits)
         )
         super().__init__(locations)
-        self.data_bits = w * (len(cfg.registers) + cfg.memory_size)
-        self._pc_shift = self.data_bits
-        self.low_mask = 0
-        self.high_mask = 0
-        pos = 0
-        for _, level in cfg.registers:
-            chunk = ((1 << w) - 1) << pos
-            if level is LOW:
-                self.low_mask |= chunk
-            else:
-                self.high_mask |= chunk
-            pos += w
-        for level in cfg.memory_levels:
-            chunk = ((1 << w) - 1) << pos
-            if level is LOW:
-                self.low_mask |= chunk
-            else:
-                self.high_mask |= chunk
-            pos += w
-        self.pc_mask = ((1 << self.pc_bits) - 1) << self._pc_shift
-        self.observations = _LowObservations(w)
+        self._pc_shift = w * (len(cfg.registers) + cfg.memory_size)
+        word = (1 << w) - 1
+        lows, highs = cfg.cells_of_level(LOW), cfg.cells_of_level(HIGH)
+        self.low_mask = self.pack(lows, [word] * len(lows))
+        self.high_mask = self.pack(highs, [word] * len(highs))
         self._kernel: tuple | None = None
-        self._step_cache: dict[int, tuple[Action, int] | None] = {}
+
+    def pack(self, cells, values) -> int:
+        """The encoded state at pc 0 whose ``cells`` (indices into ``regs +
+        mem``) hold the words ``values``, with every other cell 0."""
+        w = self.cfg.width
+        return sum(value << cell * w for cell, value in zip(cells, values))
 
     def encode(self, state: MachineState) -> int:
-        w = self.cfg.width
         if not 0 <= state.pc < (1 << self.pc_bits):
             raise ValueError(f"pc {state.pc} not encodable in {self.pc_bits} bits")
-        bits = 0
-        pos = 0
-        for value in state.regs + state.mem:
-            bits |= (value & ((1 << w) - 1)) << pos
-            pos += w
-        bits |= state.pc << self._pc_shift
-        return bits
+        word = (1 << self.cfg.width) - 1
+        data = [value & word for value in state.regs + state.mem]
+        return self.pack(range(len(data)), data) | state.pc << self._pc_shift
 
     def decode(self, bits: int) -> MachineState:
         w = self.cfg.width
@@ -502,7 +490,7 @@ class RiscSystem(FaultProneSystem):
         pc = bits >> self._pc_shift & ((1 << self.pc_bits) - 1)
         return MachineState(pc, tuple(values[:nregs]), tuple(values[nregs:]))
 
-    def _execute(self, state: int) -> tuple[Action, int] | None:
+    def step(self, state: int) -> tuple[Action, int] | None:
         """``machine.step`` on the encoded int, with no ``MachineState`` built.
 
         The source cells are shifted and masked out of the int, ``effect``
@@ -527,7 +515,7 @@ class RiscSystem(FaultProneSystem):
         """Per pc: the decoded instruction, its source cells' bit offsets, the
         mask of the data bits the step keeps, and the written cell's offset."""
         w = self.cfg.width
-        data = (1 << self.data_bits) - 1
+        data = (1 << self._pc_shift) - 1
         kernel = []
         for instr in decode(self.program, self.cfg):
             shifts = tuple(cell * w for cell in instr.sources)
@@ -537,40 +525,6 @@ class RiscSystem(FaultProneSystem):
                 dest = instr.dest * w
                 kernel.append((instr, shifts, data & ~(((1 << w) - 1) << dest), dest))
         return tuple(kernel)
-
-    def step(self, state: int) -> tuple[Action, int] | None:
-        if state in self._step_cache:
-            return self._step_cache[state]
-        result = self._step_cache[state] = self._execute(state)
-        return result
-
-    def public_step(self, state: int) -> tuple[int, int] | None:
-        found = self._public.get(state, UNSEEN)
-        if found is UNSEEN:
-            found = self._execute(state)
-            if found is not None:
-                action, succ = found
-                found = (1 + action.value if action.channel == "low" else 0, succ)
-            self._public[state] = found
-        return found
-
-
-class _LowObservations:
-    """The observation codes of a machine word, decoded on demand: 0 is
-    silent (``tau`` or a high output) and ``1 + v`` is ``low!v``."""
-
-    __slots__ = ("width",)
-
-    def __init__(self, width: int):
-        self.width = width
-
-    def __len__(self) -> int:
-        return (1 << self.width) + 1
-
-    def __getitem__(self, code: int) -> Action:
-        if not 0 <= code <= 1 << self.width:
-            raise IndexError(code)
-        return TAU if code == 0 else output("low", code - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .faultlab import (
     Location,
     TableSystem,
     Tolerance,
+    _subsets,
     faulted_step,
     faulted_steps,
     low,
@@ -86,12 +87,17 @@ class CheckConfig:
     (frontier times masks) before it walks each level; PNI, one low group's
     initial states before it builds them, then the running total of faulted
     steps the composition takes (composed states times their fault sets)
-    before it takes each state's.
+    before it takes each state's.  A negative depth is refused; depth 0 is
+    the vacuous bound.
     """
 
     depth: int = 4
     fault_scope: tuple[str, ...] | None = None
     budget: int = DEFAULT_BUDGET
+
+    def __post_init__(self):
+        if self.depth < 0:
+            raise ValueError(f"depth must be at least 0, not {self.depth}")
 
 
 @dataclass(frozen=True)
@@ -117,24 +123,13 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _cells_by_level(cfg: MachineConfig):
-    lows: list[tuple[str, int]] = []
-    highs: list[tuple[str, int]] = []
-    for i, (_, level) in enumerate(cfg.registers):
-        (lows if level is LOW else highs).append(("reg", i))
-    for addr, level in enumerate(cfg.memory_levels):
-        (lows if level is LOW else highs).append(("mem", addr))
-    return lows, highs
-
-
-def _build_state(cfg, lows, highs, lo_vec, hi_vec, pc: int = 0) -> MachineState:
-    regs = [0] * len(cfg.registers)
-    mem = [0] * cfg.memory_size
-    for (kind, idx), value in zip(lows, lo_vec):
-        (regs if kind == "reg" else mem)[idx] = value
-    for (kind, idx), value in zip(highs, hi_vec):
-        (regs if kind == "reg" else mem)[idx] = value
-    return MachineState(pc, tuple(regs), tuple(mem))
+def _build_state(cfg: MachineConfig, cells, values, pc: int = 0) -> MachineState:
+    """The state at pc with the given cells set to the values, and every other cell 0."""
+    nregs = len(cfg.registers)
+    data = [0] * (nregs + cfg.memory_size)
+    for cell, value in zip(cells, values):
+        data[cell] = value
+    return MachineState(pc, tuple(data[:nregs]), tuple(data[nregs:]))
 
 
 def _scope_names(system: RiscSystem, check: CheckConfig) -> tuple[str, ...]:
@@ -205,12 +200,9 @@ class _SSTables:
         self.program = program
         self.cfg = cfg
         self.ops = decode(program, cfg)
-        self.lows, self.highs = _cells_by_level(cfg)
-        nregs = len(cfg.registers)
-        slots = self.slot_of_cell = {
-            (idx if kind == "reg" else nregs + idx): slot
-            for slot, (kind, idx) in enumerate(self.lows)
-        }
+        self.lows = cfg.cells_of_level(LOW)
+        self.highs = cfg.cells_of_level(HIGH)
+        slots = self.slot_of_cell = {cell: slot for slot, cell in enumerate(self.lows)}
         self.touched = {
             pc: tuple(sorted({slots[c] for c in (*op.sources, op.dest) if c in slots}))
             for pc, op in enumerate(self.ops)
@@ -260,14 +252,10 @@ class _SSTables:
         and the first of them is zero everywhere else.
         """
         reads = self.ops[pc].sources if 0 <= pc < len(self.ops) else ()
-        nregs = len(self.cfg.registers)
         every = range(self.cfg.word_values)
-        value_sets = [
-            every if (idx if kind == "reg" else nregs + idx) in reads else (0,)
-            for kind, idx in self.highs
-        ]
+        value_sets = [every if cell in reads else (0,) for cell in self.highs]
         for hi_vec in itertools.product(*value_sets):
-            state = _build_state(self.cfg, self.lows, self.highs, lo, hi_vec, pc)
+            state = _build_state(self.cfg, self.lows + self.highs, lo + hi_vec, pc)
             if self.observe(state) == entry:
                 return state
         return None
@@ -383,11 +371,16 @@ def _ss_witness(tables: _SSTables, start, reasons) -> dict:
 
 
 def _cells_of(state: MachineState, cells) -> tuple:
-    return tuple(state.regs[idx] if kind == "reg" else state.mem[idx] for kind, idx in cells)
+    data = state.regs + state.mem
+    return tuple(data[cell] for cell in cells)
 
 
 def _cells_named(state: MachineState, cells) -> dict:
-    return {f"{kind}{idx}": value for (kind, idx), value in zip(cells, _cells_of(state, cells))}
+    nregs = len(state.regs)
+    return {
+        f"reg{cell}" if cell < nregs else f"mem{cell - nregs}": value
+        for cell, value in zip(cells, _cells_of(state, cells))
+    }
 
 
 def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -> bool:
@@ -415,16 +408,15 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
 
 
 def _initial_groups(system: RiscSystem):
-    """Yield (lo_vec, [encoded states sharing that low part])."""
+    """Yield (lo_vec, [encoded states sharing that low part]) at pc 0, in
+    product order over the low and then the high cells."""
     cfg = system.cfg
-    lows, highs = _cells_by_level(cfg)
     values = range(cfg.word_values)
+    lows, highs = cfg.cells_of_level(LOW), cfg.cells_of_level(HIGH)
+    hi_parts = [system.pack(highs, vec) for vec in itertools.product(values, repeat=len(highs))]
     for lo_vec in itertools.product(values, repeat=len(lows)):
-        states = [
-            system.encode(_build_state(cfg, lows, highs, lo_vec, hi_vec))
-            for hi_vec in itertools.product(values, repeat=len(highs))
-        ]
-        yield lo_vec, states
+        lo = system.pack(lows, lo_vec)
+        yield lo_vec, [lo | hi for hi in hi_parts]
 
 
 def check_poni(
@@ -442,14 +434,10 @@ def check_poni(
     scope = _scope_names(system, check)
     _charge(2 ** len(scope), "fault masks", check.budget)
     # the seed pairs below: each low part's first state with every other one
-    lows, highs = _cells_by_level(cfg)
     words = cfg.word_values
+    lows, highs = cfg.cells_of_level(LOW), cfg.cells_of_level(HIGH)
     _charge(words ** len(lows) * (words ** len(highs) - 1), "initial state pairs", check.budget)
-    masks = sorted(
-        system.mask_of(sub)
-        for sub in (frozenset(c) for r in range(len(scope) + 1)
-                    for c in itertools.combinations(scope, r))
-    )
+    masks = sorted(system.mask_of(subset) for subset in _subsets(scope))
     # per state, its fault row: the observation code and the successor per mask
     rows: dict[int, tuple[tuple, tuple]] = {}
 
@@ -514,18 +502,19 @@ def check_poni(
     return Verdict("poni", "violation", check.depth, witness)
 
 
+def _witness_states(system: RiscSystem, witness: dict) -> tuple[int, int]:
+    """The two initial states a POni or PNI witness names; unnamed bits are 0."""
+    zeros = {loc.name: 0 for loc in system.locations}
+    return tuple(
+        system.state_of({**zeros, **witness["initial_low"], **witness[f"initial_high_{side}"]})
+        for side in "ab"
+    )
+
+
 def replay_poni_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -> bool:
     """Drive both initial states through the fault sequence; they must split."""
     system = RiscSystem(program, cfg)
-    bits_a = dict(witness["initial_low"])
-    bits_a.update(witness["initial_high_a"])
-    bits_b = dict(witness["initial_low"])
-    bits_b.update(witness["initial_high_b"])
-    for i, loc in enumerate(system.locations):
-        bits_a.setdefault(loc.name, 0)
-        bits_b.setdefault(loc.name, 0)
-    sa = system.state_of(bits_a)
-    sb = system.state_of(bits_b)
+    sa, sb = _witness_states(system, witness)
     for i, entry in enumerate(witness["trace"]):
         mask = system.mask_of(entry["faults"])
         act_a, sa = faulted_step(system, sa, mask)
@@ -563,7 +552,7 @@ def check_pni(
     comp = Composition(
         system, scoped, lambda taken: _charge(taken, "faulted steps composed", check.budget)
     )
-    _, highs = _cells_by_level(cfg)
+    highs = cfg.cells_of_level(HIGH)
     _charge(cfg.word_values ** len(highs), "initial states per low group", check.budget)
 
     for _, states in _initial_groups(system):
@@ -622,14 +611,10 @@ def replay_pni_witness(
     system = RiscSystem(program, cfg)
     scoped = env.restricted(_scope_names(system, check))
     comp = Composition(system, scoped)
-    bits_a = dict(witness["initial_low"], **witness["initial_high_a"])
-    bits_b = dict(witness["initial_low"], **witness["initial_high_b"])
-    for loc in system.locations:
-        bits_a.setdefault(loc.name, 0)
-        bits_b.setdefault(loc.name, 0)
+    sa, sb = _witness_states(system, witness)
     trace = tuple(parse_action(t) for t in witness["trace"])
-    pa = comp.trace_probability(system.state_of(bits_a), scoped.initial, trace)
-    pb = comp.trace_probability(system.state_of(bits_b), scoped.initial, trace)
+    pa = comp.trace_probability(sa, scoped.initial, trace)
+    pb = comp.trace_probability(sb, scoped.initial, trace)
     return (str(pa), str(pb)) == tuple(witness["probabilities"]) and pa != pb
 
 
@@ -660,12 +645,12 @@ def check_timing_balance(result: CompileResult, cfg: MachineConfig) -> tuple[boo
         balanced = balanced and ok
         sites.append({"then_len": then_len, "else_len": else_len, "balanced": ok})
 
-    _, highs = _cells_by_level(cfg)
+    highs = cfg.cells_of_level(HIGH)
     observations = None
     sweep_ok = True
     witness = None
     for hi_vec in itertools.product(range(cfg.word_values), repeat=len(highs)):
-        state = _build_state(cfg, (), highs, (), hi_vec)
+        state = _build_state(cfg, highs, hi_vec)
         timed: list[tuple[int, str]] = []
         steps = 0
         while steps < TIMING_MAX_STEPS:

@@ -132,6 +132,30 @@ def test_run_rejects_memory_address_outside_memory(tmp_path, capsys, command, it
     assert "outside memory of 2 cells" in err
 
 
+@pytest.mark.parametrize("command", ["run", "inject"])
+@pytest.mark.parametrize("value", [-3, 2**8])
+def test_run_rejects_memory_value_outside_the_word(tmp_path, capsys, command, value):
+    asm = write(tmp_path, "y.s", "load rl0 0\nout low rl0\n")  # no side-car: width 8
+    script = write(tmp_path, "faults.txt", "0: -\n")
+    code, stdout, err = invoke(capsys, command, asm, f"--mem=0={value}", "--faults", script)
+    assert code == 64 and stdout == ""
+    assert f"--mem value {value} outside the 8-bit word" in err
+
+
+def test_run_accepts_the_largest_word_value(tmp_path, capsys):
+    asm = write(tmp_path, "y.s", "load rl0 0\nout low rl0\n")
+    code, stdout, _ = invoke(capsys, "run", asm, "--mem=0=255")
+    assert code == 0 and stdout.splitlines()[-1] == "1; low!255; flipped={}"
+
+
+def test_run_rejects_a_negative_fault_step(tmp_path, capsys):
+    out, _ = compile_ok(tmp_path, capsys)
+    script = write(tmp_path, "faults.txt", "0: -\n-1: rl0_0\n")
+    code, stdout, err = invoke(capsys, "run", out, "--faults", script)
+    assert code == 1 and stdout == ""
+    assert "fault script line 2: bad step index '-1'" in err
+
+
 def test_inject_requires_fault_script(tmp_path, capsys):
     out, _ = compile_ok(tmp_path, capsys)
     code, _, _ = invoke(capsys, "inject", out)

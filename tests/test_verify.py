@@ -159,14 +159,17 @@ def test_ss_witness_high_parts_are_the_first_matching_high_vectors():
 
 
 def _with_high(state, highs, hi_vec):
-    regs, mem = list(state.regs), list(state.mem)
-    for (kind, idx), val in zip(highs, hi_vec):
-        (regs if kind == "reg" else mem)[idx] = val
-    return MachineState(state.pc, tuple(regs), tuple(mem))
+    # cells index regs + mem
+    data = list(state.regs + state.mem)
+    for cell, val in zip(highs, hi_vec):
+        data[cell] = val
+    nregs = len(state.regs)
+    return MachineState(state.pc, tuple(data[:nregs]), tuple(data[nregs:]))
 
 
 def _high_of(state, highs):
-    return tuple(state.regs[idx] if kind == "reg" else state.mem[idx] for kind, idx in highs)
+    data = state.regs + state.mem
+    return tuple(data[cell] for cell in highs)
 
 
 def test_ss_summaries_match_brute_force_enumeration():
@@ -183,13 +186,11 @@ def test_ss_summaries_match_brute_force_enumeration():
             for lo in itertools.product(range(cfg.word_values), repeat=len(tables.lows)):
                 brute = set()
                 for hi_vec in itertools.product(range(cfg.word_values), repeat=len(hi_cells)):
-                    regs = [0] * len(cfg.registers)
-                    mem = [0] * cfg.memory_size
-                    for (kind, idx), val in zip(tables.lows, lo):
-                        (regs if kind == "reg" else mem)[idx] = val
-                    for (kind, idx), val in zip(hi_cells, hi_vec):
-                        (regs if kind == "reg" else mem)[idx] = val
-                    state = MachineState(pc, tuple(regs), tuple(mem))
+                    data = [0] * (len(cfg.registers) + cfg.memory_size)
+                    for cell, val in zip(tables.lows + hi_cells, lo + hi_vec):
+                        data[cell] = val
+                    nregs = len(cfg.registers)
+                    state = MachineState(pc, tuple(data[:nregs]), tuple(data[nregs:]))
                     brute.add(tables.observe(state))
                 lifted = {tables.after(lo, e) for e in tables.entries(pc, lo)}
                 assert brute == lifted, (pc, lo)
@@ -206,9 +207,7 @@ def brute_force_strong_security(program, cfg):
     ]
     low_of = {}
     for regs, mem in data_states:
-        key = tuple(
-            (regs[i] if kind == "reg" else mem[i]) for kind, i in tables.lows
-        )
+        key = tuple((regs + mem)[cell] for cell in tables.lows)
         low_of[(regs, mem)] = key
     groups: dict = {}
     for d in data_states:
@@ -331,6 +330,20 @@ def test_pni_depth_zero_always_secure():
     assert verdict.secure
 
 
+def test_check_config_refuses_a_negative_depth():
+    with pytest.raises(ValueError, match="depth must be at least 0, not -1"):
+        CheckConfig(depth=-1)
+    # depth 0 stays the vacuous bound of both checkers; depth 1 sees the leak
+    program, cfg = assemble("out low rh0"), standard_config(1, 1, 1, (LOW, HIGH))
+    env = uniform_environment(Fraction(1, 4), RiscSystem(program, cfg).faulty_names)
+    assert check_poni(program, cfg, CheckConfig(depth=0)).to_json() == {
+        "checker": "poni", "status": "secure-up-to-bound", "bound": 0
+    }
+    assert check_pni(program, cfg, env, CheckConfig(depth=0)).secure
+    assert not check_poni(program, cfg, CheckConfig(depth=1)).secure
+    assert not check_pni(program, cfg, env, CheckConfig(depth=1)).secure
+
+
 def test_pni_faultfree_environment_sees_the_leak():
     cfg = tiny_cfg()
     program = assemble(LEAKY_OUT)
@@ -364,6 +377,39 @@ def test_pni_agrees_with_poni_on_examples():
             for _, env in environment_family(scope)
         ]
         assert poni.secure == all(pni_results)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        standard_config(1, 2, 2, (HIGH, LOW, HIGH)),
+        standard_config(2, 2, 2, (HIGH, LOW, HIGH)),
+        standard_config(2, 1, 1, (LOW, HIGH)),
+    ],
+    ids=["w1-interleaved", "w2-interleaved", "w2-pool"],
+)
+def test_initial_groups_match_a_state_by_state_enumeration(cfg):
+    # Every data state at pc 0, in product order over the registers and then
+    # the memory, encoded and grouped by the values of its low cells.
+    system = RiscSystem(assemble("nop"), cfg)
+    values = range(cfg.word_values)
+    reference: dict = {}
+    for regs in itertools.product(values, repeat=len(cfg.registers)):
+        for mem in itertools.product(values, repeat=cfg.memory_size):
+            low_part = tuple(
+                v for v, (_, lev) in zip(regs, cfg.registers) if lev is LOW
+            ) + tuple(v for v, lev in zip(mem, cfg.memory_levels) if lev is LOW)
+            state = system.encode(MachineState(0, regs, mem))
+            reference.setdefault(low_part, []).append(state)
+    assert list(_initial_groups(system)) == list(reference.items())
+
+    data_bits = cfg.width * (len(cfg.registers) + cfg.memory_size)
+    assert system.low_mask & system.high_mask == 0
+    assert system.low_mask | system.high_mask == (1 << data_bits) - 1
+    # the low mask keeps exactly what the low cells hold
+    low_parts = [{s & system.low_mask for s in states} for states in reference.values()]
+    assert all(len(parts) == 1 for parts in low_parts)
+    assert len(set().union(*low_parts)) == len(reference)
 
 
 def brute_force_poni(program, cfg, check):
