@@ -1,5 +1,6 @@
 """Bit-flip framework: flips, environments, composition, trace probabilities."""
 
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -279,3 +280,44 @@ def test_table_system_is_deterministic_by_construction():
     for state in system.all_states():
         results = {system.step(state) for _ in range(3)}
         assert len(results) == 1
+
+
+def test_trace_probability_matches_run_enumeration_for_every_short_trace():
+    # an attacker that reads the observation: explicit tau and low!0
+    # transitions, a wildcard for the rest, mixed odds and a zero-odds set
+    rng = Random(57)
+    alphabet = (TAU, output("low", 0), output("low", 1))
+    for _ in range(4):
+        system = random_table_system(rng, n_locations=3, n_faulty=2)
+        a, b = sorted(system.faulty_names)
+        env = EnvironmentSpec(
+            states=("E0", "E1"),
+            initial="E0",
+            transitions={
+                ("E0", TAU): "E0",
+                ("E0", output("low", 0)): "E1",
+                ("E0", "*"): "E1",
+                ("E1", "*"): "E0",
+            },
+            faults={
+                "E0": {
+                    frozenset(): Fraction(2, 3),
+                    frozenset({a}): Fraction(1, 3),
+                    frozenset({b}): Fraction(0),
+                },
+                "E1": {frozenset({b}): Fraction(1, 4), frozenset({a, b}): Fraction(3, 4)},
+            },
+        )
+        comp = Composition(system, env)
+        for state in system.all_states():
+            for length in range(4):
+                by_runs: dict = {}
+                for run in enumerate_runs(system, env, state, "E0", length):
+                    by_runs[run.trace] = by_runs.get(run.trace, Fraction(0)) + run.probability
+                for trace in itertools.product(alphabet, repeat=length):
+                    assert comp.trace_probability(state, "E0", trace) == by_runs.get(
+                        trace, Fraction(0)
+                    )
+            assert comp.trace_probability(state, "E0", (output("high", 0),)) == 0
+            assert comp.trace_probability(state, "E0", (TAU, output("low", 7))) == 0
+            assert trace_probability(system, env, state, "E1", (output("low", 7),)) == 0

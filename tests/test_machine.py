@@ -333,3 +333,53 @@ def test_structural_equivalence_checks_label_graph():
     b = assemble("l0: jz l1 rl0\nl1: jmp l1")
     ok, _ = structurally_equivalent(a, b)
     assert not ok
+
+
+ALL_OPCODES = [
+    ("load rl0 1", Instruction("load", reg="rl0", addr=1)),
+    ("store 1 rh0", Instruction("store", reg="rh0", addr=1)),
+    ("t0: jmp t0", Instruction("jmp", "t0", target="t0")),
+    ("jz t0 rl1", Instruction("jz", target="t0", reg="rl1")),
+    ("jlez t0 rh1", Instruction("jlez", target="t0", reg="rh1")),
+    ("nop", Instruction("nop")),
+    ("movek rl0 7", Instruction("movek", reg="rl0", value=7)),
+    ("mover rl0 rh0", Instruction("mover", reg="rl0", reg2="rh0")),
+    ("add rl0 rl1", Instruction("add", reg="rl0", reg2="rl1")),
+    ("sub rh0 rl1", Instruction("sub", reg="rh0", reg2="rl1")),
+    ("mul rh0 rh1", Instruction("mul", reg="rh0", reg2="rh1")),
+    ("and rl1 rh1", Instruction("and", reg="rl1", reg2="rh1")),
+    ("out high rl0", Instruction("out", channel="high", reg="rl0")),
+]
+
+
+def test_every_opcode_round_trips_through_the_assembler():
+    text = "".join(line + "\n" for line, _ in ALL_OPCODES)
+    program = assemble(text)
+    assert list(program.instructions) == [instr for _, instr in ALL_OPCODES]
+    assert len({instr.op for instr in program.instructions}) == 13
+    assert disassemble(program) == text
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("load rl0", "load expects 2 operand(s), got 1 (line 1)"),
+        ("nop\nnop rl0", "nop expects 0 operand(s), got 1 (line 2)"),
+        ("jmp", "jmp expects 1 operand(s), got 0 (line 1)"),
+        ("out mid", "out expects 2 operand(s), got 1 (line 1)"),
+        ("add rl0 rl1 rh0", "add expects 2 operand(s), got 3 (line 1)"),
+        ("load rl0 x", "expected a decimal number, got 'x' (line 1)"),
+        ("store -1 rl0", "expected a decimal number, got '-1' (line 1)"),
+        ("movek rl0 0x1", "expected a decimal number, got '0x1' (line 1)"),
+        ("out mid rl0", "channel must be low or high, got 'mid' (line 1)"),
+        ("nop\n  frob rl0", "unknown mnemonic 'frob' (line 2, col 2)"),
+        ("l0: frob", "unknown mnemonic 'frob' (line 1, col 4)"),
+        ("lo: l", "unknown mnemonic 'l' (line 1, col 0)"),
+        ("1x: nop", "bad label '1x' (line 1, col 2)"),
+        ("l0:", "label with no instruction (line 1)"),
+    ],
+)
+def test_assembler_error_messages(text, message):
+    with pytest.raises(AssemblyError) as exc:
+        assemble(text)
+    assert str(exc.value) == message
