@@ -620,33 +620,17 @@ class Composition:
     ) -> dict[tuple[Action, ...], Fraction]:
         """Probability of every public trace of exactly the given length."""
         scale = self.denominator ** depth
-        return {
-            trace: Fraction(count, scale)
-            for trace, count in self.decoded(self.trace_counts(state, env_state, depth)).items()
-        }
-
-    def decoded(self, counts: dict[tuple[int, ...], int]) -> dict[tuple[Action, ...], int]:
-        """Trace counts keyed by public actions instead of observation codes."""
         observations = self.system.observations
-        return {tuple(observations[c] for c in trace): n for trace, n in counts.items()}
+        return {
+            tuple(observations[code] for code in trace): Fraction(count, scale)
+            for trace, count in self.trace_counts(state, env_state, depth).items()
+        }
 
     def trace_probability(
         self, state: int, env_state: str, trace: tuple[Action, ...]
     ) -> Fraction:
         """Summed probability of all runs whose public trace equals ``trace``."""
-        weight = self._trace_weight(state, env_state, trace)
-        return Fraction(weight, self.denominator ** len(trace))
-
-    def _trace_weight(self, state: int, env_state: str, trace: tuple[Action, ...]) -> int:
-        if not trace:
-            return 1
-        head, rest = trace[0], trace[1:]
-        observations = self.system.observations
-        return sum(
-            weight * self._trace_weight(s2, e2, rest)
-            for code, weight, s2, e2 in self.step(state, env_state)
-            if observations[code] == head
-        )
+        return self.trace_distribution(state, env_state, len(trace)).get(trace, Fraction(0))
 
 
 def trace_probability(

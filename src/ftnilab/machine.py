@@ -39,6 +39,22 @@ BINARY_OPS = ("add", "sub", "mul", "and")
 JUMP_OPS = ("jmp", "jz", "jlez")
 CHANNELS = ("low", "high")
 
+# The assembly syntax: each opcode's operands, as ``Instruction`` fields in
+# the order the text gives them.  ``addr`` and ``value`` are decimal numbers,
+# ``channel`` is one of ``CHANNELS``; the other fields are names.
+OPERANDS: dict[str, tuple[str, ...]] = {
+    "load": ("reg", "addr"),
+    "store": ("addr", "reg"),
+    "jmp": ("target",),
+    "jz": ("target", "reg"),
+    "jlez": ("target", "reg"),
+    "nop": (),
+    "movek": ("reg", "value"),
+    "mover": ("reg", "reg2"),
+    **{op: ("reg", "reg2") for op in BINARY_OPS},
+    "out": ("channel", "reg"),
+}
+
 
 class AssemblyError(Exception):
     """Raised for malformed assembly text or ill-formed programs."""
@@ -62,27 +78,9 @@ class Instruction:
     channel: str | None = None
 
     def render(self) -> str:
-        body: str
-        if self.op == "load":
-            body = f"load {self.reg} {self.addr}"
-        elif self.op == "store":
-            body = f"store {self.addr} {self.reg}"
-        elif self.op == "jmp":
-            body = f"jmp {self.target}"
-        elif self.op in ("jz", "jlez"):
-            body = f"{self.op} {self.target} {self.reg}"
-        elif self.op == "nop":
-            body = "nop"
-        elif self.op == "movek":
-            body = f"movek {self.reg} {self.value}"
-        elif self.op == "mover":
-            body = f"mover {self.reg} {self.reg2}"
-        elif self.op in BINARY_OPS:
-            body = f"{self.op} {self.reg} {self.reg2}"
-        elif self.op == "out":
-            body = f"out {self.channel} {self.reg}"
-        else:
+        if self.op not in OPERANDS:
             raise ValueError(f"unknown opcode {self.op}")
+        body = " ".join([self.op, *(str(getattr(self, f)) for f in OPERANDS[self.op])])
         return f"{self.label}: {body}" if self.label else body
 
     def registers(self) -> tuple[str, ...]:
@@ -164,51 +162,22 @@ def assemble(text: str) -> RiscProgram:
         if not parts:
             raise AssemblyError("label with no instruction", lineno)
         op, args = parts[0], parts[1:]
-
-        def want(n: int) -> None:
-            if len(args) != n:
-                raise AssemblyError(f"{op} expects {n} operand(s), got {len(args)}", lineno)
-
-        def number(text_: str) -> int:
-            if not text_.isdigit():
-                raise AssemblyError(f"expected a decimal number, got {text_!r}", lineno)
-            return int(text_)
-
-        try:
-            if op == "load":
-                want(2)
-                instr = Instruction("load", label, reg=args[0], addr=number(args[1]))
-            elif op == "store":
-                want(2)
-                instr = Instruction("store", label, reg=args[1], addr=number(args[0]))
-            elif op == "jmp":
-                want(1)
-                instr = Instruction("jmp", label, target=args[0])
-            elif op in ("jz", "jlez"):
-                want(2)
-                instr = Instruction(op, label, target=args[0], reg=args[1])
-            elif op == "nop":
-                want(0)
-                instr = Instruction("nop", label)
-            elif op == "movek":
-                want(2)
-                instr = Instruction("movek", label, reg=args[0], value=number(args[1]))
-            elif op == "mover":
-                want(2)
-                instr = Instruction("mover", label, reg=args[0], reg2=args[1])
-            elif op in BINARY_OPS:
-                want(2)
-                instr = Instruction(op, label, reg=args[0], reg2=args[1])
-            elif op == "out":
-                want(2)
-                if args[0] not in CHANNELS:
-                    raise AssemblyError(f"channel must be low or high, got {args[0]!r}", lineno)
-                instr = Instruction("out", label, channel=args[0], reg=args[1])
+        fields = OPERANDS.get(op)
+        if fields is None:
+            raise AssemblyError(f"unknown mnemonic {op!r}", lineno, raw.find(op))
+        if len(args) != len(fields):
+            raise AssemblyError(f"{op} expects {len(fields)} operand(s), got {len(args)}", lineno)
+        operands: dict[str, str | int] = {}
+        for field, arg in zip(fields, args):
+            if field in ("addr", "value"):
+                if not arg.isdigit():
+                    raise AssemblyError(f"expected a decimal number, got {arg!r}", lineno)
+                operands[field] = int(arg)
+            elif field == "channel" and arg not in CHANNELS:
+                raise AssemblyError(f"channel must be low or high, got {arg!r}", lineno)
             else:
-                raise AssemblyError(f"unknown mnemonic {op!r}", lineno, raw.find(op))
-        except AssemblyError:
-            raise
-        instructions.append(instr)
+                operands[field] = arg
+        instructions.append(Instruction(op, label, **operands))
     return RiscProgram(instructions)
 
 

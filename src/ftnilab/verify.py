@@ -47,6 +47,7 @@ from .faultlab import (
 from .machine import (
     HIGH,
     LOW,
+    OPERANDS,
     Instruction,
     MachineConfig,
     MachineState,
@@ -565,25 +566,16 @@ def check_pni(
     return Verdict("pni", "secure-up-to-bound", check.depth)
 
 
-def _marginal(counts: dict, length: int) -> dict:
-    out: dict = {}
-    for trace, count in counts.items():
-        key = trace[:length]
-        out[key] = out.get(key, 0) + count
-    return out
-
-
 def _pni_witness(system, comp, env, ref, other, depth) -> dict:
-    counts_a = comp.decoded(comp.trace_counts(ref, env.initial, depth))
-    counts_b = comp.decoded(comp.trace_counts(other, env.initial, depth))
-    scale = comp.denominator ** depth
+    """The first differing trace, in ``str`` order, of the shortest length at
+    which the two states' trace distributions differ."""
     for length in range(1, depth + 1):
-        ma = _marginal(counts_a, length)
-        mb = _marginal(counts_b, length)
+        da = comp.trace_distribution(ref, env.initial, length)
+        db = comp.trace_distribution(other, env.initial, length)
         diffs = [
             t
-            for t in sorted(set(ma) | set(mb), key=lambda t: tuple(map(str, t)))
-            if ma.get(t, 0) != mb.get(t, 0)
+            for t in sorted(set(da) | set(db), key=lambda t: tuple(map(str, t)))
+            if da.get(t, 0) != db.get(t, 0)
         ]
         if diffs:
             trace = diffs[0]
@@ -592,10 +584,7 @@ def _pni_witness(system, comp, env, ref, other, depth) -> dict:
                 "initial_high_a": _bits_named(system, ref, system.high_mask),
                 "initial_high_b": _bits_named(system, other, system.high_mask),
                 "trace": [str(a) for a in trace],
-                "probabilities": [
-                    str(Fraction(ma.get(trace, 0), scale)),
-                    str(Fraction(mb.get(trace, 0), scale)),
-                ],
+                "probabilities": [str(da.get(trace, 0)), str(db.get(trace, 0))],
             }
     raise AssertionError("distributions differ but no differing trace found")
 
@@ -722,38 +711,24 @@ def random_risc_program(rng: Random, cfg: MachineConfig, length: int = 8) -> Ris
     """A random raw assembly program; many of these are insecure on purpose."""
     regs = cfg.register_names()
     ops = ["load", "store", "movek", "mover", "add", "sub", "and", "nop", "out", "jz"]
-    chosen = []
-    for _ in range(length):
-        op = ops[rng.randrange(len(ops))]
-        chosen.append(op)
-    targets = {}
-    for i, op in enumerate(chosen):
-        if op == "jz":
-            targets[i] = rng.randrange(length)
+    chosen = [ops[rng.randrange(len(ops))] for _ in range(length)]
+    targets = {
+        i: rng.randrange(length) for i, op in enumerate(chosen) if "target" in OPERANDS[op]
+    }
     labelled = set(targets.values())
     instrs = []
     for i, op in enumerate(chosen):
+        fields = OPERANDS[op]
+        drawn = {
+            "reg": regs[rng.randrange(len(regs))],
+            "reg2": regs[rng.randrange(len(regs))],
+            "addr": rng.randrange(cfg.memory_size) if cfg.memory_size else 0,
+            "target": f"t{targets.get(i)}",
+        }
+        if "value" in fields:
+            drawn["value"] = rng.randrange(cfg.word_values)
+        if "channel" in fields:
+            drawn["channel"] = "low" if rng.randrange(2) else "high"
         label = f"t{i}" if i in labelled else None
-        reg = regs[rng.randrange(len(regs))]
-        reg2 = regs[rng.randrange(len(regs))]
-        addr = rng.randrange(cfg.memory_size) if cfg.memory_size else 0
-        if op == "load":
-            instrs.append(Instruction("load", label, reg=reg, addr=addr))
-        elif op == "store":
-            instrs.append(Instruction("store", label, reg=reg, addr=addr))
-        elif op == "movek":
-            instrs.append(
-                Instruction("movek", label, reg=reg, value=rng.randrange(cfg.word_values))
-            )
-        elif op == "mover":
-            instrs.append(Instruction("mover", label, reg=reg, reg2=reg2))
-        elif op in ("add", "sub", "and"):
-            instrs.append(Instruction(op, label, reg=reg, reg2=reg2))
-        elif op == "nop":
-            instrs.append(Instruction("nop", label))
-        elif op == "out":
-            channel = "low" if rng.randrange(2) else "high"
-            instrs.append(Instruction("out", label, channel=channel, reg=reg))
-        elif op == "jz":
-            instrs.append(Instruction("jz", label, target=f"t{targets[i]}", reg=reg))
+        instrs.append(Instruction(op, label, **{f: drawn[f] for f in fields}))
     return RiscProgram(instrs)
