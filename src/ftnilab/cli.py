@@ -10,14 +10,18 @@ Exit codes: 0 success/secure, 1 I/O or parse error, 2 type error,
 3 violation, 4 resource budget exceeded, 5 demo mismatch, 64 usage error.
 The environment variable FTNI_BUDGET, a positive decimal integer read once
 by ``check`` and ``demo-hash``, sets the checkers' one limit on work
-(default 2000000): strong security charges the low assignments it walks;
-the possibilistic checker its fault masks and initial state pairs before it
+(default 2000000): strong security charges the low assignments it walks
+and the running total of effect evaluations its per-point summaries make
+(word values to the power of the high cells read) before each summary; the
+possibilistic checker its fault masks and initial state pairs before it
 builds them, then the running total of faulted step pairs (frontier times
 masks) before each level; the probabilistic checker one low group's initial
 states before it builds them, then the running total of faulted steps it
 composes (composed states times their fault sets) before each expansion.
 Any other value exits 64, as do a ``--width`` or ``--depth`` below 1, a
-``--steps`` below 0 and a ``--mem`` value outside the machine word.
+``--steps`` below 0 and a ``--mem`` value outside the machine word.  A
+side-car that is not JSON or does not describe a machine (a width below 1,
+a level other than "L" or "H") exits 1 with ``side-car error: ...``.
 """
 
 from __future__ import annotations
@@ -139,11 +143,45 @@ def cmd_compile(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class SidecarError(Exception):
+    """A compile side-car that is not JSON or does not describe a machine."""
+
+
 def _sidecar(asm_path: str) -> dict | None:
+    """The checked side-car next to the assembly file, or None when there is none."""
     base = Path(asm_path)
     for candidate in (base.with_suffix(".meta.json"), Path(str(base) + ".meta.json")):
         if candidate.exists():
-            return json.loads(candidate.read_text(encoding="utf-8"))
+            try:
+                meta = json.loads(candidate.read_text(encoding="utf-8"))
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise SidecarError(f"{candidate}: {exc}") from exc
+            problem = _sidecar_problem(meta)
+            if problem is not None:
+                raise SidecarError(f"{candidate}: {problem}")
+            return meta
+    return None
+
+
+def _sidecar_problem(meta) -> str | None:
+    """What makes a parsed side-car unusable, or None when it describes a machine."""
+    if not isinstance(meta, dict):
+        return "not a JSON object"
+    for key in ("register_levels", "memory_levels", "width"):
+        if key not in meta:
+            return f"no {key!r} entry"
+    width, regs, mem = meta["width"], meta["register_levels"], meta["memory_levels"]
+    if type(width) is not int or width < 1:
+        return f"width must be a positive integer, not {width!r}"
+    if not isinstance(regs, dict):
+        return "register_levels must be a JSON object"
+    if not isinstance(mem, list):
+        return "memory_levels must be a JSON list"
+    levels = [(f"register {name!r}", lev) for name, lev in regs.items()]
+    levels += [(f"memory cell {addr}", lev) for addr, lev in enumerate(mem)]
+    for where, level in levels:
+        if level not in ("L", "H"):
+            return f"{where} has level {level!r}, not \"L\" or \"H\""
     return None
 
 
@@ -209,6 +247,8 @@ def cmd_run(args) -> int:
         program, cfg, _ = _load_program(args.asm, None)
     except (OSError, AssemblyError) as exc:
         return _fail(EXIT_IO, f"assembly error: {exc}")
+    except SidecarError as exc:
+        return _fail(EXIT_IO, f"side-car error: {exc}")
     mem: dict[int, int] = {}
     for item in args.mem or ():
         key, _, value = item.partition("=")
@@ -261,6 +301,8 @@ def cmd_check(args) -> int:
         program, cfg, _ = _load_program(args.asm, args.width)
     except (OSError, AssemblyError) as exc:
         return _fail(EXIT_IO, f"assembly error: {exc}")
+    except SidecarError as exc:
+        return _fail(EXIT_IO, f"side-car error: {exc}")
     try:
         if args.mode == "ss":
             verdict = check_strong_security(program, cfg, check)

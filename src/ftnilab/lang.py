@@ -139,6 +139,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.allow_positive_guards = allow_positive_guards
+        self.declared: set[str] = set()
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -163,6 +164,12 @@ class _Parser:
         tok = self.peek()
         return tok is not None and tok.text == text
 
+    def variable(self, tok: _Token) -> str:
+        """The name a variable token uses, which must be declared."""
+        if tok.text not in self.declared:
+            raise ParseError(f"undeclared variable {tok.text!r}", tok.line, tok.column)
+        return tok.text
+
     # declarations ---------------------------------------------------------
     def declarations(self) -> list[tuple[str, SecurityLevel]]:
         decls: list[tuple[str, SecurityLevel]] = []
@@ -173,12 +180,13 @@ class _Parser:
                 break
             level = LOW if self.take().text == "low" else HIGH
             name_tok = self.take(kind="id")
-            if any(name == name_tok.text for name, _ in decls):
+            if name_tok.text in self.declared:
                 raise ParseError(
                     f"duplicate declaration of {name_tok.text!r}",
                     name_tok.line,
                     name_tok.column,
                 )
+            self.declared.add(name_tok.text)
             decls.append((name_tok.text, level))
             self.take(";")
         return decls
@@ -207,7 +215,7 @@ class _Parser:
             return Const(int(tok.text))
         if tok.kind == "id" and tok.text not in _KEYWORDS:
             self.take()
-            return Var(tok.text)
+            return Var(self.variable(tok))
         if tok.text == "(":
             self.take("(")
             node = self.expr()
@@ -262,6 +270,7 @@ class _Parser:
             if var_tok is None or var_tok.kind != "id" or var_tok.text in _KEYWORDS:
                 raise self.error("while guard must be a variable")
             self.take()
+            name = self.variable(var_tok)
             positive = False
             if self.at(">"):
                 if not self.allow_positive_guards:
@@ -274,38 +283,12 @@ class _Parser:
             if not self.at("do"):
                 raise self.error("while guard must be a variable")
             self.take("do")
-            return While(var_tok.text, self.block_or_basic(), positive)
+            return While(name, self.block_or_basic(), positive)
         if tok.kind == "id" and tok.text not in _KEYWORDS:
             self.take()
             self.take(":=")
-            return Assign(tok.text, self.expr())
+            return Assign(self.variable(tok), self.expr())
         raise self.error("expected a statement")
-
-
-def _check_declared(cmd_or_expr, declared: set[str]) -> None:
-    if isinstance(cmd_or_expr, Var):
-        if cmd_or_expr.name not in declared:
-            raise ParseError(f"undeclared variable {cmd_or_expr.name!r}", 0, 0)
-    elif isinstance(cmd_or_expr, BinOp):
-        _check_declared(cmd_or_expr.left, declared)
-        _check_declared(cmd_or_expr.right, declared)
-    elif isinstance(cmd_or_expr, Assign):
-        if cmd_or_expr.var not in declared:
-            raise ParseError(f"undeclared variable {cmd_or_expr.var!r}", 0, 0)
-        _check_declared(cmd_or_expr.expr, declared)
-    elif isinstance(cmd_or_expr, Out):
-        _check_declared(cmd_or_expr.expr, declared)
-    elif isinstance(cmd_or_expr, If):
-        _check_declared(cmd_or_expr.guard, declared)
-        _check_declared(cmd_or_expr.then_cmd, declared)
-        _check_declared(cmd_or_expr.else_cmd, declared)
-    elif isinstance(cmd_or_expr, Seq):
-        _check_declared(cmd_or_expr.first, declared)
-        _check_declared(cmd_or_expr.second, declared)
-    elif isinstance(cmd_or_expr, While):
-        if cmd_or_expr.var not in declared:
-            raise ParseError(f"undeclared variable {cmd_or_expr.var!r}", 0, 0)
-        _check_declared(cmd_or_expr.body, declared)
 
 
 def parse(text: str, allow_positive_guards: bool = False) -> SourceProgram:
@@ -315,7 +298,6 @@ def parse(text: str, allow_positive_guards: bool = False) -> SourceProgram:
     tok = parser.peek()
     if tok is not None:
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    _check_declared(body, {name for name, _ in decls})
     return SourceProgram(tuple(decls), body)
 
 

@@ -27,6 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+from typing import Callable
 
 from .faultlab import (
     TAU,
@@ -83,13 +84,14 @@ class CheckConfig:
     (None exposes all of them); ``depth`` bounds trace length for the
     possibilistic and probabilistic checkers; ``budget`` is the one limit on
     work, charged by every checker: strong security, the low assignments it
-    walks over all point pairs; POni, its fault masks and initial state pairs
-    before it builds them, then the running total of faulted step pairs
-    (frontier times masks) before it walks each level; PNI, one low group's
-    initial states before it builds them, then the running total of faulted
-    steps the composition takes (composed states times their fault sets)
-    before it takes each state's.  A negative depth is refused; depth 0 is
-    the vacuous bound.
+    walks over all point pairs, and the running total of ``effect``
+    evaluations its summaries make before it builds each; POni, its fault
+    masks and initial state pairs before it builds them, then the running
+    total of faulted step pairs (frontier times masks) before it walks each
+    level; PNI, one low group's initial states before it builds them, then
+    the running total of faulted steps the composition takes (composed states
+    times their fault sets) before it takes each state's.  A negative depth
+    is refused; depth 0 is the vacuous bound.
     """
 
     depth: int = 4
@@ -195,11 +197,22 @@ class _SSTables:
     sorted, so checks and witnesses meet them in one order on every run.
     A point pair is checked only over the slots either side touches, which
     is exact (see the module docstring).
+
+    ``charge``, when given, is called with the running number of ``effect``
+    evaluations (``word_values ** #high cells read`` per summary) before each
+    new summary is built, and may raise to stop the run.
     """
 
-    def __init__(self, program: RiscProgram, cfg: MachineConfig):
+    def __init__(
+        self,
+        program: RiscProgram,
+        cfg: MachineConfig,
+        charge: Callable[[int], None] | None = None,
+    ):
         self.program = program
         self.cfg = cfg
+        self.charge = charge
+        self.evaluations = 0
         self.ops = decode(program, cfg)
         self.lows = cfg.cells_of_level(LOW)
         self.highs = cfg.cells_of_level(HIGH)
@@ -222,6 +235,9 @@ class _SSTables:
             return ((TAU, (), pc),)
         instr = self.ops[pc]
         slots = self.slot_of_cell
+        self.evaluations += self.cfg.word_values ** sum(c not in slots for c in instr.sources)
+        if self.charge is not None:
+            self.charge(self.evaluations)
         every = range(self.cfg.word_values)
         value_sets = [
             (lo[slots[c]],) if c in slots else every for c in instr.sources
@@ -277,7 +293,9 @@ def check_strong_security(
     or when every continuation leads to a killed pair.  The program is secure
     iff the entry point survives paired with itself.
     """
-    tables = _SSTables(program, cfg)
+    tables = _SSTables(
+        program, cfg, lambda n: _charge(n, "summary evaluations", check.budget)
+    )
     every = range(cfg.word_values)
     walked = 0  # low assignments walked over all point pairs so far
     start = (0, 0)

@@ -392,3 +392,50 @@ def test_check_pni_budget_trips_while_composing(tmp_path, capsys):
     )
     assert run.returncode == 4
     assert "faulted steps composed: 4096 exceeds the limit of 1000" in run.stderr
+
+
+@pytest.mark.parametrize(
+    "asm, width, budget, evaluations",
+    [
+        ("add rh0 rh1\nout low rl0\n", 16, "1000", 2**32),
+        ("load rh0 0\nout low rl0\n", 24, "1000", 2**24),
+        ("add rh0 rh1\nout low rl0\n", 40, None, 2**80),
+    ],
+)
+def test_check_ss_budget_trips_before_a_summary(tmp_path, asm, width, budget, evaluations):
+    # no side-car: rh* and memory are high, so a summary enumerates every high word read
+    path = write(tmp_path, "b.s", asm)
+    env = {} if budget is None else {"FTNI_BUDGET": budget}
+    run = _cli("check", path, "--mode", "ss", "--width", str(width), timeout=5, **env)
+    assert run.returncode == 4 and run.stdout == ""
+    limit = budget or "2000000"
+    assert f"summary evaluations: {evaluations} exceeds the limit of {limit}" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+PADDED_IF = "high h; low x; if h then h := 1 else skip; out low 3\n"
+LEVELS_WITH_X = {"rl0": "L", "rl1": "L", "rh0": "X", "rh1": "H"}
+
+
+@pytest.mark.parametrize(
+    "command, meta, message",
+    [
+        ("check", "{not json", "Expecting property name enclosed in double quotes"),
+        ("check", "[]", "not a JSON object"),
+        ("check", "{}", "no 'register_levels' entry"),
+        ("check", {"width": -1}, "width must be a positive integer, not -1"),
+        ("check", {"width": "8"}, "width must be a positive integer, not '8'"),
+        ("run", {"width": 0}, "width must be a positive integer, not 0"),
+        ("run", {"register_levels": LEVELS_WITH_X}, "register 'rh0' has level 'X'"),
+        ("check", {"memory_levels": ["H", "low"]}, "memory cell 1 has level 'low'"),
+    ],
+)
+def test_bad_sidecar_exits_1(tmp_path, capsys, command, meta, message):
+    out, meta_path = compile_ok(tmp_path, capsys, PADDED_IF)
+    if isinstance(meta, dict):
+        meta = json.dumps({**json.loads(Path(meta_path).read_text()), **meta})
+    Path(meta_path).write_text(meta)
+    argv = [command, out] + (["--mode", "ss"] if command == "check" else [])
+    code, stdout, err = invoke(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert err.startswith("side-car error: ") and message in err

@@ -194,3 +194,18 @@ def test_high_write_commands_preserve_low_view():
                 assert action.channel != "low"
                 assert low_equal(mem, mem2, levels)
                 mem = mem2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("low x;\nx := y", "undeclared variable 'y' (line 2, col 6)"),
+        ("low x;\ny := x", "undeclared variable 'y' (line 2, col 1)"),
+        ("low x;\nwhile y do skip", "undeclared variable 'y' (line 2, col 7)"),
+        ("low x;\nif x then out low z else skip", "undeclared variable 'z' (line 2, col 19)"),
+    ],
+)
+def test_parse_reports_an_undeclared_variable_where_it_is_used(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
