@@ -1,16 +1,19 @@
 """Golden verdicts: checker output pinned byte for byte.
 
 ``golden_verdicts.json`` holds the verdict JSON of the three checkers on the
-compiled corpus and on two fixed pools of random programs: 60 at width 1
-with SS, POni and PNI, and 20 at width 2 with POni and PNI only, where the
-default scope's masks and the 1/4 environment's weights reach two-bit words.
+compiled corpus and on two fixed pools of random programs, each with SS,
+POni and PNI: 60 at width 1, and 20 at width 2, where the default scope's
+masks and the 1/4 environment's weights reach two-bit words.
 Any change to the machine semantics, the faulted step or the checkers that
 alters a verdict or a witness shows up here.
 
 The width-1 pool keeps every witness, SS ones included: most of its draws
 leak, and its configuration interleaves low and high cells (``rl0``,
 ``rh0``, ``m0`` low, ``m1`` high), so the SS witnesses pin how the
-checkers lay out and name the cells of each level.
+checkers lay out and name the cells of each level.  The width-2 pool keeps
+its SS witnesses too: 16 of its 20 draws leak, with chains of 1 to 8 steps,
+so they pin which reached point pair the pair walk reports and the path it
+takes there.
 
 Regenerate (only when a verdict change is intended) with
 ``PYTHONPATH=src python tests/test_golden_verdicts.py > tests/golden_verdicts.json``.
@@ -76,7 +79,8 @@ def compute_golden() -> dict:
     pool_w2 = []
     for _ in range(RANDOM_DRAWS_W2):
         program = random_risc_program(rng, cfg, 8)
-        pool_w2.append({"asm": disassemble(program), **_fault_verdicts(program, cfg)})
+        ss = check_strong_security(program, cfg).to_json()
+        pool_w2.append({"asm": disassemble(program), "ss": ss, **_fault_verdicts(program, cfg)})
     return {"corpus": corpus, "random_w1": pool, "random_w2": pool_w2}
 
 
