@@ -145,26 +145,27 @@ def assemble(text: str) -> RiscProgram:
     instructions: list[Instruction] = []
     seen_labels: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
+        start = 0  # where ``line`` begins in ``raw``
         label = None
         if ":" in line:
-            head, _, rest = line.partition(":")
+            head, _, line = line.partition(":")
             label = head.strip()
             if not _LABEL_RE.match(label):
-                raise AssemblyError(f"bad label {label!r}", lineno, raw.index(":"))
+                raise AssemblyError(f"bad label {label!r}", lineno, _column(head, 0))
             if label in seen_labels:
                 raise AssemblyError(f"duplicate label {label!r}", lineno)
             seen_labels.add(label)
-            line = rest.strip()
+            start = len(head) + 1
         parts = line.split()
         if not parts:
             raise AssemblyError("label with no instruction", lineno)
         op, args = parts[0], parts[1:]
         fields = OPERANDS.get(op)
         if fields is None:
-            raise AssemblyError(f"unknown mnemonic {op!r}", lineno, raw.find(op))
+            raise AssemblyError(f"unknown mnemonic {op!r}", lineno, _column(line, start))
         if len(args) != len(fields):
             raise AssemblyError(f"{op} expects {len(fields)} operand(s), got {len(args)}", lineno)
         operands: dict[str, str | int] = {}
@@ -179,6 +180,12 @@ def assemble(text: str) -> RiscProgram:
                 operands[field] = arg
         instructions.append(Instruction(op, label, **operands))
     return RiscProgram(instructions)
+
+
+def _column(text: str, start: int) -> int:
+    """The column, counted from 1, of the first token of ``text``, which
+    begins at index ``start`` of its line."""
+    return start + len(text) - len(text.lstrip()) + 1
 
 
 def disassemble(program: RiscProgram) -> str:

@@ -2,14 +2,15 @@
 
 All three checkers enumerate concrete state spaces at small word widths:
 
-* ``check_strong_security`` computes the greatest bisimulation over program
-  points of the termination-transparent fault-free machine, quantifying over
-  every pair of low-equal data states at each step.  A point pair is checked
-  only over the low cells its two instructions read or write, with zeros in
-  the rest; this is exact, because a cell that neither step reads or writes
-  holds one value before and after on both sides, so it cannot tell them
-  apart, and the zeros make a witness name the first failing low part of
-  the whole low space.
+* ``check_strong_security`` walks the program point pairs of the
+  termination-transparent fault-free machine breadth first from (0, 0),
+  quantifying over every pair of low-equal data states at each pair, and
+  stops at the first pair whose two steps differ publicly.  A point pair is
+  checked only over the low cells its two instructions read or write, with
+  zeros in the rest; this is exact, because a cell that neither step reads
+  or writes holds one value before and after on both sides, so it cannot
+  tell them apart, and the zeros make a witness name the first failing low
+  part of the whole low space.
 * ``check_poni`` compares the sets of fault-annotated traces of low-equal
   initial states, with the fault locations made observable.
 * ``check_pni`` compares exact trace probabilities of low-equal initial
@@ -83,15 +84,16 @@ class CheckConfig:
     ``fault_scope`` restricts which faulty locations an experiment exposes
     (None exposes all of them); ``depth`` bounds trace length for the
     possibilistic and probabilistic checkers; ``budget`` is the one limit on
-    work, charged by every checker: strong security, the low assignments it
-    walks over all point pairs, and the running total of ``effect``
-    evaluations its summaries make before it builds each; POni, its fault
-    masks and initial state pairs before it builds them, then the running
-    total of faulted step pairs (frontier times masks) before it walks each
-    level; PNI, one low group's initial states before it builds them, then
-    the running total of faulted steps the composition takes (composed states
-    times their fault sets) before it takes each state's.  A negative depth
-    is refused; depth 0 is the vacuous bound.
+    work, charged by every checker: strong security, the running total of
+    low assignments it walks over the point pairs it reaches before it walks
+    each pair, and the running total of ``effect`` evaluations its summaries
+    make before it builds each; POni, its fault masks and initial state pairs
+    before it builds them, then the running total of faulted step pairs
+    (frontier times masks) before it walks each level; PNI, one low group's
+    initial states before it builds them, then the running total of faulted
+    steps the composition takes (composed states times their fault sets)
+    before it takes each state's.  A negative depth is refused; depth 0 is
+    the vacuous bound.
     """
 
     depth: int = 4
@@ -179,7 +181,7 @@ def _bits_named(system: RiscSystem, state: int, mask: int) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Strong security: greatest bisimulation over program points
+# Strong security: one forward walk over program point pairs
 # ---------------------------------------------------------------------------
 
 
@@ -288,25 +290,22 @@ def check_strong_security(
 ) -> Verdict:
     """Decide strong low-bisimilarity of the program with itself.
 
-    Program points are related optimistically and killed when some pair of
-    low-equal data states makes their one-step behavior publicly different,
-    or when every continuation leads to a killed pair.  The program is secure
-    iff the entry point survives paired with itself.
+    The program is deterministic, so this comes down to one breadth-first
+    walk over the point pairs reachable from (0, 0): a pair is reached when
+    some low part takes the two points to it with publicly equal steps, and
+    the program is secure iff no reached pair has a low part whose two steps
+    differ publicly.  The walk stops at the first such split; its witness is
+    the chain of pairs that first reached it.
     """
     tables = _SSTables(
         program, cfg, lambda n: _charge(n, "summary evaluations", check.budget)
     )
     every = range(cfg.word_values)
     walked = 0  # low assignments walked over all point pairs so far
-    start = (0, 0)
-    status: dict[tuple[int, int], bool] = {}
-    reasons: dict[tuple[int, int], tuple] = {}
-    # deps[pair][succ]: the first (low part, entry at p, entry at q) leading to succ
-    deps: dict[tuple[int, int], dict] = {}
-    rdeps: dict[tuple[int, int], list] = {}
-
-    queue = deque([start])
-    status[start] = True
+    # each reached pair maps to the step that first reached it:
+    # (the pair it came from, the low part, the entry at p, the entry at q)
+    parent: dict[tuple[int, int], tuple | None] = {(0, 0): None}
+    queue = deque(parent)
     while queue:
         pair = queue.popleft()
         p, q = pair
@@ -314,78 +313,60 @@ def check_strong_security(
         walked += cfg.word_values ** len(touched)
         _charge(walked, "low assignments walked", check.budget)
         value_sets = [every if s in touched else (0,) for s in range(len(tables.lows))]
-        pair_deps: dict = {}
-        failure = None
         for lo in itertools.product(*value_sets):
             e1s, e2s = tables.entries(p, lo), tables.entries(q, lo)
             split = next(((a, b) for a in e1s for b in e2s if a[:2] != b[:2]), None)
             if split is not None:
-                failure = ("mismatch", lo, *split)
-                break
+                witness = _ss_witness(tables, _chain(parent, (pair, lo, *split)))
+                return Verdict("ss", "violation", None, witness)
             for e1 in e1s:
                 for e2 in e2s:
-                    pair_deps.setdefault((e1[2], e2[2]), (lo, e1, e2))
-        if failure is not None:
-            status[pair] = False
-            reasons[pair] = failure
-            continue
-        deps[pair] = pair_deps
-        for succ in pair_deps:
-            rdeps.setdefault(succ, []).append(pair)
-            if succ not in status:
-                status[succ] = True
-                queue.append(succ)
-
-    dead = deque(pair for pair, alive in status.items() if not alive)
-    while dead:
-        gone = dead.popleft()
-        for parent in rdeps.get(gone, ()):
-            if status[parent]:
-                status[parent] = False
-                reasons[parent] = ("dep", *deps[parent][gone], gone)
-                dead.append(parent)
-
-    if status[start]:
-        return Verdict("ss", "secure-up-to-bound", None)
-    witness = _ss_witness(tables, start, reasons)
-    return Verdict("ss", "violation", None, witness)
+                    succ = (e1[2], e2[2])
+                    if succ not in parent:
+                        parent[succ] = (pair, lo, e1, e2)
+                        queue.append(succ)
+    return Verdict("ss", "secure-up-to-bound", None)
 
 
-def _ss_witness(tables: _SSTables, start, reasons) -> dict:
+def _chain(parent: dict, last: tuple) -> list[tuple]:
+    """The steps of a pair walk from its start to ``last``, in order.
+
+    A step is a tuple whose first item is the pair it leaves; ``parent`` maps
+    each pair to the step that first reached it, or to None at a start.
+    """
+    chain = [last]
+    while parent[chain[-1][0]] is not None:
+        chain.append(parent[chain[-1][0]])
+    chain.reverse()
+    return chain
+
+
+def _ss_witness(tables: _SSTables, chain: list[tuple]) -> dict:
+    """One concrete step pair per (pair, low part, entry at p, entry at q)."""
     steps = []
-    pair = start
-    first = None
-    while True:
-        reason = reasons[pair]
-        kind, lo = reason[0], reason[1]
-        e1, e2 = tables.after(lo, reason[2]), tables.after(lo, reason[3])
-        state_a = tables.realize(pair[0], lo, e1)
-        state_b = tables.realize(pair[1], lo, e2)
-        if first is None:
-            first = (state_a, state_b)
-        steps.append(
+    for (p, q), lo, e1, e2 in chain:
+        e1, e2 = tables.after(lo, e1), tables.after(lo, e2)
+        steps.append((tables.realize(p, lo, e1), tables.realize(q, lo, e2), e1, e2))
+    state_a, state_b = steps[0][:2]
+    return {
+        "initial_low": _cells_named(state_a, tables.lows),
+        "initial_high_a": _cells_named(state_a, tables.highs),
+        "initial_high_b": _cells_named(state_b, tables.highs),
+        "trace": [
             {
-                "pc_a": pair[0],
-                "pc_b": pair[1],
-                "regs_a": list(state_a.regs),
-                "mem_a": list(state_a.mem),
-                "regs_b": list(state_b.regs),
-                "mem_b": list(state_b.mem),
+                "pc_a": a.pc,
+                "pc_b": b.pc,
+                "regs_a": list(a.regs),
+                "mem_a": list(a.mem),
+                "regs_b": list(b.regs),
+                "mem_b": list(b.mem),
                 "action_a": str(e1[0]),
                 "action_b": str(e2[0]),
                 "low_after_a": list(e1[1]),
                 "low_after_b": list(e2[1]),
             }
-        )
-        if kind == "mismatch":
-            break
-        pair = reason[4]
-    state_a, state_b = first
-    return {
-        "initial_low": _cells_named(state_a, tables.lows),
-        "initial_high_a": _cells_named(state_a, tables.highs),
-        "initial_high_b": _cells_named(state_b, tables.highs),
-        "trace": steps,
+            for a, b, e1, e2 in steps
+        ],
     }
 
 
@@ -499,10 +480,7 @@ def check_poni(
     if violation is None:
         return Verdict("poni", "secure-up-to-bound", check.depth)
 
-    chain = [violation]
-    while parent[chain[-1][0]] is not None:
-        chain.append(parent[chain[-1][0]])
-    chain.reverse()
+    chain = _chain(parent, violation)
     origin_a, origin_b = chain[0][0]
     observations = system.observations
     witness = {
@@ -726,9 +704,15 @@ def random_table_system(
 
 
 def random_risc_program(rng: Random, cfg: MachineConfig, length: int = 8) -> RiscProgram:
-    """A random raw assembly program; many of these are insecure on purpose."""
+    """A random raw assembly program; many of these are insecure on purpose.
+
+    ``load`` and ``store`` are drawn only when the config has memory, so every
+    program fits its machine.
+    """
     regs = cfg.register_names()
     ops = ["load", "store", "movek", "mover", "add", "sub", "and", "nop", "out", "jz"]
+    if not cfg.memory_size:
+        ops = [op for op in ops if "addr" not in OPERANDS[op]]
     chosen = [ops[rng.randrange(len(ops))] for _ in range(length)]
     targets = {
         i: rng.randrange(length) for i, op in enumerate(chosen) if "target" in OPERANDS[op]

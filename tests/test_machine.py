@@ -372,10 +372,10 @@ def test_every_opcode_round_trips_through_the_assembler():
         ("store -1 rl0", "expected a decimal number, got '-1' (line 1)"),
         ("movek rl0 0x1", "expected a decimal number, got '0x1' (line 1)"),
         ("out mid rl0", "channel must be low or high, got 'mid' (line 1)"),
-        ("nop\n  frob rl0", "unknown mnemonic 'frob' (line 2, col 2)"),
-        ("l0: frob", "unknown mnemonic 'frob' (line 1, col 4)"),
-        ("lo: l", "unknown mnemonic 'l' (line 1, col 0)"),
-        ("1x: nop", "bad label '1x' (line 1, col 2)"),
+        ("nop\n  frob rl0", "unknown mnemonic 'frob' (line 2, col 3)"),
+        ("l0: frob", "unknown mnemonic 'frob' (line 1, col 5)"),
+        ("lo: l", "unknown mnemonic 'l' (line 1, col 5)"),
+        ("1x: nop", "bad label '1x' (line 1, col 1)"),
         ("l0:", "label with no instruction (line 1)"),
     ],
 )

@@ -282,6 +282,19 @@ def test_ss_budget_guard():
         check_strong_security(program, cfg, CheckConfig(budget=10))
 
 
+def test_ss_stops_at_the_first_split():
+    # (0, 0) and (1, 1) walk one low assignment each, and (1, 1) splits on the
+    # secret output; walking on to (1, 2), whose add reads both 8-word low
+    # registers, would charge 64 more and pass the limit of 20
+    cfg = standard_config(3, 2, 2, ())
+    program = assemble("jz l1 rh0\nout low rh0\nl1: add rl0 rl1")
+    verdict = check_strong_security(program, cfg, CheckConfig(budget=20))
+    assert verdict.status == "violation"
+    assert [(s["pc_a"], s["pc_b"]) for s in verdict.witness["trace"]] == [(0, 0), (1, 1)]
+    assert replay_ss_witness(program, cfg, verdict.witness)
+    assert verdict == check_strong_security(program, cfg)
+
+
 # -- possibilistic checking ------------------------------------------------------
 
 
@@ -682,3 +695,14 @@ def test_compiled_program_is_ss_and_poni_secure():
     assert check_strong_security(result.program, cfg).secure
     scope = default_scope(RiscSystem(result.program, cfg))
     assert check_poni(result.program, cfg, CheckConfig(depth=4, fault_scope=scope)).secure
+
+
+# -- random generators ---------------------------------------------------------------
+
+
+def test_random_programs_fit_a_machine_without_memory():
+    cfg = standard_config(2, 1, 1, ())
+    for seed in range(50):
+        program = random_risc_program(Random(seed), cfg, 8)
+        RiscSystem(program, cfg)
+        assert not {"load", "store"} & {instr.op for instr in program.instructions}
