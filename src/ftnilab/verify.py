@@ -301,7 +301,7 @@ def check_strong_security(
         program, cfg, lambda n: _charge(n, "summary evaluations", check.budget)
     )
     every = range(cfg.word_values)
-    walked = 0  # low assignments walked over all point pairs so far
+    walked = 0  # low assignments walked over the point pairs reached so far
     # each reached pair maps to the step that first reached it:
     # (the pair it came from, the low part, the entry at p, the entry at q)
     parent: dict[tuple[int, int], tuple | None] = {(0, 0): None}
