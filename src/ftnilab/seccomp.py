@@ -7,10 +7,12 @@ annotations cannot be justified are rejected with an error naming the typing
 rule and the violated side condition.
 
 Rule selection is deterministic even though several derivations usually
-exist: expression compilation prefers a cached register, conditionals try
-the padded high-conditional shape first and fall back to the general one,
-and register choice takes the lowest-indexed register of the demanded level,
-preferring registers that cache nothing.
+exist: expression compilation prefers a cached register, a conditional
+compiles its guard at H first and keeps that derivation when both branches
+have exact timing (padding the shorter one with nops), else recompiles at
+the guard's own level with blurred timing, and register choice takes the
+lowest-indexed register of the demanded level, preferring registers that
+cache nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from . import lang
 from .lang import (
     Assign,
     BinOp,
@@ -178,8 +179,6 @@ class _Branch:
     """A compiled branch waiting to be spliced into its parent buffer."""
 
     buffer: "_Emitter"
-    site_mark: int
-    site_end: int
     timing: "Timing"
     effect: "WriteEffect"
     out_label: str | None
@@ -241,16 +240,14 @@ class _Emitter:
         assert self.pending is None, "two labels cannot target the same instruction"
         self.pending = label
 
-    def emit(self, instr: Instruction) -> int:
+    def emit(self, instr: Instruction) -> None:
         if self.pending is not None:
             instr = replace(instr, label=self.pending)
             self.pending = None
         self.instrs.append(instr)
-        return len(self.instrs) - 1
 
-    def append(self, sub: "_Emitter", head_label: str | None = None) -> int:
+    def append(self, sub: "_Emitter", head_label: str | None = None) -> None:
         """Concatenate a sub-buffer; an optional label lands on its first instruction."""
-        start = len(self.instrs)
         self.pend(head_label)
         for instr in sub.instrs:
             if self.pending is not None:
@@ -259,7 +256,6 @@ class _Emitter:
             else:
                 self.instrs.append(instr)
         self.pending = sub.pending
-        return start
 
 
 class _Compiler:
@@ -274,7 +270,7 @@ class _Compiler:
             )
         self.fresh = 0
         self.em = _Emitter()
-        self.sites: list[IfHSite] = []
+        self.sites: list[tuple[str, str]] = []  # (else label, exit label) per padded site
 
     # helpers ---------------------------------------------------------------
     def fresh_label(self, prefix: str) -> str:
@@ -429,67 +425,26 @@ class _Compiler:
     def _branch(self, rec: RegisterRecord, cmd: Cmd):
         """Compile a branch into a private buffer sharing the label counter."""
         outer = self.em
-        mark = len(self.sites)
         self.em = _Emitter()
         try:
             t, w, out_label, rec2 = self.compile_cmd(rec, None, cmd)
-            return _Branch(self.em, mark, len(self.sites), t, w, out_label, rec2)
+            return _Branch(self.em, t, w, out_label, rec2)
         finally:
             self.em = outer
-
-    def _append_branch(self, branch: "_Branch", head_label: str | None = None) -> int:
-        """Splice a branch buffer in, rebasing any padding sites it recorded."""
-        start = self.em.append(branch.buffer, head_label)
-        for i in range(branch.site_mark, branch.site_end):
-            s = self.sites[i]
-            self.sites[i] = IfHSite(
-                s.jz_index + start,
-                s.then_start + start,
-                s.then_end + start,
-                s.else_start + start,
-                s.else_end + start,
-            )
-        return start
 
     def compile_if(self, rec: RegisterRecord, label: str | None, cmd: If):
         snap = self._snapshot()
         try:
-            return self._compile_if_high(rec, label, cmd)
+            result = self._compile_if(rec, label, cmd, HIGH)
+            if result[0].is_exact:
+                return result
         except CompileError:
-            self._restore(snap)
-        return self._compile_if_any(rec, label, cmd)
+            pass
+        self._restore(snap)
+        return self._compile_if(rec, label, cmd, self.expr_level(cmd.guard))
 
-    def _compile_if_high(self, rec: RegisterRecord, label: str | None, cmd: If):
-        """Padded shape: both branches exact-time and high-writing, guard at H."""
-        n0, reg, rec1 = self.command_expr("if-H", rec, label, cmd.guard, HIGH, cmd)
-        br = self.fresh_label("br")
-        ex = self.fresh_label("ex")
-        then_b = self._branch(rec1, cmd.then_cmd)
-        else_b = self._branch(rec1, cmd.else_cmd)
-        for b in (then_b, else_b):
-            if not (b.timing.is_exact and b.effect is WriteEffect.HIGH_ONLY):
-                raise CompileError(
-                    "if-H", "level-mismatch", render_cmd(cmd),
-                    "branches must have exact timing and high-only writes",
-                )
-        n1, n2 = then_b.timing.steps, else_b.timing.steps
-        jz_index = self.em.emit(Instruction("jz", target=br, reg=reg))
-        then_start = self._append_branch(then_b)
-        self.em.pend(then_b.out_label)
-        for _ in range(max(0, n2 - n1)):
-            self.em.emit(Instruction("nop"))
-        then_end = self.em.emit(Instruction("jmp", target=ex)) + 1
-        else_start = self._append_branch(else_b, head_label=br)
-        self.em.pend(else_b.out_label)
-        for _ in range(max(0, n1 - n2)):
-            self.em.emit(Instruction("nop"))
-        else_end = self.em.emit(Instruction("nop")) + 1
-        self.sites.append(IfHSite(jz_index, then_start, then_end, else_start, else_end))
-        m = n0 + max(n1, n2) + 2
-        return (Timing.exact(m), WriteEffect.HIGH_ONLY, ex, then_b.record.meet(else_b.record))
-
-    def _compile_if_any(self, rec: RegisterRecord, label: str | None, cmd: If):
-        level = self.expr_level(cmd.guard)
+    def _compile_if(self, rec: RegisterRecord, label: str | None, cmd: If, level: SecurityLevel):
+        """Guard at `level`; at H with exact-time branches, pad them to equal steps."""
         bound = write_bound(level)
         n0, reg, rec1 = self.command_expr("if-any", rec, label, cmd.guard, level, cmd)
         br = self.fresh_label("br")
@@ -502,14 +457,24 @@ class _Compiler:
                     "if-any", "implicit-flow", render_cmd(branch),
                     f"branch writes {b.effect.value} under a level-{level.value} guard",
                 )
+        padded = level is HIGH and then_b.timing.is_exact and else_b.timing.is_exact
+        n1, n2 = (then_b.timing.steps, else_b.timing.steps) if padded else (0, 0)
         self.em.emit(Instruction("jz", target=br, reg=reg))
-        self._append_branch(then_b)
+        self.em.append(then_b.buffer)
         self.em.pend(then_b.out_label)
+        for _ in range(max(0, n2 - n1)):
+            self.em.emit(Instruction("nop"))
         self.em.emit(Instruction("jmp", target=ex))
-        self._append_branch(else_b, head_label=br)
+        self.em.append(else_b.buffer, head_label=br)
         self.em.pend(else_b.out_label)
+        for _ in range(max(0, n1 - n2)):
+            self.em.emit(Instruction("nop"))
         self.em.emit(Instruction("nop"))
-        timing = timing_bound(level).blur(then_b.timing).blur(else_b.timing)
+        if padded:
+            self.sites.append((br, ex))
+            timing = Timing.exact(n0 + max(n1, n2) + 2)
+        else:
+            timing = timing_bound(level).blur(then_b.timing).blur(else_b.timing)
         return (timing, bound, ex, then_b.record.meet(else_b.record))
 
     # loops -------------------------------------------------------------------
@@ -573,6 +538,12 @@ def compile_program(src: SourceProgram, cfg: MachineConfig) -> CompileResult:
         effect = effect.join(WriteEffect.HIGH_ONLY)
     program = RiscProgram(compiler.em.instrs)
     validate_program(program, cfg)
+    labels = program.labels()
+    jz_of = {i.target: pc for pc, i in enumerate(program.instructions) if i.op == "jz"}
+    sites = tuple(
+        IfHSite(jz_of[br], jz_of[br] + 1, labels[br], labels[br], labels[ex])
+        for br, ex in compiler.sites
+    )
     return CompileResult(
         program=program,
         timing=timing,
@@ -581,22 +552,6 @@ def compile_program(src: SourceProgram, cfg: MachineConfig) -> CompileResult:
         register_levels={name: lev.value for name, lev in cfg.registers},
         memory_levels=tuple(lev.value for lev in cfg.memory_levels),
         width=cfg.width,
-        if_h_sites=tuple(compiler.sites),
+        if_h_sites=sites,
         record=record,
     )
-
-
-def compile_text(text: str, cfg: MachineConfig) -> CompileResult:
-    src = lang.parse(text, allow_positive_guards=cfg.enable_jlez)
-    return compile_program(src, cfg)
-
-
-def while_record_fixpoint(
-    src: SourceProgram,
-    cfg: MachineConfig,
-    record: RegisterRecord,
-    loop: While,
-    reg: str,
-) -> RegisterRecord:
-    """Standalone access to the loop-record iteration the while rule uses."""
-    return _Compiler(src, cfg).while_record_fixpoint(record, loop, reg)

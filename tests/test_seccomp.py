@@ -21,7 +21,6 @@ from ftnilab.seccomp import (
     TIMING_LOW,
     WriteEffect,
     compile_program,
-    while_record_fixpoint as seccomp_fixpoint,
     _Compiler,
 )
 
@@ -289,7 +288,7 @@ def test_fixpoint_untouched_body_converges_immediately():
     loop = src.body
     assert isinstance(loop, While)
     rec = RegisterRecord({"rl0": "y"})
-    out = seccomp_fixpoint(src, config_for_source(src, 2), rec, loop, "rl1")
+    out = _Compiler(src, config_for_source(src, 2)).while_record_fixpoint(rec, loop, "rl1")
     assert out == RegisterRecord({"rl0": "y", "rl1": "x"})
 
 
@@ -297,7 +296,7 @@ def test_fixpoint_shrinks_when_body_moves_the_guard_variable():
     src = parse("low x; low y; while x do x := y")
     rec = RegisterRecord({"rl0": "y"})
     loop = src.body.second if hasattr(src.body, "second") else src.body
-    out = seccomp_fixpoint(src, config_for_source(src, 2), rec, loop, "rl1")
+    out = _Compiler(src, config_for_source(src, 2)).while_record_fixpoint(rec, loop, "rl1")
     assert out == RegisterRecord({"rl1": "x"})
 
 
