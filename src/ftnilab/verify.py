@@ -612,20 +612,35 @@ TIMING_MAX_STEPS = 10_000
 
 
 def check_timing_balance(result: CompileResult, cfg: MachineConfig) -> tuple[bool, dict]:
-    """Padded-conditional audit: equal branch sizes, secret-blind low timing.
+    """Padded-conditional audit: equal branch step counts, secret-blind low timing.
 
     Statically, both padded branch regions of every high conditional must
-    contain the same number of instructions.  Dynamically, runs from every
-    assignment of the high cells (low cells at zero) must produce
-    identical sequences of (step index, low output).  Termination time by
-    itself is not an observation: stuck states silently idle in this model.
+    take the same number of steps (``then_len``/``else_len``): walking a
+    region from its start, a ``jmp`` follows its target, every other
+    instruction (a ``jz`` included) falls through, and each pc counts once.
+    A nested padded conditional thus counts one arm, as a run takes it.
+    Dynamically, runs from every assignment of the high cells (low cells at
+    zero) must produce identical sequences of (step index, low output).
+    Termination time by itself is not an observation: stuck states
+    silently idle in this model.
     """
     program = result.program
+    labels = program.labels()
+
+    def steps(start: int, end: int) -> int:
+        seen = set()
+        pc = start
+        while start <= pc < end and pc not in seen:
+            seen.add(pc)
+            instr = program.instructions[pc]
+            pc = labels[instr.target] if instr.op == "jmp" else pc + 1
+        return len(seen)
+
     sites = []
     balanced = True
     for site in result.if_h_sites:
-        then_len = site.then_end - site.then_start
-        else_len = site.else_end - site.else_start
+        then_len = steps(site.then_start, site.then_end)
+        else_len = steps(site.else_start, site.else_end)
         ok = then_len == else_len
         balanced = balanced and ok
         sites.append({"then_len": then_len, "else_len": else_len, "balanced": ok})

@@ -165,7 +165,7 @@ def test_criterion_5_rejection_suite():
 
 
 def test_criterion_6_padded_conditionals_balance(corpus_w2):
-    """Every padded conditional has equal-size branches and secret-blind low timing."""
+    """Every padded conditional has branches of equal step count and secret-blind low timing."""
     sites = 0
     for name, _, cfg, result in corpus_w2:
         if not result.if_h_sites:

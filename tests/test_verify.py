@@ -681,6 +681,21 @@ def test_timing_balance_detects_hand_unpadded_variant():
     assert not detail["sweep_identical"]
 
 
+def test_timing_balance_counts_steps_through_a_nested_conditional():
+    # The then arm holds a padded conditional: more instructions than the
+    # straight-line else arm, but the same number of steps on every run.
+    result, cfg = compile_text(
+        "high h; high g;"
+        " if h then { if g then h := 1 else h := 2 }"
+        " else { h := 1; h := 2; h := 3 }"
+    )
+    site = result.if_h_sites[-1]
+    assert site.then_end - site.then_start != site.else_end - site.else_start
+    ok, detail = check_timing_balance(result, cfg)
+    assert ok, detail
+    assert detail["sites"][-1]["then_len"] == detail["sites"][-1]["else_len"]
+
+
 def test_timing_balance_trivial_skip_conditional():
     result, cfg = compile_text("high h; if h then skip else skip")
     ok, detail = check_timing_balance(result, cfg)
