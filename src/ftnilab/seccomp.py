@@ -289,7 +289,9 @@ class _Compiler:
         left = self.expr_level(expr.left)
         return HIGH if left is HIGH else self.expr_level(expr.right)
 
-    def pick_register(self, level: SecurityLevel, avoid: frozenset[str], rec: RegisterRecord, context: str) -> str:
+    def pick_register(
+        self, level: SecurityLevel, avoid: frozenset[str], rec: RegisterRecord, context: str, rule: str = "expr"
+    ) -> str:
         pool = self.cfg.registers_of_level(level)
         for reg in pool:
             if reg not in avoid and rec.variable_of(reg) is None:
@@ -298,7 +300,7 @@ class _Compiler:
             if reg not in avoid:
                 return reg
         raise CompileError(
-            "expr", "no-register",
+            rule, "no-register",
             context, f"no level-{level.value} register outside {sorted(avoid)}",
         )
 
@@ -495,7 +497,7 @@ class _Compiler:
     def compile_while(self, rec: RegisterRecord, label: str | None, cmd: While):
         level = self.var_level(cmd.var)
         bound = write_bound(level)
-        reg = self.pick_register(level, frozenset(), rec, render_cmd(cmd))
+        reg = self.pick_register(level, frozenset(), rec, render_cmd(cmd), "while")
         rec_b = self.while_record_fixpoint(rec, cmd, reg)
         lp = self.fresh_label("lp")
         ex = self.fresh_label("ex")

@@ -358,6 +358,16 @@ def test_reject_low_guard_loop_with_secret_timing_body():
     assert err.rule == "while" and err.reason == "timing-after-high"
 
 
+def test_reject_names_the_rule_when_no_register_fits():
+    for text, rule in (
+        ("low x; while x do skip", "while"),
+        ("low x; x := 1", "assign"),
+        ("low x; out low x", "out"),
+    ):
+        err = reject(text, low_regs=0)
+        assert (err.rule, err.reason) == (rule, "no-register"), text
+
+
 def test_error_carries_offending_command():
     err = reject("high h; low x; if h then x := 1 else skip")
     assert "x := 1" in err.command
