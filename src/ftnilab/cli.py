@@ -21,7 +21,9 @@ composes (composed states times their fault sets) before each expansion.
 Any other value exits 64, as do a ``--width`` or ``--depth`` below 1, a
 ``--steps`` below 0 and a ``--mem`` value outside the machine word.  A
 side-car that is not JSON or does not describe a machine (a width below 1,
-a level other than "L" or "H") exits 1 with ``side-car error: ...``.
+a level other than "L" or "H") exits 1 with ``side-car error: ...``, and a
+source nested too deeply for the parser or the compiler exits 1 with
+``source error: ...``.
 """
 
 from __future__ import annotations
@@ -119,13 +121,14 @@ def cmd_compile(args) -> int:
         return _fail(EXIT_IO, f"cannot read {args.source}: {exc}")
     try:
         src = lang.parse(text, allow_positive_guards=args.jlez)
+        cfg = corpus.config_for_source(src, args.width, enable_jlez=args.jlez)
+        result = seccomp.compile_program(src, cfg)
     except lang.ParseError as exc:
         return _fail(EXIT_IO, f"parse error: {exc}")
-    cfg = corpus.config_for_source(src, args.width, enable_jlez=args.jlez)
-    try:
-        result = seccomp.compile_program(src, cfg)
     except seccomp.CompileError as exc:
         return _fail(EXIT_TYPE, f"type error: {exc}")
+    except RecursionError:
+        return _fail(EXIT_IO, "source error: nested too deeply to parse or compile")
     try:
         Path(args.out).write_text(disassemble(result.program), encoding="utf-8")
         Path(args.meta).write_text(

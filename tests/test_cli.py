@@ -91,6 +91,22 @@ def test_compile_parse_error_exits_1(tmp_path, capsys):
     assert code == 1 and "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "low x;\n" + "skip;\n" * 1000 + "skip\n",
+        "low x; x := " + "(" * 400 + "1" + ")" * 400 + "\n",
+    ],
+    ids=["long-sequence", "deep-parentheses"],
+)
+def test_compile_deeply_nested_source_exits_1_without_traceback(tmp_path, text):
+    src = write(tmp_path, "deep.src", text)
+    run = _cli("compile", src, "--out", str(tmp_path / "o.s"), "--meta", str(tmp_path / "o.json"))
+    assert run.returncode == 1
+    assert run.stderr.startswith("source error: ") and run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr
+
+
 def test_run_prints_trace(tmp_path, capsys):
     out, _ = compile_ok(tmp_path, capsys)
     code, stdout, _ = invoke(capsys, "run", out)
