@@ -1,9 +1,10 @@
 """Golden compiles: the compiler's output pinned byte for byte.
 
-``golden_compile.json`` holds, for every program on two register
-configurations (two low and two high registers, and one of each) at width
-2, either the disassembly and ``meta()`` of the compiled program or the
-text of the ``CompileError`` that rejected it.  The programs are the
+``golden_compile.json`` holds, for every program on three register
+configurations (two low and two high registers, one of each, and two low
+with one high, where a guard can fit the low registers but not the high
+ones) at width 2, either the disassembly and ``meta()`` of the compiled
+program or the text of the ``CompileError`` that rejected it.  The programs are the
 corpus, the keyed-hash source and its shrunken variant, a few hand-picked
 shapes (a loop under a high guard, a nested padded conditional with arms
 of unequal size, one program per rejection rule) and a pool of seeded
@@ -40,7 +41,7 @@ from ftnilab.seccomp import CompileError, compile_program
 
 GOLDEN = Path(__file__).with_name("golden_compile.json")
 WIDTH = 2
-REGISTERS = {"2+2": (2, 2), "1+1": (1, 1)}
+REGISTERS = {"2+2": (2, 2), "1+1": (1, 1), "2+1": (2, 1)}
 RANDOM_SEED = 11
 RANDOM_DRAWS = 240
 

@@ -248,6 +248,27 @@ def test_nested_conditional_timing_stays_exact_despite_unequal_arm_sizes():
             assert steps == result.timing.steps, (h, g)
 
 
+def test_guard_that_fits_only_the_low_registers_compiles_unpadded():
+    # x + y needs two registers: the two low ones hold it, the one high one
+    # does not, so the conditional takes its guard's own level.
+    result, _ = compile_src(
+        "low x; low y; high h; if x + y then h := 1 else h := 2", low_regs=2, high_regs=1
+    )
+    assert result.timing == TIMING_LOW
+    assert result.if_h_sites == ()
+
+
+def test_nested_guard_that_does_not_fit_at_h_leaves_the_outer_conditional_unpadded():
+    text = "low x; low y; high h; if x then { if x + y then h := 1 else h := 2 } else h := 3"
+    result, _ = compile_src(text, low_regs=2, high_regs=1)
+    assert result.timing == TIMING_LOW
+    assert result.if_h_sites == ()
+    # With a second high register both conditionals are padded.
+    padded, _ = compile_src(text, low_regs=2, high_regs=2)
+    assert padded.timing.is_exact
+    assert len(padded.if_h_sites) == 2
+
+
 def test_while_emits_reload_store_preamble():
     result, _ = compile_src("low x; while x do skip")
     ops = [i.op for i in result.program.instructions]
