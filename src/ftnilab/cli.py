@@ -21,9 +21,9 @@ composes (composed states times their fault sets) before each expansion.
 Any other value exits 64, as do a ``--width`` or ``--depth`` below 1, a
 ``--steps`` below 0 and a ``--mem`` value outside the machine word.  A
 side-car that is not JSON or does not describe a machine (a width below 1,
-a level other than "L" or "H") exits 1 with ``side-car error: ...``, and a
-source nested too deeply for the parser or the compiler exits 1 with
-``source error: ...``.
+a level other than "L" or "H") exits 1 with ``side-car error: ...``.  A
+sequence of any length compiles, but a source whose parentheses, blocks or
+branches nest a few hundred levels deep exits 1 with ``source error: ...``.
 """
 
 from __future__ import annotations

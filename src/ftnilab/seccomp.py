@@ -7,12 +7,14 @@ annotations cannot be justified are rejected with an error naming the typing
 rule and the violated side condition.
 
 Rule selection is deterministic even though several derivations usually
-exist: expression compilation prefers a cached register, a conditional
-compiles its guard at H first and keeps that derivation when both branches
-have exact timing (padding the shorter one with nops), else recompiles at
-the guard's own level with blurred timing, and register choice takes the
-lowest-indexed register of the demanded level, preferring registers that
-cache nothing.
+exist, and each command is compiled once: expression compilation prefers a
+cached register; a conditional takes its guard at H and pads the shorter
+branch with nops when ``_Compiler._pads`` finds that the whole conditional
+has exact timing at H (it holds only skips, high assignments, high outputs,
+sequences and such conditionals, and every expression fits the high
+registers), else takes the guard's own level with blurred timing; and
+register choice takes the lowest-indexed register of the demanded level,
+preferring registers that cache nothing.
 """
 
 from __future__ import annotations
@@ -175,17 +177,6 @@ class CompileError(Exception):
 
 
 @dataclass(frozen=True)
-class _Branch:
-    """A compiled branch waiting to be spliced into its parent buffer."""
-
-    buffer: "_Emitter"
-    timing: "Timing"
-    effect: "WriteEffect"
-    out_label: str | None
-    record: "RegisterRecord"
-
-
-@dataclass(frozen=True)
 class IfHSite:
     """Index ranges (end-exclusive) of the two padded branch regions."""
 
@@ -246,16 +237,12 @@ class _Emitter:
             self.pending = None
         self.instrs.append(instr)
 
-    def append(self, sub: "_Emitter", head_label: str | None = None) -> None:
-        """Concatenate a sub-buffer; an optional label lands on its first instruction."""
-        self.pend(head_label)
-        for instr in sub.instrs:
-            if self.pending is not None:
-                assert instr.label is None
-                self.emit(instr)
-            else:
-                self.instrs.append(instr)
-        self.pending = sub.pending
+
+def _registers_needed(expr: Expr) -> int:
+    """Registers `compile_expr` holds at once: one per pending left operand."""
+    if isinstance(expr, BinOp):
+        return max(_registers_needed(expr.left), _registers_needed(expr.right) + 1)
+    return 1
 
 
 class _Compiler:
@@ -396,14 +383,21 @@ class _Compiler:
             return (TIMING_LOW, WriteEffect.ANY, None, rec1)
 
         if isinstance(cmd, Seq):
-            t1, w1, l1, rec1 = self.compile_cmd(rec, label, cmd.first)
-            t2, w2, l2, rec2 = self.compile_cmd(rec1, l1, cmd.second)
-            if t1 == TIMING_HIGH and w2 is not WriteEffect.HIGH_ONLY:
-                raise CompileError(
-                    "seq", "timing-after-high", render_cmd(cmd.second),
-                    "a command after secret-dependent timing must write only high locations",
-                )
-            return (t1.then(t2), w1.join(w2), l2, rec2)
+            # The parser nests sequences to the left: walk that spine in a loop.
+            seconds = []
+            while isinstance(cmd, Seq):
+                seconds.append(cmd.second)
+                cmd = cmd.first
+            t, w, label, rec = self.compile_cmd(rec, label, cmd)
+            for second in reversed(seconds):
+                t2, w2, label, rec = self.compile_cmd(rec, label, second)
+                if t == TIMING_HIGH and w2 is not WriteEffect.HIGH_ONLY:
+                    raise CompileError(
+                        "seq", "timing-after-high", render_cmd(second),
+                        "a command after secret-dependent timing must write only high locations",
+                    )
+                t, w = t.then(t2), w.join(w2)
+            return (t, w, label, rec)
 
         if isinstance(cmd, If):
             return self.compile_if(rec, label, cmd)
@@ -414,91 +408,78 @@ class _Compiler:
         raise TypeError(f"not a compilable command: {cmd!r}")
 
     # conditionals ----------------------------------------------------------
-    def _snapshot(self):
-        return (len(self.em.instrs), self.em.pending, self.fresh, len(self.sites))
+    def _pads(self, cmd: Cmd) -> bool:
+        """Whether `cmd` has exact timing with every guard at H.
 
-    def _restore(self, snap) -> None:
-        count, pending, fresh, nsites = snap
-        del self.em.instrs[count:]
-        self.em.pending = pending
-        self.fresh = fresh
-        del self.sites[nsites:]
-
-    def _branch(self, rec: RegisterRecord, cmd: Cmd):
-        """Compile a branch into a private buffer sharing the label counter."""
-        outer = self.em
-        self.em = _Emitter()
-        try:
-            t, w, out_label, rec2 = self.compile_cmd(rec, None, cmd)
-            return _Branch(self.em, t, w, out_label, rec2)
-        finally:
-            self.em = outer
+        It must hold only skips, high assignments, high outputs, sequences
+        and conditionals, and every guard and expression must fit the high
+        registers.  All of that is syntactic: no record changes the answer.
+        """
+        high_regs = len(self.cfg.registers_of_level(HIGH))
+        stack = [cmd]
+        while stack:
+            cmd = stack.pop()
+            if isinstance(cmd, Seq):
+                stack += (cmd.first, cmd.second)
+                continue
+            if isinstance(cmd, If):
+                stack += (cmd.then_cmd, cmd.else_cmd)
+                expr = cmd.guard
+            elif isinstance(cmd, Assign) and self.var_level(cmd.var) is HIGH:
+                expr = cmd.expr
+            elif isinstance(cmd, Out) and cmd.channel == "high":
+                expr = cmd.expr
+            elif isinstance(cmd, Skip):
+                continue
+            else:
+                return False
+            if _registers_needed(expr) > high_regs:
+                return False
+        return True
 
     def compile_if(self, rec: RegisterRecord, label: str | None, cmd: If):
-        snap = self._snapshot()
-        try:
-            result = self._compile_if(rec, label, cmd, HIGH)
-            if result[0].is_exact:
-                return result
-        except CompileError:
-            pass
-        self._restore(snap)
-        return self._compile_if(rec, label, cmd, self.expr_level(cmd.guard))
-
-    def _compile_if(self, rec: RegisterRecord, label: str | None, cmd: If, level: SecurityLevel):
-        """Guard at `level`; at H with exact-time branches, pad them to equal steps."""
+        """Guard at H with branches padded to equal steps if `_pads`, else at its own level."""
+        padded = self._pads(cmd)
+        level = HIGH if padded else self.expr_level(cmd.guard)
         bound = write_bound(level)
         n0, reg, rec1 = self.command_expr("if-any", rec, label, cmd.guard, level, cmd)
         br = self.fresh_label("br")
         ex = self.fresh_label("ex")
-        then_b = self._branch(rec1, cmd.then_cmd)
-        else_b = self._branch(rec1, cmd.else_cmd)
-        for branch, b in ((cmd.then_cmd, then_b), (cmd.else_cmd, else_b)):
-            if not b.effect <= bound:
+        self.em.emit(Instruction("jz", target=br, reg=reg))
+        t1, w1, out1, rec_t = self.compile_cmd(rec1, None, cmd.then_cmd)
+        self.em.pend(out1)
+        jmp = len(self.em.instrs)
+        self.em.emit(Instruction("jmp", target=ex))
+        t2, w2, out2, rec_e = self.compile_cmd(rec1, br, cmd.else_cmd)
+        for branch, effect in ((cmd.then_cmd, w1), (cmd.else_cmd, w2)):
+            if not effect <= bound:
                 raise CompileError(
                     "if-any", "implicit-flow", render_cmd(branch),
-                    f"branch writes {b.effect.value} under a level-{level.value} guard",
+                    f"branch writes {effect.value} under a level-{level.value} guard",
                 )
-        padded = level is HIGH and then_b.timing.is_exact and else_b.timing.is_exact
-        n1, n2 = (then_b.timing.steps, else_b.timing.steps) if padded else (0, 0)
-        self.em.emit(Instruction("jz", target=br, reg=reg))
-        self.em.append(then_b.buffer)
-        self.em.pend(then_b.out_label)
-        for _ in range(max(0, n2 - n1)):
-            self.em.emit(Instruction("nop"))
-        self.em.emit(Instruction("jmp", target=ex))
-        self.em.append(else_b.buffer, head_label=br)
-        self.em.pend(else_b.out_label)
-        for _ in range(max(0, n1 - n2)):
+        n1, n2 = (t1.steps, t2.steps) if padded else (0, 0)
+        if n2 > n1:
+            # The then-branch's nops go before its jmp and take over its label.
+            instrs = self.em.instrs
+            nops = [Instruction("nop", label=instrs[jmp].label)]
+            nops += [Instruction("nop")] * (n2 - n1 - 1)
+            instrs[jmp:jmp + 1] = nops + [replace(instrs[jmp], label=None)]
+        self.em.pend(out2)
+        for _ in range(n1 - n2):
             self.em.emit(Instruction("nop"))
         self.em.emit(Instruction("nop"))
         if padded:
             self.sites.append((br, ex))
             timing = Timing.exact(n0 + max(n1, n2) + 2)
         else:
-            timing = timing_bound(level).blur(then_b.timing).blur(else_b.timing)
-        return (timing, bound, ex, then_b.record.meet(else_b.record))
+            timing = timing_bound(level).blur(t1).blur(t2)
+        return (timing, bound, ex, rec_t.meet(rec_e))
 
     # loops -------------------------------------------------------------------
-    def while_record_fixpoint(
-        self, rec: RegisterRecord, cmd: While, reg: str
-    ) -> RegisterRecord:
-        """Shrink the loop record until it survives one body compilation."""
-        rec_b = rec.update(reg, cmd.var)
-        snap = self._snapshot()
-        while True:
-            scratch = self._branch(rec_b, cmd.body)
-            self._restore(snap)
-            rec_next = rec_b.meet(scratch.record.update(reg, cmd.var))
-            if rec_next == rec_b:
-                return rec_b
-            rec_b = rec_next
-
     def compile_while(self, rec: RegisterRecord, label: str | None, cmd: While):
         level = self.var_level(cmd.var)
         bound = write_bound(level)
         reg = self.pick_register(level, frozenset(), rec, render_cmd(cmd), "while")
-        rec_b = self.while_record_fixpoint(rec, cmd, reg)
         lp = self.fresh_label("lp")
         ex = self.fresh_label("ex")
         addr = self.v2p[cmd.var]
@@ -508,7 +489,17 @@ class _Compiler:
         self.em.emit(Instruction("store", reg=reg, addr=addr))
         self.em.pend(lp)
         self.em.emit(Instruction(jump_op, target=ex, reg=reg))
-        t, w, body_label, rec_e = self.compile_cmd(rec_b, None, cmd.body)
+        # Shrink the loop record until it survives one body compilation.
+        rec_b = rec.update(reg, cmd.var)
+        count, fresh, nsites = len(self.em.instrs), self.fresh, len(self.sites)
+        while True:
+            t, w, body_label, rec_e = self.compile_cmd(rec_b, None, cmd.body)
+            rec_next = rec_b.meet(rec_e.update(reg, cmd.var))
+            if rec_next == rec_b:
+                break
+            rec_b = rec_next
+            del self.em.instrs[count:], self.sites[nsites:]
+            self.fresh = fresh
         if not w <= bound:
             raise CompileError(
                 "while", "implicit-flow", render_cmd(cmd),
@@ -519,7 +510,6 @@ class _Compiler:
                 "while", "timing-after-high", render_cmd(cmd),
                 "a body with secret-dependent timing needs a high guard",
             )
-        assert rec_b <= rec_e.update(reg, cmd.var)
         self.em.pend(body_label)
         self.em.emit(Instruction("load", reg=reg, addr=addr))
         self.em.emit(Instruction("store", reg=reg, addr=addr))

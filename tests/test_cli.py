@@ -94,10 +94,10 @@ def test_compile_parse_error_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text",
     [
-        "low x;\n" + "skip;\n" * 1000 + "skip\n",
+        "low x;\n" + "{ " * 400 + "skip" + " }" * 400 + "\n",
         "low x; x := " + "(" * 400 + "1" + ")" * 400 + "\n",
     ],
-    ids=["long-sequence", "deep-parentheses"],
+    ids=["deep-blocks", "deep-parentheses"],
 )
 def test_compile_deeply_nested_source_exits_1_without_traceback(tmp_path, text):
     src = write(tmp_path, "deep.src", text)
@@ -105,6 +105,14 @@ def test_compile_deeply_nested_source_exits_1_without_traceback(tmp_path, text):
     assert run.returncode == 1
     assert run.stderr.startswith("source error: ") and run.stderr.count("\n") == 1
     assert "Traceback" not in run.stderr
+
+
+def test_compile_long_sequence_exits_0(tmp_path):
+    src = write(tmp_path, "long.src", "low x;\n" + "skip;\n" * 9999 + "skip\n")
+    run = _cli("compile", src, "--out", str(tmp_path / "o.s"), "--meta", str(tmp_path / "o.json"))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("compiled 10000 instructions; timing exact:10000")
+
 
 
 def test_run_prints_trace(tmp_path, capsys):

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from ftnilab.corpus import config_for_source, corpus_sources
-from ftnilab.lang import While, parse
+from ftnilab.lang import If, Seq, While, parse
 from ftnilab.machine import (
     LOW,
     disassemble,
@@ -309,7 +309,7 @@ def test_fixpoint_untouched_body_converges_immediately():
     loop = src.body
     assert isinstance(loop, While)
     rec = RegisterRecord({"rl0": "y"})
-    out = _Compiler(src, config_for_source(src, 2)).while_record_fixpoint(rec, loop, "rl1")
+    _, _, _, out = _Compiler(src, config_for_source(src, 2)).compile_while(rec, None, loop)
     assert out == RegisterRecord({"rl0": "y", "rl1": "x"})
 
 
@@ -317,7 +317,7 @@ def test_fixpoint_shrinks_when_body_moves_the_guard_variable():
     src = parse("low x; low y; while x do x := y")
     rec = RegisterRecord({"rl0": "y"})
     loop = src.body.second if hasattr(src.body, "second") else src.body
-    out = _Compiler(src, config_for_source(src, 2)).while_record_fixpoint(rec, loop, "rl1")
+    _, _, _, out = _Compiler(src, config_for_source(src, 2)).compile_while(rec, None, loop)
     assert out == RegisterRecord({"rl1": "x"})
 
 
@@ -328,16 +328,59 @@ def test_fixpoint_iterations_bounded_by_record_size():
     rec = RegisterRecord({"rl0": "y"})
     loop = src.body.second if hasattr(src.body, "second") else src.body
     calls = 0
-    original = comp._branch
+    original = comp.compile_cmd
 
-    def counting(rec_b, cmd):
+    def counting(rec_b, label, cmd):
         nonlocal calls
-        calls += 1
-        return original(rec_b, cmd)
+        calls += cmd is loop.body
+        return original(rec_b, label, cmd)
 
-    comp._branch = counting
-    comp.while_record_fixpoint(rec, loop, "rl1")
+    comp.compile_cmd = counting
+    comp.compile_while(rec, None, loop)
     assert calls <= 2 + 1
+
+
+# -- one judgement per command --------------------------------------------------
+
+
+def commands(cmd):
+    """Every command of an AST except the sequences that join them."""
+    stack, found = [cmd], []
+    while stack:
+        cmd = stack.pop()
+        if isinstance(cmd, Seq):
+            stack += (cmd.first, cmd.second)
+            continue
+        found.append(cmd)
+        if isinstance(cmd, If):
+            stack += (cmd.then_cmd, cmd.else_cmd)
+        elif isinstance(cmd, While):
+            stack.append(cmd.body)
+    return found
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "low x; " + "if x then { " * 12 + "x := 1" + " } else skip" * 12,
+        "low x; " + "while x do { " * 10 + "skip" + "; x := x - 1 }" * 10,
+    ],
+    ids=["low-guard-conditionals-12", "loops-10"],
+)
+def test_each_command_is_compiled_once(text):
+    src = parse(text)
+    comp = _Compiler(src, config_for_source(src, 2))
+    compiled = []
+    original = comp.compile_cmd
+
+    def counting(rec, label, cmd):
+        if not isinstance(cmd, Seq):
+            compiled.append(cmd)
+        return original(rec, label, cmd)
+
+    comp.compile_cmd = counting
+    comp.compile_cmd(EMPTY_RECORD, None, src.body)
+    assert len(compiled) == len(commands(src.body))
 
 
 # -- rejection suite -----------------------------------------------------------
