@@ -329,7 +329,12 @@ def render_cmd(cmd: Cmd) -> str:
             f" else {{ {render_cmd(cmd.else_cmd)} }}"
         )
     if isinstance(cmd, Seq):
-        return f"{render_cmd(cmd.first)}; {render_cmd(cmd.second)}"
+        # The parser nests sequences to the left: walk that spine in a loop.
+        seconds = []
+        while isinstance(cmd, Seq):
+            seconds.append(cmd.second)
+            cmd = cmd.first
+        return "; ".join(render_cmd(part) for part in [cmd, *reversed(seconds)])
     if isinstance(cmd, While):
         guard = f"{cmd.var} > 0" if cmd.positive else cmd.var
         return f"while {guard} do {{ {render_cmd(cmd.body)} }}"

@@ -114,6 +114,14 @@ def test_compile_long_sequence_exits_0(tmp_path):
     assert run.stdout.startswith("compiled 10000 instructions; timing exact:10000")
 
 
+def test_compile_type_error_in_long_block_exits_2(tmp_path):
+    block = "x := 1;" + " skip;" * 1199 + " skip"
+    src = write(tmp_path, "long.src", f"high h; low x; if h then {{ {block} }} else skip\n")
+    run = _cli("compile", src, "--out", str(tmp_path / "o.s"), "--meta", str(tmp_path / "o.json"))
+    assert run.returncode == 2
+    assert run.stderr.startswith("type error: rule if-any: implicit-flow: ")
+    assert "Traceback" not in run.stderr
+
 
 def test_run_prints_trace(tmp_path, capsys):
     out, _ = compile_ok(tmp_path, capsys)
