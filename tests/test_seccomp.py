@@ -370,17 +370,17 @@ def commands(cmd):
 def test_each_command_is_compiled_once(text):
     src = parse(text)
     comp = _Compiler(src, config_for_source(src, 2))
-    compiled = []
+    calls = 0
     original = comp.compile_cmd
 
     def counting(rec, label, cmd):
-        if not isinstance(cmd, Seq):
-            compiled.append(cmd)
+        nonlocal calls
+        calls += not isinstance(cmd, Seq)
         return original(rec, label, cmd)
 
     comp.compile_cmd = counting
     comp.compile_cmd(EMPTY_RECORD, None, src.body)
-    assert len(compiled) == len(commands(src.body))
+    assert calls == len(commands(src.body))
 
 
 # -- rejection suite -----------------------------------------------------------
