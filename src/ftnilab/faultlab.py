@@ -115,6 +115,12 @@ class FaultProneSystem:
     def step(self, state: int) -> tuple[Action, int] | None:
         raise NotImplementedError
 
+    def canonical(self, state: int) -> int:
+        """The representative of the states whose public futures, faults
+        included, equal this one's; ``faulted_steps`` returns these to the
+        checkers.  Here every state stands for itself."""
+        return state
+
     def public_step(self, state: int) -> tuple[int, int] | None:
         found = self._public.get(state, UNSEEN)
         if found is UNSEEN:
@@ -382,17 +388,22 @@ def faulted_steps(
     A stuck state idles silently and takes no flip.  Otherwise the masked
     bits are flipped and the flipped state steps; if the flip made it stuck,
     it idles silently and keeps the flipped bits.  Entries are (action,
-    successor), or with ``public`` (observation code, successor) from
-    ``system.public_step``.
+    successor), or with ``public`` (observation code, canonical successor)
+    from ``system.public_step`` and ``system.canonical``: the checkers' view,
+    in which states with equal public futures are one state.
     """
     step, idle = (system.public_step, 0) if public else (system.step, TAU)
     if step(state) is None:
-        return [(idle, state) for _ in masks]
-    row = []
-    for mask in masks:
-        flipped = state ^ mask
-        result = step(flipped)
-        row.append((idle, flipped) if result is None else result)
+        row = [(idle, state) for _ in masks]
+    else:
+        row = []
+        for mask in masks:
+            flipped = state ^ mask
+            result = step(flipped)
+            row.append((idle, flipped) if result is None else result)
+    if public:
+        canonical = system.canonical
+        return [(code, canonical(succ)) for code, succ in row]
     return row
 
 
@@ -543,7 +554,7 @@ class Composition:
         self._tables: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._advances: dict[tuple[str, int], str] = {}
         self._steps: dict[tuple[int, str], list[tuple[int, int, int, str]]] = {}
-        self._counts: dict[tuple[int, str, int], dict[tuple[int, ...], int]] = {}
+        self._counts: dict[tuple, dict[tuple[int, ...], int]] = {}
 
     def _table(self, env_state: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The fault masks of an attacker state with nonzero odds, and their weights."""
@@ -597,19 +608,26 @@ class Composition:
         return entries
 
     def trace_counts(
-        self, state: int, env_state: str, depth: int
+        self, state: int, env_state: str, depth: int, prefix: tuple[Action, ...] = ()
     ) -> dict[tuple[int, ...], int]:
         """Weight of every public trace of exactly the given length, over
-        ``denominator ** depth``; a trace is a tuple of observation codes."""
-        key = (state, env_state, depth)
+        ``denominator ** depth``; a trace is a tuple of observation codes.
+
+        With ``prefix``, only the traces that begin with those public actions
+        are counted, and the recursion follows only the steps that match.
+        """
+        key = (state, env_state, depth, prefix)
         counts = self._counts.get(key)
         if counts is None:
             if depth == 0:
-                counts = {(): 1}
+                counts = {} if prefix else {(): 1}
             else:
                 counts = {}
+                observations, rest = self.system.observations, prefix[1:]
                 for code, weight, s2, e2 in self.step(state, env_state):
-                    for suffix, count in self.trace_counts(s2, e2, depth - 1).items():
+                    if prefix and observations[code] != prefix[0]:
+                        continue
+                    for suffix, count in self.trace_counts(s2, e2, depth - 1, rest).items():
                         trace = (code,) + suffix
                         counts[trace] = counts.get(trace, 0) + weight * count
             self._counts[key] = counts
@@ -630,7 +648,8 @@ class Composition:
         self, state: int, env_state: str, trace: tuple[Action, ...]
     ) -> Fraction:
         """Summed probability of all runs whose public trace equals ``trace``."""
-        return self.trace_distribution(state, env_state, len(trace)).get(trace, Fraction(0))
+        counts = self.trace_counts(state, env_state, len(trace), tuple(trace))
+        return Fraction(sum(counts.values()), self.denominator ** len(trace))
 
 
 def trace_probability(

@@ -440,6 +440,7 @@ class RiscSystem(FaultProneSystem):
         self.low_mask = self.pack(lows, [word] * len(lows))
         self.high_mask = self.pack(highs, [word] * len(highs))
         self._kernel: tuple | None = None
+        self._keep: tuple[int, ...] | None = None
 
     def pack(self, cells, values) -> int:
         """The encoded state at pc 0 whose ``cells`` (indices into ``regs +
@@ -486,6 +487,60 @@ class RiscSystem(FaultProneSystem):
         if value is not None:
             return action, state & keep | value << dest | nxt << self._pc_shift
         return action, state & keep | nxt << self._pc_shift
+
+    def canonical(self, state: int) -> int:
+        """The state with every cell dead at its pc zeroed.
+
+        A cell is dead at a pc when every path from the pc writes it before
+        reading it, so no run from the state, faults included, can show its
+        value: the pc is fault-tolerant, and a flip of a dead cell is
+        overwritten before anything reads it.  States with equal canonical
+        forms therefore have equal public futures.
+        """
+        keep = self._keep
+        if keep is None:
+            keep = self._keep = self._build_keep()
+        return state & keep[state >> self._pc_shift]
+
+    def _build_keep(self) -> tuple[int, ...]:
+        """Per encoded pc, the mask of the pc bits and the bits of the cells
+        live there; a pc past the end keeps only its pc bits.
+
+        Liveness is the backward dataflow fixpoint over ``decode``:
+        ``live_in = sources | (live_out - {dest})``, where ``live_out`` joins
+        the successors' ``live_in`` (a ``jmp`` goes to its target, ``jz`` and
+        ``jlez`` to their target and pc + 1, every other instruction to pc +
+        1) and falling off the end reaches an exit where nothing is live.
+        """
+        ops = decode(self.program, self.cfg)
+        n = len(ops)
+        live = [0] * (n + 1)  # sets of cells as bits; live[n] is the exit
+        changed = True
+        while changed:
+            changed = False
+            for pc in reversed(range(n)):
+                instr = ops[pc]
+                if instr.op == "jmp":
+                    out = live[instr.target]
+                elif instr.target is not None:
+                    out = live[instr.target] | live[pc + 1]
+                else:
+                    out = live[pc + 1]
+                if instr.dest is not None:
+                    out &= ~(1 << instr.dest)
+                for cell in instr.sources:
+                    out |= 1 << cell
+                if out != live[pc]:
+                    live[pc] = out
+                    changed = True
+        word = (1 << self.cfg.width) - 1
+        pc_mask = ((1 << self.pc_bits) - 1) << self._pc_shift
+        cells = range(len(self.cfg.registers) + self.cfg.memory_size)
+        keep = [
+            pc_mask | self.pack(cells, [word if cells_live >> c & 1 else 0 for c in cells])
+            for cells_live in live[:n]
+        ]
+        return tuple(keep + [pc_mask] * ((1 << self.pc_bits) - n))
 
     def _build_kernel(self) -> tuple:
         """Per pc: the decoded instruction, its source cells' bit offsets, the

@@ -17,6 +17,17 @@ All three checkers enumerate concrete state spaces at small word widths:
   states composed with a concrete attacker, as integer counts over a power
   of the attacker's common denominator.
 
+The two fault checkers walk the liveness quotient of the machine: each
+state is taken with the cells dead at its pc zeroed
+(``RiscSystem.canonical``), and ``faulted_steps`` with ``public`` returns
+canonical successors.  This is exact.  A dead cell is written on every path
+from its pc before it is read, and faults never move the pc off those
+paths, so states with one canonical form show the same public actions
+under every fault sequence, and their successors under one mask again
+share a canonical form.  It leaves verdicts and witnesses unchanged: in
+the product order the checkers enumerate starts in, a class's first
+concrete member is the one with every dead cell zero, its canonical state.
+
 Verdicts are ``secure-up-to-bound`` or ``violation``; violations carry a
 replayable witness.
 """
@@ -88,12 +99,13 @@ class CheckConfig:
     low assignments it walks over the point pairs it reaches before it walks
     each pair, and the running total of ``effect`` evaluations its summaries
     make before it builds each; POni, its fault masks and initial state pairs
-    before it builds them, then the running total of faulted step pairs
-    (frontier times masks) before it walks each level; PNI, one low group's
-    initial states before it builds them, then the running total of faulted
-    steps the composition takes (composed states times their fault sets)
-    before it takes each state's.  A negative depth is refused; depth 0 is
-    the vacuous bound.
+    (over the whole state space) before it builds them, then the running
+    total of faulted step pairs (canonical frontier pairs times masks)
+    before it walks each level; PNI, one low group's initial states (over
+    the whole state space) before it builds them, then the running total of
+    faulted steps the composition takes (canonical composed states times
+    their fault sets) before it takes each state's.  A negative depth is
+    refused; depth 0 is the vacuous bound.
     """
 
     depth: int = 4
@@ -429,6 +441,11 @@ def check_poni(
     sides take the same fault sequence and must show the same public actions.
     Each state's public faulted steps under every mask (its row) are taken
     once, and a pair compares the two rows' observation codes.
+
+    The walk runs on canonical pairs (see the module docstring).  Its seeds
+    are the canonical forms of each low group's first state paired with
+    every other one, in ``_initial_groups`` order, once each, leaving out
+    pairs whose two states are equal: those can never split.
     """
     system = RiscSystem(program, cfg)
     scope = _scope_names(system, check)
@@ -448,11 +465,14 @@ def check_poni(
         return found
 
     # each explored pair maps to (the pair it came from, the mask's index)
-    parent: dict[tuple[int, int], tuple | None] = {
-        (states[0], other): None
-        for _, states in _initial_groups(system)
-        for other in states[1:]
-    }
+    canonical = system.canonical
+    parent: dict[tuple[int, int], tuple | None] = {}
+    for _, states in _initial_groups(system):
+        first = canonical(states[0])
+        for other in states[1:]:
+            pair = (first, canonical(other))
+            if pair[0] != pair[1]:
+                parent.setdefault(pair, None)
     frontier = list(parent)
 
     violation = None
@@ -541,6 +561,12 @@ def check_pni(
     every shorter trace by marginalization, so equality is tested at the
     bound only, on the integer trace counts of ``Composition.trace_counts``;
     a violation witness reports the shortest differing trace.
+
+    Counts are taken from canonical states (see the module docstring), once
+    per distinct one.  A low group whose canonical first state was already a
+    reference differs from that earlier group only in dead low cells, so it
+    is skipped.  The witness names the concrete first state and the first
+    violating state of the first violating group.
     """
     system = RiscSystem(program, cfg)
     scope = _scope_names(system, check)
@@ -552,12 +578,17 @@ def check_pni(
     highs = cfg.cells_of_level(HIGH)
     _charge(cfg.word_values ** len(highs), "initial states per low group", check.budget)
 
+    canonical = system.canonical
+    compared: set[int] = set()  # the canonical references of the groups compared
     for _, states in _initial_groups(system):
-        ref = states[0]
+        ref = canonical(states[0])
+        if ref in compared:
+            continue  # this group's canonical states are an earlier group's
+        compared.add(ref)
         ref_counts = comp.trace_counts(ref, scoped.initial, check.depth)
         for other in states[1:]:
-            if comp.trace_counts(other, scoped.initial, check.depth) != ref_counts:
-                witness = _pni_witness(system, comp, scoped, ref, other, check.depth)
+            if comp.trace_counts(canonical(other), scoped.initial, check.depth) != ref_counts:
+                witness = _pni_witness(system, comp, scoped, states[0], other, check.depth)
                 return Verdict("pni", "violation", check.depth, witness)
     return Verdict("pni", "secure-up-to-bound", check.depth)
 

@@ -402,14 +402,27 @@ def test_check_poni_budget_trips_before_enumerating_masks(tmp_path, capsys):
 
 def test_check_poni_budget_trips_before_walking_a_level(tmp_path, capsys):
     # 12 faulty bits at width 2: 4,096 masks and 4,032 seed pairs, each under
-    # the limit, but the first level walks 4,096 * 4,032 faulted step pairs
+    # the limit; the seeds collapse to 3 pairs that differ on cells live at
+    # pc 0, but the first level still walks 4,096 * 3 faulted step pairs
     out = compile_padded_if(tmp_path, capsys, 2)
     run = _cli(
         "check", out, "--mode", "poni", "--depth", "3", "--width", "2",
         timeout=5, FTNI_BUDGET="5000",
     )
     assert run.returncode == 4
-    assert "faulted step pairs: 16515072 exceeds the limit of 5000" in run.stderr
+    assert "faulted step pairs: 12288 exceeds the limit of 5000" in run.stderr
+
+
+def test_check_poni_full_scope_returns_a_verdict_under_the_default_budget(
+    tmp_path, capsys, monkeypatch
+):
+    # 12 faulty bits at width 2: without the liveness quotient the first
+    # level alone is 16,515,072 faulted step pairs, far over the budget
+    monkeypatch.delenv("FTNI_BUDGET", raising=False)
+    out = compile_padded_if(tmp_path, capsys, 2)
+    code, stdout, err = invoke(capsys, "check", out, "--mode", "poni", "--depth", "4", "--width", "2")
+    assert code == 0, err
+    assert json.loads(stdout)["status"] == "secure-up-to-bound"
 
 
 def test_check_pni_budget_trips_while_composing(tmp_path, capsys):

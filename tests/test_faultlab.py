@@ -321,3 +321,23 @@ def test_trace_probability_matches_run_enumeration_for_every_short_trace():
             assert comp.trace_probability(state, "E0", (output("high", 0),)) == 0
             assert comp.trace_probability(state, "E0", (TAU, output("low", 7))) == 0
             assert trace_probability(system, env, state, "E1", (output("low", 7),)) == 0
+
+
+def test_trace_counts_with_a_prefix_follow_only_the_matching_steps():
+    rng = Random(58)
+    system = random_table_system(rng, n_locations=3, n_faulty=2)
+    env = uniform_environment(Fraction(1, 4), system.faulty_names)
+    for state in system.all_states():
+        comp = Composition(system, env)
+        every = comp.trace_counts(state, "E0", 3)
+        for trace in every:
+            actions = tuple(system.observations[code] for code in trace)
+            for cut in range(4):
+                assert comp.trace_counts(state, "E0", 3, actions[:cut]) == {
+                    t: count
+                    for t, count in every.items()
+                    if tuple(system.observations[code] for code in t[:cut]) == actions[:cut]
+                }
+        fresh = Composition(system, env)
+        assert fresh.trace_probability(state, "E0", (output("high", 5),) * 3) == 0
+        assert fresh.steps_taken == 4  # the start state's 4 fault sets, and no more

@@ -4,8 +4,9 @@ import itertools
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ftnilab.faultlab import TAU, flip, low, output
+from ftnilab.faultlab import TAU, faulted_steps, flip, low, output
 from ftnilab.machine import (
     HIGH,
     LOW,
@@ -25,7 +26,7 @@ from ftnilab.machine import (
     structurally_equivalent,
     validate_program,
 )
-from ftnilab.verify import random_risc_program
+from ftnilab.verify import default_scope, random_risc_program
 
 
 def cfg_w(width, mem=2, enable_jlez=False):
@@ -309,6 +310,55 @@ def test_integer_kernel_agrees_with_machine_step():
                 assert system.observations[public[0]] == low(action)
     assert {(op, None) for op in KERNEL_OPS if op != "out"} < seen
     assert {("out", "low"), ("out", "high")} < seen
+
+
+# Cells: rl0, rh0, m0, m1.  The loop 1-4 has its back edge at 4, the jz at 1
+# leaves it for 5 or falls through to 2, rl0 is overwritten before it is read
+# at 0 and at 2, both outs read rl0, m1 is never read, and pcs 6 and 7 are
+# past the end.
+LIVENESS_PROGRAM = """\
+movek rl0 1
+top: jz done rh0
+load rl0 0
+out low rl0
+jmp top
+done: out low rl0
+"""
+LIVE_AT = ["rh0 m0", "rl0 rh0 m0", "rh0 m0", "rl0 rh0 m0", "rl0 rh0 m0", "rl0", "", ""]
+
+
+def test_canonical_keeps_the_pc_and_the_cells_live_there():
+    cfg = standard_config(2, 1, 1, (LOW, HIGH))
+    system = RiscSystem(assemble(LIVENESS_PROGRAM), cfg)
+    assert system._keep is None  # built on first use, not by the constructor
+    assert system.pc_bits == 3
+    for pc, names in enumerate(LIVE_AT):
+        full = system.encode(MachineState(pc, (3, 3), (3, 3)))
+        kept = system.canonical(full)
+        assert system.decode(kept).pc == pc
+        ones = {name for name, bit in system.bits_of(kept).items() if bit}
+        pc_ones = {f"pc_{b}" for b in range(3) if pc >> b & 1}
+        assert ones == pc_ones | {f"{cell}_{b}" for cell in names.split() for b in (0, 1)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 2))
+def test_canonical_states_take_the_same_public_faulted_steps(seed, width):
+    """The quotient is exact: from every state, under every mask in scope,
+    the checkers' faulted steps equal those of its canonical form, and the
+    canonical form is its own."""
+    cfg = standard_config(width, 1, 1, (LOW, HIGH), enable_jlez=True)
+    system = RiscSystem(random_kernel_program(Random(seed), cfg, 6), cfg)
+    scope = sorted(system.faulty_names) if width == 1 else default_scope(system)
+    masks = [system.mask_of(names) for names in itertools.chain.from_iterable(
+        itertools.combinations(scope, r) for r in range(len(scope) + 1))]
+    for state in system.all_states():
+        canon = system.canonical(state)
+        assert system.canonical(canon) == canon
+        assert canon & ~state == 0
+        assert faulted_steps(system, state, masks, True) == faulted_steps(
+            system, canon, masks, True
+        )
 
 
 def test_structural_equivalence_ignores_register_names():

@@ -712,6 +712,16 @@ def test_compiled_program_is_ss_and_poni_secure():
     assert check_poni(result.program, cfg, CheckConfig(depth=4, fault_scope=scope)).secure
 
 
+def test_full_scope_poni_is_secure_on_the_width_2_corpus():
+    """Every faulty bit in scope, under the default budget: the liveness
+    quotient keeps each walk to the cells live at each pc."""
+    for name, text in CORPUS:
+        src = parse(text)
+        cfg = config_for_source(src, 2)
+        program = compile_program(src, cfg).program
+        assert check_poni(program, cfg, CheckConfig(depth=4)).secure, name
+
+
 # -- random generators ---------------------------------------------------------------
 
 
