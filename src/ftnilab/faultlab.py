@@ -651,22 +651,3 @@ class Composition:
         counts = self.trace_counts(state, env_state, len(trace), tuple(trace))
         return Fraction(sum(counts.values()), self.denominator ** len(trace))
 
-
-def trace_probability(
-    system: FaultProneSystem,
-    env: EnvironmentSpec,
-    state: int,
-    env_state: str,
-    trace: tuple[Action, ...],
-) -> Fraction:
-    return Composition(system, env).trace_probability(state, env_state, trace)
-
-
-def trace_distribution(
-    system: FaultProneSystem,
-    env: EnvironmentSpec,
-    state: int,
-    env_state: str,
-    depth: int,
-) -> dict[tuple[Action, ...], Fraction]:
-    return Composition(system, env).trace_distribution(state, env_state, depth)

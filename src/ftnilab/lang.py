@@ -383,7 +383,29 @@ def guard_holds(value: int, positive: bool, width: int) -> bool:
 
 
 def step_while(cmd: Cmd, memory: Memory, width: int) -> tuple[Action, Cmd, Memory] | None:
-    """One small step; sequences contract in the same step their head finishes."""
+    """One small step; sequences contract in the same step their head finishes.
+
+    A sequence steps its head: the left spine of nested sequences is walked
+    down to its first command in a loop, and the residual is rebuilt on the
+    way back up, so a long left-nested sequence needs no deep recursion.
+    """
+    rest: list[Cmd] = []
+    while isinstance(cmd, Seq):
+        rest.append(cmd.second)
+        cmd = cmd.first
+    result = _step_head(cmd, memory, width)
+    if not rest:
+        return result
+    if result is None:
+        raise ValueError("sequence head is already terminated")
+    action, residual, memory = result
+    for second in reversed(rest):
+        residual = second if isinstance(residual, Done) else Seq(residual, second)
+    return (action, residual, memory)
+
+
+def _step_head(cmd: Cmd, memory: Memory, width: int) -> tuple[Action, Cmd, Memory] | None:
+    """One small step of a command that is not a sequence."""
     if isinstance(cmd, Done):
         return None
     if isinstance(cmd, Skip):
@@ -404,14 +426,6 @@ def step_while(cmd: Cmd, memory: Memory, width: int) -> tuple[Action, Cmd, Memor
         if guard_holds(memory[cmd.var], cmd.positive, width):
             return (TAU, Seq(cmd.body, cmd), memory)
         return (TAU, DONE, memory)
-    if isinstance(cmd, Seq):
-        result = step_while(cmd.first, memory, width)
-        if result is None:
-            raise ValueError("sequence head is already terminated")
-        action, first2, memory2 = result
-        if isinstance(first2, Done):
-            return (action, cmd.second, memory2)
-        return (action, Seq(first2, cmd.second), memory2)
     raise ValueError(f"cannot step {cmd}")
 
 

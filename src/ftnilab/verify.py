@@ -24,9 +24,12 @@ canonical successors.  This is exact.  A dead cell is written on every path
 from its pc before it is read, and faults never move the pc off those
 paths, so states with one canonical form show the same public actions
 under every fault sequence, and their successors under one mask again
-share a canonical form.  It leaves verdicts and witnesses unchanged: in
-the product order the checkers enumerate starts in, a class's first
-concrete member is the one with every dead cell zero, its canonical state.
+share a canonical form.  The starts are drawn over the cells live at pc 0
+only, with every other cell 0 (``_initial_groups``), so they are canonical
+already.  Verdicts and witnesses are those of a walk from every concrete
+start: in product order, a class's first concrete member is the one with
+every dead cell zero, its canonical state, and two such members compare as
+their live cells do.
 
 Verdicts are ``secure-up-to-bound`` or ``violation``; violations carry a
 replayable witness.
@@ -98,14 +101,13 @@ class CheckConfig:
     work, charged by every checker: strong security, the running total of
     low assignments it walks over the point pairs it reaches before it walks
     each pair, and the running total of ``effect`` evaluations its summaries
-    make before it builds each; POni, its fault masks and initial state pairs
-    (over the whole state space) before it builds them, then the running
-    total of faulted step pairs (canonical frontier pairs times masks)
-    before it walks each level; PNI, one low group's initial states (over
-    the whole state space) before it builds them, then the running total of
-    faulted steps the composition takes (canonical composed states times
-    their fault sets) before it takes each state's.  A negative depth is
-    refused; depth 0 is the vacuous bound.
+    make before it builds each; POni, its fault masks before it builds them;
+    POni and PNI, their initial states (over the cells live at pc 0) before
+    they build them; then POni the running total of faulted step pairs
+    (canonical frontier pairs times masks) before it walks each level, and
+    PNI the running total of faulted steps the composition takes (canonical
+    composed states times their fault sets) before it takes each state's.  A
+    negative depth is refused; depth 0 is the vacuous bound.
     """
 
     depth: int = 4
@@ -419,16 +421,26 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
 # ---------------------------------------------------------------------------
 
 
-def _initial_groups(system: RiscSystem):
-    """Yield (lo_vec, [encoded states sharing that low part]) at pc 0, in
-    product order over the low and then the high cells."""
+def _initial_groups(system: RiscSystem, budget: int):
+    """The states at pc 0 over the low and high cells live there, grouped
+    by their low part, in product order over the live low and then the live
+    high cells; every other cell is 0, so each state is canonical.
+
+    Their number, ``word_values ** (#live low + #live high)``, is charged as
+    ``initial states`` before anything is built.
+    """
     cfg = system.cfg
+    lows, highs = (
+        [c for c in cfg.cells_of_level(level) if system.canonical(system.pack((c,), (1,)))]
+        for level in (LOW, HIGH)
+    )
+    _charge(cfg.word_values ** (len(lows) + len(highs)), "initial states", budget)
     values = range(cfg.word_values)
-    lows, highs = cfg.cells_of_level(LOW), cfg.cells_of_level(HIGH)
     hi_parts = [system.pack(highs, vec) for vec in itertools.product(values, repeat=len(highs))]
-    for lo_vec in itertools.product(values, repeat=len(lows)):
-        lo = system.pack(lows, lo_vec)
-        yield lo_vec, [lo | hi for hi in hi_parts]
+    return (
+        [system.pack(lows, lo_vec) | hi for hi in hi_parts]
+        for lo_vec in itertools.product(values, repeat=len(lows))
+    )
 
 
 def check_poni(
@@ -443,17 +455,18 @@ def check_poni(
     once, and a pair compares the two rows' observation codes.
 
     The walk runs on canonical pairs (see the module docstring).  Its seeds
-    are the canonical forms of each low group's first state paired with
-    every other one, in ``_initial_groups`` order, once each, leaving out
-    pairs whose two states are equal: those can never split.
+    pair each low group's first state with every other one, in
+    ``_initial_groups`` order.
     """
     system = RiscSystem(program, cfg)
     scope = _scope_names(system, check)
     _charge(2 ** len(scope), "fault masks", check.budget)
-    # the seed pairs below: each low part's first state with every other one
-    words = cfg.word_values
-    lows, highs = cfg.cells_of_level(LOW), cfg.cells_of_level(HIGH)
-    _charge(words ** len(lows) * (words ** len(highs) - 1), "initial state pairs", check.budget)
+    # each explored pair maps to (the pair it came from, the mask's index)
+    parent: dict[tuple[int, int], tuple | None] = {
+        (states[0], other): None
+        for states in _initial_groups(system, check.budget)
+        for other in states[1:]
+    }
     masks = sorted(system.mask_of(subset) for subset in _subsets(scope))
     # per state, its fault row: the observation code and the successor per mask
     rows: dict[int, tuple[tuple, tuple]] = {}
@@ -464,15 +477,6 @@ def check_poni(
             found = rows[state] = tuple(zip(*faulted_steps(system, state, masks, True)))
         return found
 
-    # each explored pair maps to (the pair it came from, the mask's index)
-    canonical = system.canonical
-    parent: dict[tuple[int, int], tuple | None] = {}
-    for _, states in _initial_groups(system):
-        first = canonical(states[0])
-        for other in states[1:]:
-            pair = (first, canonical(other))
-            if pair[0] != pair[1]:
-                parent.setdefault(pair, None)
     frontier = list(parent)
 
     violation = None
@@ -562,10 +566,8 @@ def check_pni(
     bound only, on the integer trace counts of ``Composition.trace_counts``;
     a violation witness reports the shortest differing trace.
 
-    Counts are taken from canonical states (see the module docstring), once
-    per distinct one.  A low group whose canonical first state was already a
-    reference differs from that earlier group only in dead low cells, so it
-    is skipped.  The witness names the concrete first state and the first
+    Counts are taken from the canonical states of ``_initial_groups`` (see
+    the module docstring); the witness names the first state and the first
     violating state of the first violating group.
     """
     system = RiscSystem(program, cfg)
@@ -575,19 +577,10 @@ def check_pni(
     comp = Composition(
         system, scoped, lambda taken: _charge(taken, "faulted steps composed", check.budget)
     )
-    highs = cfg.cells_of_level(HIGH)
-    _charge(cfg.word_values ** len(highs), "initial states per low group", check.budget)
-
-    canonical = system.canonical
-    compared: set[int] = set()  # the canonical references of the groups compared
-    for _, states in _initial_groups(system):
-        ref = canonical(states[0])
-        if ref in compared:
-            continue  # this group's canonical states are an earlier group's
-        compared.add(ref)
-        ref_counts = comp.trace_counts(ref, scoped.initial, check.depth)
+    for states in _initial_groups(system, check.budget):
+        ref_counts = comp.trace_counts(states[0], scoped.initial, check.depth)
         for other in states[1:]:
-            if comp.trace_counts(canonical(other), scoped.initial, check.depth) != ref_counts:
+            if comp.trace_counts(other, scoped.initial, check.depth) != ref_counts:
                 witness = _pni_witness(system, comp, scoped, states[0], other, check.depth)
                 return Verdict("pni", "violation", check.depth, witness)
     return Verdict("pni", "secure-up-to-bound", check.depth)

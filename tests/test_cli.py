@@ -299,9 +299,8 @@ def test_check_budget_exit_4(tmp_path, capsys, monkeypatch):
 
 
 FAULT_FREE_ENV = "start E0\ntrans E0 * E0\nfault E0 - 1\n"
-# No side-car: every cell is high.  At width 4 the six high cells give 16**6
-# initial states per low group; at width 8 a brute-force witness search over
-# them would take 256**6 steps.
+# No side-car: every cell is high.  At width 8 a brute-force witness search
+# over the six high cells would take 256**6 steps.
 SIX_HIGH_CELLS_LEAK = "load rh1 1\nstore 2 rh1\nstore 3 rh1\nout low rh0\n"
 
 
@@ -319,14 +318,20 @@ def test_check_rejects_malformed_budget(tmp_path, capsys, monkeypatch, value, mo
 
 
 def test_check_pni_budget_trips_before_building_initial_states(tmp_path):
-    asm = write(tmp_path, "leak.s", SIX_HIGH_CELLS_LEAK)
+    # every high cell is read before it is written, so all six are live at
+    # pc 0: 16**6 initial states
+    asm = write(
+        tmp_path,
+        "live.s",
+        "out low rh0\nout high rh1\n" + "".join(f"load rh1 {a}\n" for a in range(4)),
+    )
     env = write(tmp_path, "env.txt", FAULT_FREE_ENV)
     run = _cli(
         "check", asm, "--mode", "pni", "--depth", "2", "--width", "4", "--env", env,
         timeout=5, FTNI_BUDGET="1000",
     )
     assert run.returncode == 4
-    assert "initial states per low group: 16777216 exceeds the limit of 1000" in run.stderr
+    assert "initial states: 16777216 exceeds the limit of 1000" in run.stderr
 
 
 def test_check_ss_witness_searches_only_the_high_cells_read(tmp_path):
@@ -401,9 +406,9 @@ def test_check_poni_budget_trips_before_enumerating_masks(tmp_path, capsys):
 
 
 def test_check_poni_budget_trips_before_walking_a_level(tmp_path, capsys):
-    # 12 faulty bits at width 2: 4,096 masks and 4,032 seed pairs, each under
-    # the limit; the seeds collapse to 3 pairs that differ on cells live at
-    # pc 0, but the first level still walks 4,096 * 3 faulted step pairs
+    # 12 faulty bits at width 2: 4,096 masks and 3 seed pairs, over the cells
+    # live at pc 0, each under the limit, but the first level walks 4,096 * 3
+    # faulted step pairs
     out = compile_padded_if(tmp_path, capsys, 2)
     run = _cli(
         "check", out, "--mode", "poni", "--depth", "3", "--width", "2",

@@ -23,8 +23,6 @@ from ftnilab.faultlab import (
     low,
     output,
     scripted_environment,
-    trace_distribution,
-    trace_probability,
     uniform_environment,
 )
 from ftnilab.verify import random_table_system
@@ -184,7 +182,7 @@ def test_termination_transparent_step():
 def test_trace_probability_empty_trace():
     system = three_bit_system()
     env = uniform_environment(Fraction(1, 2), system.faulty_names)
-    assert trace_probability(system, env, 0, "E0", ()) == 1
+    assert Composition(system, env).trace_probability(0, "E0", ()) == 1
 
 
 def test_trace_probability_leaky_demo():
@@ -192,8 +190,9 @@ def test_trace_probability_leaky_demo():
     transitions = {0: (output("low", 0), 0), 1: (output("low", 1), 1)}
     system = TableSystem(locs("|s"), transitions)
     env = uniform_environment(Fraction(1, 4), frozenset())
-    assert trace_probability(system, env, 1, "E0", (output("low", 1),)) == 1
-    assert trace_probability(system, env, 0, "E0", (output("low", 1),)) == 0
+    comp = Composition(system, env)
+    assert comp.trace_probability(1, "E0", (output("low", 1),)) == 1
+    assert comp.trace_probability(0, "E0", (output("low", 1),)) == 0
 
 
 def test_trace_distribution_sums_to_one_small_depths():
@@ -216,7 +215,7 @@ def test_trace_distribution_matches_run_enumeration():
         by_runs: dict = {}
         for run in enumerate_runs(system, env, state, "E0", 3):
             by_runs[run.trace] = by_runs.get(run.trace, Fraction(0)) + run.probability
-        dist = trace_distribution(system, env, state, "E0", 3)
+        dist = Composition(system, env).trace_distribution(state, "E0", 3)
         by_runs = {t: p for t, p in by_runs.items() if p != 0}
         dist = {t: p for t, p in dist.items() if p != 0}
         assert by_runs == dist
@@ -320,7 +319,8 @@ def test_trace_probability_matches_run_enumeration_for_every_short_trace():
                     )
             assert comp.trace_probability(state, "E0", (output("high", 0),)) == 0
             assert comp.trace_probability(state, "E0", (TAU, output("low", 7))) == 0
-            assert trace_probability(system, env, state, "E1", (output("low", 7),)) == 0
+            fresh = Composition(system, env)
+            assert fresh.trace_probability(state, "E1", (output("low", 7),)) == 0
 
 
 def test_trace_counts_with_a_prefix_follow_only_the_matching_steps():

@@ -162,6 +162,14 @@ def test_run_while_budget_and_outputs():
     assert not done and steps == 3
 
 
+def test_run_while_steps_a_long_sequence():
+    # the parser nests a sequence to the left, 2,000 levels deep here
+    body = parse("low x;" + " x := x + 1;" * 1999 + " out low x").body
+    outs, mem, steps, done = run_while(body, {"x": 0}, 16, 10_000)
+    assert done and steps == 2000 and mem == {"x": 1999}
+    assert [str(a) for a in outs] == ["low!1999"]
+
+
 def test_low_equal_ignores_high_variables():
     levels = {"x": LOW, "h": HIGH}
     assert low_equal({"x": 1, "h": 0}, {"x": 1, "h": 3}, levels)

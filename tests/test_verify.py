@@ -37,6 +37,7 @@ from ftnilab.seccomp import (
     compile_program,
 )
 from ftnilab.verify import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     CheckConfig,
     _SSTables,
@@ -392,6 +393,23 @@ def test_pni_agrees_with_poni_on_examples():
         assert poni.secure == all(pni_results)
 
 
+def every_initial_group(system):
+    """Every data state at pc 0, in product order over the registers and then
+    the memory, encoded and grouped by the values of its low cells: the
+    oracles compare every concrete start, whatever is live."""
+    cfg = system.cfg
+    values = range(cfg.word_values)
+    groups: dict = {}
+    for regs in itertools.product(values, repeat=len(cfg.registers)):
+        for mem in itertools.product(values, repeat=cfg.memory_size):
+            low_part = tuple(
+                v for v, (_, lev) in zip(regs, cfg.registers) if lev is LOW
+            ) + tuple(v for v, lev in zip(mem, cfg.memory_levels) if lev is LOW)
+            state = system.encode(MachineState(0, regs, mem))
+            groups.setdefault(low_part, []).append(state)
+    return list(groups.values())
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -402,37 +420,42 @@ def test_pni_agrees_with_poni_on_examples():
     ids=["w1-interleaved", "w2-interleaved", "w2-pool"],
 )
 def test_initial_groups_match_a_state_by_state_enumeration(cfg):
-    # Every data state at pc 0, in product order over the registers and then
-    # the memory, encoded and grouped by the values of its low cells.
-    system = RiscSystem(assemble("nop"), cfg)
-    values = range(cfg.word_values)
-    reference: dict = {}
-    for regs in itertools.product(values, repeat=len(cfg.registers)):
-        for mem in itertools.product(values, repeat=cfg.memory_size):
-            low_part = tuple(
-                v for v, (_, lev) in zip(regs, cfg.registers) if lev is LOW
-            ) + tuple(v for v, lev in zip(mem, cfg.memory_levels) if lev is LOW)
-            state = system.encode(MachineState(0, regs, mem))
-            reference.setdefault(low_part, []).append(state)
-    assert list(_initial_groups(system)) == list(reference.items())
+    # The seeds are the full enumeration taken to canonical form, with the
+    # states and groups that repeat an earlier one dropped.  The programs
+    # leave every cell dead at pc 0 (nop), or some low and some high cells
+    # live and others dead.
+    for text in (
+        "nop",
+        "out low rl0\nload rh0 1\nout low rh0",
+        "out high rh0\nmovek rl0 1\nout low rl0",
+        "jz l0 rh0\nload rl0 0\nl0: out low rl0",
+    ):
+        system = RiscSystem(assemble(text), cfg)
+        every = every_initial_group(system)
+        expected: list = []
+        for states in every:
+            canonical = list(dict.fromkeys(map(system.canonical, states)))
+            if canonical not in expected:
+                expected.append(canonical)
+        assert list(_initial_groups(system, DEFAULT_BUDGET)) == expected, text
 
     data_bits = cfg.width * (len(cfg.registers) + cfg.memory_size)
     assert system.low_mask & system.high_mask == 0
     assert system.low_mask | system.high_mask == (1 << data_bits) - 1
     # the low mask keeps exactly what the low cells hold
-    low_parts = [{s & system.low_mask for s in states} for states in reference.values()]
+    low_parts = [{s & system.low_mask for s in states} for states in every]
     assert all(len(parts) == 1 for parts in low_parts)
-    assert len(set().union(*low_parts)) == len(reference)
+    assert len(set().union(*low_parts)) == len(every)
 
 
 def brute_force_poni(program, cfg, check):
     """Independent oracle: materialize and compare fault-annotated trace sets."""
     from ftnilab.faultlab import enumerate_augmented_runs
-    from ftnilab.verify import _initial_groups, _scope_names
+    from ftnilab.verify import _scope_names
 
     system = RiscSystem(program, cfg)
     scope = _scope_names(system, check)
-    for _, states in _initial_groups(system):
+    for states in every_initial_group(system):
         sets = [
             frozenset(run.trace for run in enumerate_augmented_runs(system, s, check.depth, scope))
             for s in states
@@ -530,7 +553,7 @@ def test_pni_integer_weights_match_the_fraction_oracle(text):
     comp = Composition(system, env)
     assert comp.denominator == 12
     secure = True
-    for _, states in _initial_groups(system):
+    for states in every_initial_group(system):
         dists = []
         for state in states:
             oracle: dict = {}
@@ -595,7 +618,7 @@ def test_pni_matches_the_run_oracle_under_an_observing_attacker(text, width):
     depth = 3
     comp = Composition(system, env)
     secure = True
-    for _, states in _initial_groups(system):
+    for states in every_initial_group(system):
         dists = []
         for state in states:
             oracle: dict = {}
@@ -720,6 +743,22 @@ def test_full_scope_poni_is_secure_on_the_width_2_corpus():
         cfg = config_for_source(src, 2)
         program = compile_program(src, cfg).program
         assert check_poni(program, cfg, CheckConfig(depth=4)).secure, name
+
+
+def test_fault_checkers_are_secure_on_the_width_4_corpus():
+    """At width 4, under the default budget and the default scope: the seeds
+    are drawn over the cells live at pc 0 only, so ``out_after_padded_if``
+    seeds 15 pairs where the whole initial product has 16,773,120."""
+    for name, text in CORPUS:
+        src = parse(text)
+        cfg = config_for_source(src, 4)
+        program = compile_program(src, cfg).program
+        scope = default_scope(RiscSystem(program, cfg))
+        poni = check_poni(program, cfg, CheckConfig(depth=4, fault_scope=scope))
+        assert poni.status == "secure-up-to-bound", name
+        env = uniform_environment(Fraction(1, 4), scope)
+        pni = check_pni(program, cfg, env, CheckConfig(depth=3, fault_scope=scope))
+        assert pni.status == "secure-up-to-bound", name
 
 
 # -- random generators ---------------------------------------------------------------
