@@ -14,11 +14,13 @@ by ``check`` and ``demo-hash``, sets the checkers' one limit on work
 and the running total of effect evaluations its per-point summaries make
 (word values to the power of the high cells read) before each summary; the
 possibilistic checker its fault masks before it builds them; both fault
-checkers their initial states, over the cells live at pc 0, before they
-build them; then the possibilistic checker the running total of faulted
-step pairs (frontier times masks) before each level, and the probabilistic
-checker the running total of faulted steps it composes (composed states
-times their fault sets) before each expansion.
+checkers the running total of their initial states, over the cells live at
+pc 0, before they build each low group of them; then the possibilistic
+checker the running total of faulted step pairs (frontier times masks)
+before each level, and the probabilistic checker the running total of
+faulted steps it composes (composed states times their fault sets) before
+each expansion.  The timing sweep of ``demo-hash`` charges its starts
+against the default limit, whatever FTNI_BUDGET says.
 Any other value exits 64, as do a ``--width`` or ``--depth`` below 1, a
 ``--steps`` below 0 and a ``--mem`` value outside the machine word.  A
 side-car that is not JSON or does not describe a machine (a width below 1,

@@ -9,7 +9,7 @@ independent formula to validate the computed hashes against.
 from __future__ import annotations
 
 from .lang import SourceProgram, parse
-from .machine import HIGH, LOW, MachineConfig
+from .machine import MachineConfig, standard_config
 
 # name -> source text; all compile with two registers per level.
 CORPUS: tuple[tuple[str, str], ...] = (
@@ -77,10 +77,8 @@ def config_for_source(
     enable_jlez: bool = False,
 ) -> MachineConfig:
     """Machine sized for a source program: one memory cell per declaration."""
-    regs = tuple((f"rl{i}", LOW) for i in range(low_regs)) + tuple(
-        (f"rh{i}", HIGH) for i in range(high_regs)
-    )
-    return MachineConfig(width, regs, tuple(level for _, level in src.levels), enable_jlez)
+    levels = tuple(level for _, level in src.levels)
+    return standard_config(width, low_regs, high_regs, levels, enable_jlez)
 
 
 # ---------------------------------------------------------------------------

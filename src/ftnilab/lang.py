@@ -385,23 +385,39 @@ def guard_holds(value: int, positive: bool, width: int) -> bool:
 def step_while(cmd: Cmd, memory: Memory, width: int) -> tuple[Action, Cmd, Memory] | None:
     """One small step; sequences contract in the same step their head finishes.
 
-    A sequence steps its head: the left spine of nested sequences is walked
-    down to its first command in a loop, and the residual is rebuilt on the
-    way back up, so a long left-nested sequence needs no deep recursion.
+    The residual is ``_step_seq``'s head with its pending commands folded back on.
     """
     rest: list[Cmd] = []
+    result = _step_seq(cmd, rest, memory, width)
+    if result is None:
+        return None
+    action, residual, memory = result
+    for second in reversed(rest):
+        residual = Seq(residual, second)
+    return (action, residual, memory)
+
+
+def _step_seq(
+    cmd: Cmd, rest: list[Cmd], memory: Memory, width: int
+) -> tuple[Action, Cmd, Memory] | None:
+    """One small step of ``cmd`` followed by the stack ``rest`` (next on top).
+
+    The left spine is pushed onto ``rest`` and its first command steps; a
+    finished head gives way to the next pending command.  ``run_while`` keeps
+    ``rest`` across steps, so a straight-line run costs linear time.
+    """
     while isinstance(cmd, Seq):
         rest.append(cmd.second)
         cmd = cmd.first
     result = _step_head(cmd, memory, width)
-    if not rest:
-        return result
     if result is None:
-        raise ValueError("sequence head is already terminated")
-    action, residual, memory = result
-    for second in reversed(rest):
-        residual = second if isinstance(residual, Done) else Seq(residual, second)
-    return (action, residual, memory)
+        if rest:
+            raise ValueError("sequence head is already terminated")
+        return None
+    action, cmd, memory = result
+    while isinstance(cmd, Done) and rest:
+        cmd = rest.pop()
+    return (action, cmd, memory)
 
 
 def _step_head(cmd: Cmd, memory: Memory, width: int) -> tuple[Action, Cmd, Memory] | None:
@@ -434,9 +450,10 @@ def run_while(
 ) -> tuple[list[Action], Memory, int, bool]:
     """Run to termination or budget; returns (outputs, memory, steps, terminated)."""
     outputs: list[Action] = []
+    rest: list[Cmd] = []
     steps = 0
     while steps < max_steps:
-        result = step_while(cmd, memory, width)
+        result = _step_seq(cmd, rest, memory, width)
         if result is None:
             return outputs, memory, steps, True
         action, cmd, memory = result

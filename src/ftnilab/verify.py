@@ -25,7 +25,8 @@ from its pc before it is read, and faults never move the pc off those
 paths, so states with one canonical form show the same public actions
 under every fault sequence, and their successors under one mask again
 share a canonical form.  The starts are drawn over the cells live at pc 0
-only, with every other cell 0 (``_initial_groups``), so they are canonical
+only, with every other cell 0 (``_initial_groups``, which the timing sweep
+of ``check_timing_balance`` draws from too), so they are canonical
 already.  Verdicts and witnesses are those of a walk from every concrete
 start: in product order, a class's first concrete member is the one with
 every dead cell zero, its canonical state, and two such members compare as
@@ -102,12 +103,14 @@ class CheckConfig:
     low assignments it walks over the point pairs it reaches before it walks
     each pair, and the running total of ``effect`` evaluations its summaries
     make before it builds each; POni, its fault masks before it builds them;
-    POni and PNI, their initial states (over the cells live at pc 0) before
-    they build them; then POni the running total of faulted step pairs
-    (canonical frontier pairs times masks) before it walks each level, and
-    PNI the running total of faulted steps the composition takes (canonical
-    composed states times their fault sets) before it takes each state's.  A
-    negative depth is refused; depth 0 is the vacuous bound.
+    POni and PNI, the running total of their initial states (over the cells
+    live at pc 0) before they build each low group; then POni the running
+    total of faulted step pairs (canonical frontier pairs times masks)
+    before it walks each level, and PNI the running total of faulted steps
+    the composition takes (canonical composed states times their fault sets)
+    before it takes each state's.  The timing sweep takes no ``CheckConfig``
+    and charges its starts against ``DEFAULT_BUDGET``.  A negative depth is
+    refused; depth 0 is the vacuous bound.
     """
 
     depth: int = 4
@@ -422,25 +425,27 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
 
 
 def _initial_groups(system: RiscSystem, budget: int):
-    """The states at pc 0 over the low and high cells live there, grouped
-    by their low part, in product order over the live low and then the live
-    high cells; every other cell is 0, so each state is canonical.
+    """The start states: the states at pc 0 over the low and high cells live
+    there, grouped by their low part, in product order over the live low and
+    then the live high cells; every other cell is 0, so each state is
+    canonical.  The first group has every low cell at 0.
 
-    Their number, ``word_values ** (#live low + #live high)``, is charged as
-    ``initial states`` before anything is built.
+    The running total of states, ``word_values ** #live high`` per group, is
+    charged as ``initial states`` before each group is built, so a caller
+    that stops early pays only for the groups it took.
     """
     cfg = system.cfg
     lows, highs = (
         [c for c in cfg.cells_of_level(level) if system.canonical(system.pack((c,), (1,)))]
         for level in (LOW, HIGH)
     )
-    _charge(cfg.word_values ** (len(lows) + len(highs)), "initial states", budget)
     values = range(cfg.word_values)
-    hi_parts = [system.pack(highs, vec) for vec in itertools.product(values, repeat=len(highs))]
-    return (
-        [system.pack(lows, lo_vec) | hi for hi in hi_parts]
-        for lo_vec in itertools.product(values, repeat=len(lows))
-    )
+    size = cfg.word_values ** len(highs)
+    for n, lo_vec in enumerate(itertools.product(values, repeat=len(lows)), 1):
+        _charge(n * size, "initial states", budget)
+        lo = system.pack(lows, lo_vec)
+        hi_vecs = itertools.product(values, repeat=len(highs))
+        yield [lo | system.pack(highs, hi_vec) for hi_vec in hi_vecs]
 
 
 def check_poni(
@@ -643,8 +648,13 @@ def check_timing_balance(result: CompileResult, cfg: MachineConfig) -> tuple[boo
     region from its start, a ``jmp`` follows its target, every other
     instruction (a ``jz`` included) falls through, and each pc counts once.
     A nested padded conditional thus counts one arm, as a run takes it.
-    Dynamically, runs from every assignment of the high cells (low cells at
-    zero) must produce identical sequences of (step index, low output).
+    Dynamically, runs on ``RiscSystem.step`` from the first
+    ``_initial_groups`` group (every low cell 0) must produce identical
+    sequences of (step index, low output).  That is the sweep over every
+    assignment of the high cells: a cell dead at pc 0 cannot change a run,
+    so the first failing assignment in product order has it at 0, and the
+    witness's ``high`` reads every high cell of that start.  The starts are
+    charged as ``initial states`` against ``DEFAULT_BUDGET``.
     Termination time by itself is not an observation: stuck states
     silently idle in this model.
     """
@@ -669,27 +679,26 @@ def check_timing_balance(result: CompileResult, cfg: MachineConfig) -> tuple[boo
         balanced = balanced and ok
         sites.append({"then_len": then_len, "else_len": else_len, "balanced": ok})
 
-    highs = cfg.cells_of_level(HIGH)
+    system = RiscSystem(program, cfg)
     observations = None
     sweep_ok = True
     witness = None
-    for hi_vec in itertools.product(range(cfg.word_values), repeat=len(highs)):
-        state = _build_state(cfg, highs, hi_vec)
+    for start in next(_initial_groups(system, DEFAULT_BUDGET)):
+        state = start
         timed: list[tuple[int, str]] = []
-        steps = 0
-        while steps < TIMING_MAX_STEPS:
-            outcome = machine_step(program, state, cfg)
+        for index in range(1, TIMING_MAX_STEPS + 1):
+            outcome = system.step(state)
             if outcome is None:
                 break
             action, state = outcome
-            steps += 1
             if action.channel == "low":
-                timed.append((steps, str(action)))
+                timed.append((index, str(action)))
         if observations is None:
             observations = timed
         elif timed != observations:
             sweep_ok = False
-            witness = {"high": list(hi_vec), "observed": timed, "expected": observations}
+            high = _cells_of(system.decode(start), cfg.cells_of_level(HIGH))
+            witness = {"high": list(high), "observed": timed, "expected": observations}
             break
     ok = balanced and sweep_ok
     return ok, {"sites": sites, "sweep_identical": sweep_ok, "sweep_witness": witness}

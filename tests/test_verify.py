@@ -27,7 +27,9 @@ from ftnilab.machine import (
     RiscProgram,
     assemble,
     disassemble,
+    initial_state,
     standard_config,
+    step,
 )
 from ftnilab.seccomp import (
     EMPTY_RECORD,
@@ -38,6 +40,7 @@ from ftnilab.seccomp import (
 )
 from ftnilab.verify import (
     DEFAULT_BUDGET,
+    TIMING_MAX_STEPS,
     BudgetExceeded,
     CheckConfig,
     _SSTables,
@@ -723,6 +726,79 @@ def test_timing_balance_trivial_skip_conditional():
     result, cfg = compile_text("high h; if h then skip else skip")
     ok, detail = check_timing_balance(result, cfg)
     assert ok and detail["sites"][0]["then_len"] == detail["sites"][0]["else_len"]
+
+
+def timing_sweep_oracle(program, cfg):
+    """Independent oracle for the dynamic half of the timing audit: a run on
+    ``machine.step`` from every assignment of every high cell, in product
+    order, with the low cells at 0; returns (identical, witness)."""
+    highs = cfg.cells_of_level(HIGH)
+    expected = None
+    for hi_vec in itertools.product(range(cfg.word_values), repeat=len(highs)):
+        state = _with_high(initial_state(cfg), highs, hi_vec)
+        timed = []
+        for index in range(1, TIMING_MAX_STEPS + 1):
+            outcome = step(program, state, cfg)
+            if outcome is None:
+                break
+            action, state = outcome
+            if action.channel == "low":
+                timed.append((index, str(action)))
+        if expected is None:
+            expected = timed
+        elif timed != expected:
+            return False, {"high": list(hi_vec), "observed": timed, "expected": expected}
+    return True, None
+
+
+def timing_cases():
+    """The corpus at widths 1-2, the shrunken hash, and raw random programs
+    whose jumps all go forward: a looping draw runs to the step cap from
+    every start, which is slow on the oracle."""
+    for width in (1, 2):
+        for name, text in CORPUS:
+            src = parse(text)
+            cfg = config_for_source(src, width)
+            yield f"{name} w{width}", compile_program(src, cfg), cfg
+    src = parse(SHRUNKEN_HASH, allow_positive_guards=True)
+    cfg = config_for_source(src, 2, enable_jlez=True)
+    yield "shrunken hash w2", compile_program(src, cfg), cfg
+    configs = (standard_config(1, 2, 2, (LOW, HIGH)), standard_config(2, 1, 2, (HIGH, LOW)))
+    for seed in range(300):
+        cfg = configs[seed % 2]
+        program = random_risc_program(Random(seed), cfg, 8)
+        jumps = [(pc, instr.target) for pc, instr in enumerate(program) if instr.target]
+        if all(program.resolve_label(target) > pc for pc, target in jumps):
+            raw = CompileResult(
+                program, Timing.exact(1), WriteEffect.ANY, {}, {}, (), cfg.width, (), EMPTY_RECORD
+            )
+            yield f"random {seed}", raw, cfg
+
+
+def test_timing_sweep_matches_the_full_product_oracle():
+    # The sweep runs only the starts over the high cells live at pc 0, on the
+    # integer machine; its verdict and witness must be the full product's.
+    failing = 0
+    for case, result, cfg in timing_cases():
+        ok, detail = check_timing_balance(result, cfg)
+        identical, witness = timing_sweep_oracle(result.program, cfg)
+        balanced = all(site["balanced"] for site in detail["sites"])
+        sweep = {"sweep_identical": identical, "sweep_witness": witness}
+        assert (ok, detail) == (balanced and identical, {"sites": detail["sites"], **sweep}), case
+        failing += not identical
+    assert failing >= 50
+
+
+def test_pni_charges_initial_states_one_low_group_at_a_time():
+    # 2 live low cells and 1 live high cell at width 8: 16,777,216 starts in
+    # all, but the first group of 256 already holds the violation.
+    program = assemble("out low rl0\nout low rl1\nout low rh0")
+    cfg = standard_config(8, 2, 1, ())
+    scope = default_scope(RiscSystem(program, cfg))
+    env = uniform_environment(Fraction(1, 4), scope)
+    verdict = check_pni(program, cfg, env, CheckConfig(depth=3, fault_scope=scope))
+    assert verdict.status == "violation"
+    assert replay_pni_witness(program, cfg, env, verdict.witness, CheckConfig(fault_scope=scope))
 
 
 # -- compiled programs pass the checkers ----------------------------------------------
