@@ -10,7 +10,12 @@ All three checkers enumerate concrete state spaces at small word widths:
   zeros in the rest; this is exact, because a cell that neither step reads
   or writes holds one value before and after on both sides, so it cannot
   tell them apart, and the zeros make a witness name the first failing low
-  part of the whole low space.
+  part of the whole low space.  A diagonal pair (p, p) whose instruction
+  reads no high cell takes one deterministic step on both sides, so it
+  cannot split; it is walked only over the low source of a ``jz``/``jlez``,
+  the one cell that moves its next pc, and over no cell otherwise.  The
+  first low part that reaches each successor is the same, so verdicts and
+  witnesses are those of the full walk.
 * ``check_poni`` compares the sets of fault-annotated traces of low-equal
   initial states, with the fault locations made observable.
 * ``check_pni`` compares exact trace probabilities of low-equal initial
@@ -101,8 +106,10 @@ class CheckConfig:
     possibilistic and probabilistic checkers; ``budget`` is the one limit on
     work, charged by every checker: strong security, the running total of
     low assignments it walks over the point pairs it reaches before it walks
-    each pair, and the running total of ``effect`` evaluations its summaries
-    make before it builds each; POni, its fault masks before it builds them;
+    each pair (a diagonal pair that reads no high cell walks one, or the
+    values of a conditional jump's source), and the running total of ``effect``
+    evaluations its summaries make before it builds each (none for a silent
+    step); POni, its fault masks before it builds them;
     POni and PNI, the running total of their initial states (over the cells
     live at pc 0) before they build each low group; then POni the running
     total of faulted step pairs (canonical frontier pairs times masks)
@@ -211,15 +218,19 @@ class _SSTables:
     and write leave equal low parts.  Entries come from ``machine.effect``
     run over the value sets of the cells the instruction reads (a singleton
     for a low cell, every word for a high one), so the high space is never
-    enumerated.  They depend only on the low slots the instruction reads or
-    writes (``touched``), are memoised on those slots' values, and are
-    sorted, so checks and witnesses meet them in one order on every run.
-    A point pair is checked only over the slots either side touches, which
-    is exact (see the module docstring).
+    enumerated.  A silent step, one with no jump target that writes no low
+    slot and is not ``out low``, has the one entry (tau, (), pc + 1)
+    whatever it reads, and runs no ``effect``.  Entries depend only on the
+    low slots the instruction reads or writes (``touched``), are memoised on
+    those slots' values, and are sorted, so checks and witnesses meet them
+    in one order on every run.  A point pair is checked only over the slots
+    either side touches, and a diagonal pair whose instruction reads no high
+    cell only over ``deciding`` (see the module docstring).
 
     ``charge``, when given, is called with the running number of ``effect``
-    evaluations (``word_values ** #high cells read`` per summary) before each
-    new summary is built, and may raise to stop the run.
+    evaluations (``word_values ** #high cells read`` per summary that runs
+    them) before each new such summary is built, and may raise to stop the
+    run.
     """
 
     def __init__(
@@ -240,6 +251,15 @@ class _SSTables:
             pc: tuple(sorted({slots[c] for c in (*op.sources, op.dest) if c in slots}))
             for pc, op in enumerate(self.ops)
         }
+        # per pc, the slots a diagonal pair (pc, pc) walks, or None when the
+        # instruction reads a high cell: its one entry is the same on both
+        # sides, and only a conditional jump's source moves its next pc
+        self.deciding = {
+            pc: None
+            if any(c not in slots for c in op.sources)
+            else self.touched[pc] if op.op in ("jz", "jlez") else ()
+            for pc, op in enumerate(self.ops)
+        }
         self._entries: dict[tuple[int, tuple], tuple] = {}
 
     def entries(self, pc: int, lo: tuple) -> tuple:
@@ -254,6 +274,10 @@ class _SSTables:
             return ((TAU, (), pc),)
         instr = self.ops[pc]
         slots = self.slot_of_cell
+        if instr.target is None and instr.dest not in slots and not (
+            instr.op == "out" and instr.channel == "low"
+        ):
+            return ((TAU, (), pc + 1),)
         self.evaluations += self.cfg.word_values ** sum(c not in slots for c in instr.sources)
         if self.charge is not None:
             self.charge(self.evaluations)
@@ -312,7 +336,10 @@ def check_strong_security(
     some low part takes the two points to it with publicly equal steps, and
     the program is secure iff no reached pair has a low part whose two steps
     differ publicly.  The walk stops at the first such split; its witness is
-    the chain of pairs that first reached it.
+    the chain of pairs that first reached it.  A pair is walked over the low
+    slots its two instructions touch, and a diagonal pair whose instruction
+    reads no high cell only over the slot that decides its next pc, if any;
+    the running total of low assignments walked is charged before each pair.
     """
     tables = _SSTables(
         program, cfg, lambda n: _charge(n, "summary evaluations", check.budget)
@@ -326,10 +353,12 @@ def check_strong_security(
     while queue:
         pair = queue.popleft()
         p, q = pair
-        touched = {*tables.touched.get(p, ()), *tables.touched.get(q, ())}
-        walked += cfg.word_values ** len(touched)
+        slots = tables.deciding.get(p, ()) if p == q else None
+        if slots is None:
+            slots = {*tables.touched.get(p, ()), *tables.touched.get(q, ())}
+        walked += cfg.word_values ** len(slots)
         _charge(walked, "low assignments walked", check.budget)
-        value_sets = [every if s in touched else (0,) for s in range(len(tables.lows))]
+        value_sets = [every if s in slots else (0,) for s in range(len(tables.lows))]
         for lo in itertools.product(*value_sets):
             e1s, e2s = tables.entries(p, lo), tables.entries(q, lo)
             split = next(((a, b) for a in e1s for b in e2s if a[:2] != b[:2]), None)

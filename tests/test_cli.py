@@ -447,13 +447,19 @@ def test_check_pni_budget_trips_while_composing(tmp_path, capsys):
 @pytest.mark.parametrize(
     "asm, width, budget, evaluations",
     [
-        ("add rh0 rh1\nout low rl0\n", 16, "1000", 2**32),
-        ("load rh0 0\nout low rl0\n", 24, "1000", 2**24),
-        ("add rh0 rh1\nout low rl0\n", 40, None, 2**80),
+        pytest.param("out low rh0\n", 16, "1000", 2**16, id="out-w16"),
+        pytest.param(
+            "jz l1 rh0\nl1: jz l2 rh1\nl2: jz l3 rh0\nl3: out low rh1\n", 8, "1000", 4 * 2**8,
+            id="four-jumps-w8",
+        ),
+        pytest.param("jz l1 rh1\nout low rl0\nl1: nop\n", 40, None, 2**40, id="jz-w40-default"),
     ],
 )
 def test_check_ss_budget_trips_before_a_summary(tmp_path, asm, width, budget, evaluations):
-    # no side-car: rh* and memory are high, so a summary enumerates every high word read
+    # no side-car: rh* are high, and a summary enumerates every word of a high
+    # register whose value reaches the low side (an `out low` or a jump), while
+    # the walk charges one low assignment per pair, as these touch no low cell;
+    # the second case trips on the running total, at its fourth summary of 256
     path = write(tmp_path, "b.s", asm)
     env = {} if budget is None else {"FTNI_BUDGET": budget}
     run = _cli("check", path, "--mode", "ss", "--width", str(width), timeout=5, **env)

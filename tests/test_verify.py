@@ -1,12 +1,14 @@
 """Checkers: strong security, possibilistic and probabilistic noninterference."""
 
 import itertools
+from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from ftnilab.corpus import CORPUS, SHRUNKEN_HASH, config_for_source
+from ftnilab.corpus import CORPUS, SHRUNKEN_HASH, config_for_source, hash_config, hash_source
 from ftnilab.faultlab import (
     TAU,
     WILDCARD,
@@ -27,6 +29,7 @@ from ftnilab.machine import (
     RiscProgram,
     assemble,
     disassemble,
+    effect,
     initial_state,
     standard_config,
     step,
@@ -43,8 +46,11 @@ from ftnilab.verify import (
     TIMING_MAX_STEPS,
     BudgetExceeded,
     CheckConfig,
+    Verdict,
     _SSTables,
+    _chain,
     _initial_groups,
+    _ss_witness,
     check_pni,
     check_poni,
     check_strong_security,
@@ -261,6 +267,93 @@ def disassemble_for_debug(program):
     return disassemble(program)
 
 
+class _FullSummaries(_SSTables):
+    """Summaries with no shortcut: ``effect`` runs over every word of every
+    high cell an instruction reads, silent steps included."""
+
+    def _summarize(self, pc, lo):
+        if not 0 <= pc < len(self.ops):
+            return ((TAU, (), pc),)
+        instr = self.ops[pc]
+        slots = self.slot_of_cell
+        every = range(self.cfg.word_values)
+        value_sets = [(lo[slots[c]],) if c in slots else every for c in instr.sources]
+        dest = slots.get(instr.dest)
+        out = set()
+        for args in itertools.product(*value_sets):
+            action, value, nxt = effect(instr, args, pc, self.cfg.width)
+            write = () if dest is None or value in (None, lo[dest]) else (dest, value)
+            out.add((low(action), write, nxt))
+        return tuple(sorted(out, key=lambda e: (str(e[0]), e[1], e[2])))
+
+
+def ss_full_enumeration_oracle(program, cfg):
+    """Independent oracle for ``check_strong_security``: the same breadth-first
+    pair walk, but every reached pair, diagonal or not, is walked over every
+    value of the low slots its two instructions touch, on full summaries."""
+    tables = _FullSummaries(program, cfg)
+    every = range(cfg.word_values)
+    parent = {(0, 0): None}
+    queue = deque(parent)
+    while queue:
+        pair = queue.popleft()
+        p, q = pair
+        touched = {*tables.touched.get(p, ()), *tables.touched.get(q, ())}
+        value_sets = [every if s in touched else (0,) for s in range(len(tables.lows))]
+        for lo in itertools.product(*value_sets):
+            e1s, e2s = tables.entries(p, lo), tables.entries(q, lo)
+            split = next(((a, b) for a in e1s for b in e2s if a[:2] != b[:2]), None)
+            if split is not None:
+                witness = _ss_witness(tables, _chain(parent, (pair, lo, *split)))
+                return Verdict("ss", "violation", None, witness)
+            for e1 in e1s:
+                for e2 in e2s:
+                    succ = (e1[2], e2[2])
+                    if succ not in parent:
+                        parent[succ] = (pair, lo, e1, e2)
+                        queue.append(succ)
+    return Verdict("ss", "secure-up-to-bound", None)
+
+
+def ss_cases():
+    """The corpus and the shrunken hash at widths 1-3, and random programs at
+    widths 1-3 on machines with memory and ``jlez``; every odd draw has its
+    ``jz`` turned into ``jlez``, so each width gets some."""
+    for width in (1, 2, 3):
+        for name, text in CORPUS:
+            src = parse(text)
+            cfg = config_for_source(src, width)
+            yield f"{name} w{width}", compile_program(src, cfg).program, cfg
+        src = parse(SHRUNKEN_HASH, allow_positive_guards=True)
+        cfg = config_for_source(src, width, enable_jlez=True)
+        yield f"shrunken hash w{width}", compile_program(src, cfg).program, cfg
+    configs = (
+        standard_config(1, 2, 2, (LOW, HIGH), enable_jlez=True),
+        standard_config(2, 1, 2, (HIGH, LOW), enable_jlez=True),
+        standard_config(3, 2, 1, (HIGH,), enable_jlez=True),
+    )
+    for seed in range(300):
+        cfg = configs[seed % 3]
+        program = random_risc_program(Random(seed), cfg, 6 + seed % 5)
+        if seed % 2:
+            program = RiscProgram(
+                [replace(i, op="jlez") if i.op == "jz" else i for i in program.instructions]
+            )
+        yield f"draw {seed} w{cfg.width}", program, cfg
+
+
+def test_ss_matches_the_full_enumeration_oracle():
+    # Diagonal pairs that read no high cell walk only a conditional jump's
+    # low source, and silent summaries run no ``effect``; neither may change
+    # a verdict or a witness.
+    violations = 0
+    for case, program, cfg in ss_cases():
+        expected = ss_full_enumeration_oracle(program, cfg).to_json()
+        assert check_strong_security(program, cfg).to_json() == expected, case
+        violations += expected["status"] == "violation"
+    assert violations >= 150
+
+
 @pytest.mark.parametrize(
     "source, width, jlez",
     [
@@ -279,10 +372,12 @@ def test_ss_secure_over_large_low_spaces(source, width, jlez):
 
 
 def test_ss_budget_guard():
-    # the first point pair walks the 8**2 values of the two low registers it reads
+    # (0, 0) and the diagonal (1, 1) walk one low assignment each; the
+    # off-diagonal (1, 2) that the secret jump reaches walks the 8**2 values
+    # of the two low registers its adds touch
     cfg = standard_config(3, 2, 2, (LOW,) * 4)
-    program = assemble("add rl0 rl1")
-    with pytest.raises(BudgetExceeded, match="low assignments walked: 64 exceeds the limit of 10"):
+    program = assemble("jz l1 rh0\nadd rl0 rl1\nl1: add rl0 rl1")
+    with pytest.raises(BudgetExceeded, match="low assignments walked: 66 exceeds the limit of 10"):
         check_strong_security(program, cfg, CheckConfig(budget=10))
 
 
@@ -789,6 +884,23 @@ def test_timing_sweep_matches_the_full_product_oracle():
     assert failing >= 50
 
 
+def test_timing_sweep_runs_past_a_long_low_countdown():
+    # Two moves and 200 rounds of a three-instruction countdown on a low
+    # register take 602 steps; the secret output comes at step 604, so a
+    # sweep that stopped early would see every run alike.
+    program = assemble(
+        "movek rl0 200\nmovek rl1 1\nl0: jz l1 rl0\nsub rl0 rl1\njmp l0\nl1: out low rh0"
+    )
+    cfg = standard_config(8, 2, 1, ())
+    raw = CompileResult(
+        program, Timing.exact(1), WriteEffect.ANY, {}, {}, (), cfg.width, (), EMPTY_RECORD
+    )
+    ok, detail = check_timing_balance(raw, cfg)
+    witness = {"high": [1], "observed": [(604, "low!1")], "expected": [(604, "low!0")]}
+    assert (ok, detail["sweep_witness"]) == (False, witness)
+    assert timing_sweep_oracle(program, cfg) == (False, witness)
+
+
 def test_pni_charges_initial_states_one_low_group_at_a_time():
     # 2 live low cells and 1 live high cell at width 8: 16,777,216 starts in
     # all, but the first group of 256 already holds the violation.
@@ -809,6 +921,17 @@ def test_compiled_program_is_ss_and_poni_secure():
     assert check_strong_security(result.program, cfg).secure
     scope = default_scope(RiscSystem(result.program, cfg))
     assert check_poni(result.program, cfg, CheckConfig(depth=4, fault_scope=scope)).secure
+
+
+def test_ss_is_secure_on_the_full_hash_at_width_8():
+    """The 51-instruction keyed hash: diagonal pairs that read no high cell
+    walk one low assignment, or a conditional jump's source, so the walk
+    charges 1,933 low assignments where full enumeration charged 593,278."""
+    src = hash_source()
+    cfg = hash_config(8)
+    program = compile_program(src, cfg).program
+    assert check_strong_security(program, cfg).secure
+    assert check_strong_security(program, cfg, CheckConfig(budget=10_000)).secure
 
 
 def test_full_scope_poni_is_secure_on_the_width_2_corpus():
