@@ -926,11 +926,11 @@ def test_compiled_program_is_ss_and_poni_secure():
 def test_ss_is_secure_on_the_full_hash_at_width_8():
     """The 51-instruction keyed hash: diagonal pairs that read no high cell
     walk one low assignment, or a conditional jump's source, so the walk
-    charges 1,933 low assignments where full enumeration charged 593,278."""
+    charges 1,933 low assignments where full enumeration charged 593,278;
+    a budget of 10,000, far below the default, holds it."""
     src = hash_source()
     cfg = hash_config(8)
     program = compile_program(src, cfg).program
-    assert check_strong_security(program, cfg).secure
     assert check_strong_security(program, cfg, CheckConfig(budget=10_000)).secure
 
 
