@@ -11,8 +11,8 @@ Exit codes: 0 success/secure, 1 I/O or parse error, 2 type error,
 The environment variable FTNI_BUDGET, a positive decimal integer read once
 by ``check`` and ``demo-hash``, sets the checkers' one limit on work
 (default 2000000): strong security charges the low assignments it walks
-(only a conditional jump's source on a diagonal pair that reads no high
-cell) and the running total of effect evaluations its per-point summaries
+(none for a silent side, only a conditional jump's source on a diagonal
+pair that reads no high cell) and the running total of effect evaluations its per-point summaries
 make (word values to the power of the high cells read, none for a step
 that writes no low cell, outputs nothing low and does not jump) before
 each summary; the possibilistic checker its fault masks before it builds
@@ -21,8 +21,7 @@ the cells live at pc 0, before they build each low group of them; then the
 possibilistic checker the running total of faulted step pairs (frontier
 times masks) before each level, and the probabilistic checker the running
 total of faulted steps it composes (composed states times their fault sets)
-before each expansion.  The timing sweep of ``demo-hash`` charges its starts
-against the default limit, whatever FTNI_BUDGET says.
+before each expansion; the timing sweep of ``demo-hash`` its starts.
 Any other value exits 64, as do a ``--width`` or ``--depth`` below 1, a
 ``--steps`` below 0 and a ``--mem`` value outside the machine word.  A
 side-car that is not JSON or does not describe a machine (a width below 1,
@@ -378,10 +377,10 @@ def cmd_demo_hash(args) -> int:
     small = seccomp.compile_program(small_src, small_cfg)
     try:
         verdict = check_strong_security(small.program, small_cfg, check)
+        print(f"reduced variant at width 2: strong security {verdict.status}")
+        balanced, _ = check_timing_balance(small, small_cfg, check)
     except BudgetExceeded as exc:
         return _fail(EXIT_BUDGET, f"resource budget exceeded: {exc}")
-    print(f"reduced variant at width 2: strong security {verdict.status}")
-    balanced, _ = check_timing_balance(small, small_cfg)
     print(f"reduced variant secret sweep: {'identical public timing' if balanced else 'DIVERGED'}")
     if not verdict.secure or not balanced:
         return EXIT_MISMATCH

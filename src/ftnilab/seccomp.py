@@ -197,7 +197,6 @@ class CompileResult:
     memory_levels: tuple[str, ...]
     width: int
     if_h_sites: tuple[IfHSite, ...]
-    record: RegisterRecord
 
     def meta(self) -> dict:
         return {
@@ -520,7 +519,7 @@ class _Compiler:
 def compile_program(src: SourceProgram, cfg: MachineConfig) -> CompileResult:
     """Compile a declared source program, starting from the empty record."""
     compiler = _Compiler(src, cfg)
-    timing, effect, out_label, record = compiler.compile_cmd(EMPTY_RECORD, None, src.body)
+    timing, effect, out_label, _ = compiler.compile_cmd(EMPTY_RECORD, None, src.body)
     if out_label is not None:
         # A trailing exit label needs a landing instruction; account for its
         # step so exact timings stay exact.
@@ -545,5 +544,4 @@ def compile_program(src: SourceProgram, cfg: MachineConfig) -> CompileResult:
         memory_levels=tuple(lev.value for lev in cfg.memory_levels),
         width=cfg.width,
         if_h_sites=sites,
-        record=record,
     )

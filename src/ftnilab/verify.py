@@ -10,12 +10,17 @@ All three checkers enumerate concrete state spaces at small word widths:
   zeros in the rest; this is exact, because a cell that neither step reads
   or writes holds one value before and after on both sides, so it cannot
   tell them apart, and the zeros make a witness name the first failing low
-  part of the whole low space.  A diagonal pair (p, p) whose instruction
-  reads no high cell takes one deterministic step on both sides, so it
-  cannot split; it is walked only over the low source of a ``jz``/``jlez``,
-  the one cell that moves its next pc, and over no cell otherwise.  The
-  first low part that reaches each successor is the same, so verdicts and
-  witnesses are those of the full walk.
+  part of the whole low space.  A silent step (no jump, no low write, not
+  ``out low``) takes one public step whatever it reads, so its side adds no
+  cell.  A diagonal pair (p, p) whose instruction reads no high cell takes
+  one deterministic step on both sides, so it cannot split; it is walked
+  only over the low source of a ``jz``/``jlez``, the one cell that moves its
+  next pc, and over no cell otherwise.  The first low part that reaches
+  each successor is the same, so verdicts and witnesses are those of the
+  full walk.  Each witness step is read off the summary entry the walk
+  holds: the low part, the first value of the one high cell the step reads
+  that yields the entry, and every other cell 0, which is the first state
+  in high-vector order that steps alike.
 * ``check_poni`` compares the sets of fault-annotated traces of low-equal
   initial states, with the fault locations made observable.
 * ``check_pni`` compares exact trace probabilities of low-equal initial
@@ -106,8 +111,9 @@ class CheckConfig:
     possibilistic and probabilistic checkers; ``budget`` is the one limit on
     work, charged by every checker: strong security, the running total of
     low assignments it walks over the point pairs it reaches before it walks
-    each pair (a diagonal pair that reads no high cell walks one, or the
-    values of a conditional jump's source), and the running total of ``effect``
+    each pair (the values of the low slots its non-silent sides touch; a
+    diagonal pair that reads no high cell walks one, or the values of a
+    conditional jump's source), and the running total of ``effect``
     evaluations its summaries make before it builds each (none for a silent
     step); POni, its fault masks before it builds them;
     POni and PNI, the running total of their initial states (over the cells
@@ -115,9 +121,9 @@ class CheckConfig:
     total of faulted step pairs (canonical frontier pairs times masks)
     before it walks each level, and PNI the running total of faulted steps
     the composition takes (canonical composed states times their fault sets)
-    before it takes each state's.  The timing sweep takes no ``CheckConfig``
-    and charges its starts against ``DEFAULT_BUDGET``.  A negative depth is
-    refused; depth 0 is the vacuous bound.
+    before it takes each state's; the timing sweep, its starts, as
+    ``initial states``.  A negative depth is refused; depth 0 is the vacuous
+    bound.
     """
 
     depth: int = 4
@@ -148,17 +154,8 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Initial-state enumeration shared by the checkers
+# Fault scopes and named bits shared by the checkers
 # ---------------------------------------------------------------------------
-
-
-def _build_state(cfg: MachineConfig, cells, values, pc: int = 0) -> MachineState:
-    """The state at pc with the given cells set to the values, and every other cell 0."""
-    nregs = len(cfg.registers)
-    data = [0] * (nregs + cfg.memory_size)
-    for cell, value in zip(cells, values):
-        data[cell] = value
-    return MachineState(pc, tuple(data[:nregs]), tuple(data[nregs:]))
 
 
 def _scope_names(system: RiscSystem, check: CheckConfig) -> tuple[str, ...]:
@@ -212,20 +209,24 @@ def _bits_named(system: RiscSystem, state: int, mask: int) -> dict[str, int]:
 class _SSTables:
     """Successor summaries per program point, over the low cells it touches.
 
-    An entry of pc is a (public action, low write, next pc) triple reachable
-    as the high part ranges over all values.  The low write is ``(slot,
-    value)``, or ``()`` when no low slot changes, so entries with equal action
-    and write leave equal low parts.  Entries come from ``machine.effect``
-    run over the value sets of the cells the instruction reads (a singleton
-    for a low cell, every word for a high one), so the high space is never
-    enumerated.  A silent step, one with no jump target that writes no low
-    slot and is not ``out low``, has the one entry (tau, (), pc + 1)
-    whatever it reads, and runs no ``effect``.  Entries depend only on the
-    low slots the instruction reads or writes (``touched``), are memoised on
-    those slots' values, and are sorted, so checks and witnesses meet them
-    in one order on every run.  A point pair is checked only over the slots
-    either side touches, and a diagonal pair whose instruction reads no high
-    cell only over ``deciding`` (see the module docstring).
+    An entry of pc is a (public action, low write, next pc, high source)
+    tuple reachable as the high part ranges over all values.  The low write
+    is ``(slot, value)``, or ``()`` when no low slot changes, so entries with
+    equal action and write leave equal low parts.  Entries come from
+    ``machine.effect`` run over the value sets of the cells the instruction
+    reads (a singleton for a low cell, every word for a high one), so the
+    high space is never enumerated.  A ``silent`` step (no jump target, no
+    low write, not ``out low``) has the one entry (tau, (), pc + 1, ())
+    whatever it reads and runs no ``effect``; any other step reads at most
+    one high cell, and its high source is ``((cell, value),)`` for the first
+    value of that cell that yields the entry, or ``()`` when it reads none.
+    Only the first three fields tell entries apart.  Entries depend only on
+    the low slots in ``touched`` (those a non-silent instruction reads or
+    writes), are memoised on their values, and are sorted, so checks and
+    witnesses meet them in one order on every run.  A point pair is checked
+    only over the slots either side touches, and a diagonal pair whose
+    instruction reads no high cell only over ``deciding`` (see the module
+    docstring).
 
     ``charge``, when given, is called with the running number of ``effect``
     evaluations (``word_values ** #high cells read`` per summary that runs
@@ -239,7 +240,6 @@ class _SSTables:
         cfg: MachineConfig,
         charge: Callable[[int], None] | None = None,
     ):
-        self.program = program
         self.cfg = cfg
         self.charge = charge
         self.evaluations = 0
@@ -247,8 +247,14 @@ class _SSTables:
         self.lows = cfg.cells_of_level(LOW)
         self.highs = cfg.cells_of_level(HIGH)
         slots = self.slot_of_cell = {cell: slot for slot, cell in enumerate(self.lows)}
+        self.silent = [
+            op.target is None and op.dest not in slots and (op.op, op.channel) != ("out", "low")
+            for op in self.ops
+        ]
         self.touched = {
-            pc: tuple(sorted({slots[c] for c in (*op.sources, op.dest) if c in slots}))
+            pc: ()
+            if self.silent[pc]
+            else tuple(sorted({slots[c] for c in (*op.sources, op.dest) if c in slots}))
             for pc, op in enumerate(self.ops)
         }
         # per pc, the slots a diagonal pair (pc, pc) walks, or None when the
@@ -271,59 +277,37 @@ class _SSTables:
 
     def _summarize(self, pc: int, lo: tuple) -> tuple:
         if not 0 <= pc < len(self.ops):
-            return ((TAU, (), pc),)
+            return ((TAU, (), pc, ()),)
+        if self.silent[pc]:
+            return ((TAU, (), pc + 1, ()),)
         instr = self.ops[pc]
         slots = self.slot_of_cell
-        if instr.target is None and instr.dest not in slots and not (
-            instr.op == "out" and instr.channel == "low"
-        ):
-            return ((TAU, (), pc + 1),)
+        high = next((i for i, c in enumerate(instr.sources) if c not in slots), None)
         self.evaluations += self.cfg.word_values ** sum(c not in slots for c in instr.sources)
         if self.charge is not None:
             self.charge(self.evaluations)
         every = range(self.cfg.word_values)
-        value_sets = [
-            (lo[slots[c]],) if c in slots else every for c in instr.sources
-        ]
+        value_sets = [(lo[slots[c]],) if c in slots else every for c in instr.sources]
         dest = slots.get(instr.dest)
         width = self.cfg.width
-        out = set()
+        out: dict[tuple, tuple] = {}
         for args in itertools.product(*value_sets):
             action, value, nxt = effect(instr, args, pc, width)
             write = () if dest is None or value in (None, lo[dest]) else (dest, value)
-            out.add((low(action), write, nxt))
-        return tuple(sorted(out, key=lambda e: (str(e[0]), e[1], e[2])))
+            key = (low(action), write, nxt)
+            if key not in out:
+                out[key] = () if high is None else ((instr.sources[high], args[high]),)
+        entries = ((*key, source) for key, source in out.items())
+        return tuple(sorted(entries, key=lambda e: (str(e[0]), e[1], e[2])))
 
     @staticmethod
     def after(lo: tuple, entry: tuple) -> tuple:
         """The entry as (public action, low part after the step, next pc) from ``lo``."""
-        action, write, nxt = entry
+        action, write, nxt, _ = entry
         if write:
             slot, value = write
             lo = lo[:slot] + (value,) + lo[slot + 1 :]
         return (action, lo, nxt)
-
-    def realize(self, pc: int, lo: tuple, entry: tuple) -> MachineState | None:
-        """The first concrete state, in high-vector order, whose step matches the entry.
-
-        Only the high cells the instruction reads are searched, with every
-        other high cell at zero: the step sees the high part only through
-        those cells, so the matching states are the ones their values pick,
-        and the first of them is zero everywhere else.
-        """
-        reads = self.ops[pc].sources if 0 <= pc < len(self.ops) else ()
-        every = range(self.cfg.word_values)
-        value_sets = [every if cell in reads else (0,) for cell in self.highs]
-        for hi_vec in itertools.product(*value_sets):
-            state = _build_state(self.cfg, self.lows + self.highs, lo + hi_vec, pc)
-            if self.observe(state) == entry:
-                return state
-        return None
-
-    def observe(self, state: MachineState) -> tuple:
-        """Project one termination-transparent step to (public action, low part, pc)."""
-        action, succ = machine_step(self.program, state, self.cfg) or (TAU, state)
-        return (low(action), _cells_of(succ, self.lows), succ.pc)
 
 
 def check_strong_security(
@@ -388,11 +372,19 @@ def _chain(parent: dict, last: tuple) -> list[tuple]:
 
 
 def _ss_witness(tables: _SSTables, chain: list[tuple]) -> dict:
-    """One concrete step pair per (pair, low part, entry at p, entry at q)."""
+    """One concrete step pair per (pair, low part, entry at p, entry at q):
+    each state holds the low part and its entry's high source, and every
+    other cell 0."""
+    nregs = len(tables.cfg.registers)
     steps = []
     for (p, q), lo, e1, e2 in chain:
-        e1, e2 = tables.after(lo, e1), tables.after(lo, e2)
-        steps.append((tables.realize(p, lo, e1), tables.realize(q, lo, e2), e1, e2))
+        states = []
+        for pc, entry in ((p, e1), (q, e2)):
+            data = [0] * (nregs + tables.cfg.memory_size)
+            for cell, value in (*zip(tables.lows, lo), *entry[3]):
+                data[cell] = value
+            states.append(MachineState(pc, tuple(data[:nregs]), tuple(data[nregs:])))
+        steps.append((*states, tables.after(lo, e1), tables.after(lo, e2)))
     state_a, state_b = steps[0][:2]
     return {
         "initial_low": _cells_named(state_a, tables.lows),
@@ -431,19 +423,22 @@ def _cells_named(state: MachineState, cells) -> dict:
 
 def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -> bool:
     """Re-execute every step of the witness; the last one must publicly differ."""
-    tables = _SSTables(program, cfg)
+    lows = cfg.cells_of_level(LOW)
     for i, entry in enumerate(witness["trace"]):
-        state_a = MachineState(entry["pc_a"], tuple(entry["regs_a"]), tuple(entry["mem_a"]))
-        state_b = MachineState(entry["pc_b"], tuple(entry["regs_b"]), tuple(entry["mem_b"]))
-        act_a, lo_a, _ = tables.observe(state_a)
-        act_b, lo_b, _ = tables.observe(state_b)
-        if str(act_a) != entry["action_a"] or str(act_b) != entry["action_b"]:
-            return False
-        if list(lo_a) != entry["low_after_a"] or list(lo_b) != entry["low_after_b"]:
-            return False
+        seen = []
+        for side in "ab":
+            state = MachineState(
+                entry[f"pc_{side}"], tuple(entry[f"regs_{side}"]), tuple(entry[f"mem_{side}"])
+            )
+            action, succ = machine_step(program, state, cfg) or (TAU, state)
+            if str(low(action)) != entry[f"action_{side}"]:
+                return False
+            lo = list(_cells_of(succ, lows))
+            if lo != entry[f"low_after_{side}"]:
+                return False
+            seen.append((low(action), lo))
         last = i == len(witness["trace"]) - 1
-        differs = act_a != act_b or lo_a != lo_b
-        if differs != last:
+        if (seen[0] != seen[1]) != last:
             return False
     return True
 
@@ -669,7 +664,9 @@ def replay_pni_witness(
 TIMING_MAX_STEPS = 10_000
 
 
-def check_timing_balance(result: CompileResult, cfg: MachineConfig) -> tuple[bool, dict]:
+def check_timing_balance(
+    result: CompileResult, cfg: MachineConfig, check: CheckConfig = CheckConfig()
+) -> tuple[bool, dict]:
     """Padded-conditional audit: equal branch step counts, secret-blind low timing.
 
     Statically, both padded branch regions of every high conditional must
@@ -683,7 +680,7 @@ def check_timing_balance(result: CompileResult, cfg: MachineConfig) -> tuple[boo
     assignment of the high cells: a cell dead at pc 0 cannot change a run,
     so the first failing assignment in product order has it at 0, and the
     witness's ``high`` reads every high cell of that start.  The starts are
-    charged as ``initial states`` against ``DEFAULT_BUDGET``.
+    charged as ``initial states`` against ``check.budget``.
     Termination time by itself is not an observation: stuck states
     silently idle in this model.
     """
@@ -712,7 +709,7 @@ def check_timing_balance(result: CompileResult, cfg: MachineConfig) -> tuple[boo
     observations = None
     sweep_ok = True
     witness = None
-    for start in next(_initial_groups(system, DEFAULT_BUDGET)):
+    for start in next(_initial_groups(system, check.budget)):
         state = start
         timed: list[tuple[int, str]] = []
         for index in range(1, TIMING_MAX_STEPS + 1):
@@ -783,11 +780,13 @@ def random_table_system(
 def random_risc_program(rng: Random, cfg: MachineConfig, length: int = 8) -> RiscProgram:
     """A random raw assembly program; many of these are insecure on purpose.
 
-    ``load`` and ``store`` are drawn only when the config has memory, so every
-    program fits its machine.
+    ``load`` and ``store`` are drawn only when the config has memory, and
+    ``jlez`` only when it enables ``jlez``, so every program fits its machine.
     """
     regs = cfg.register_names()
     ops = ["load", "store", "movek", "mover", "add", "sub", "and", "nop", "out", "jz"]
+    if cfg.enable_jlez:
+        ops.append("jlez")
     if not cfg.memory_size:
         ops = [op for op in ops if "addr" not in OPERANDS[op]]
     chosen = [ops[rng.randrange(len(ops))] for _ in range(length)]

@@ -1,5 +1,6 @@
 """Checkers: strong security, possibilistic and probabilistic noninterference."""
 
+import copy
 import itertools
 from collections import deque
 from dataclasses import replace
@@ -28,6 +29,7 @@ from ftnilab.machine import (
     MachineState,
     RiscProgram,
     assemble,
+    decode,
     disassemble,
     effect,
     initial_state,
@@ -35,7 +37,6 @@ from ftnilab.machine import (
     step,
 )
 from ftnilab.seccomp import (
-    EMPTY_RECORD,
     Timing,
     WriteEffect,
     CompileResult,
@@ -50,7 +51,6 @@ from ftnilab.verify import (
     _SSTables,
     _chain,
     _initial_groups,
-    _ss_witness,
     check_pni,
     check_poni,
     check_strong_security,
@@ -73,6 +73,47 @@ CONSTANT_OUT = "movek rl0 1\nout low rl0"
 LEAKY_OUT = "load rh0 1\nout low rh0"
 
 
+def observe(program, cfg, state):
+    """One termination-transparent step on ``machine.step``, projected to
+    (public action, low part after, next pc)."""
+    action, succ = step(program, state, cfg) or (TAU, state)
+    return (low(action), _cells(succ, cfg.cells_of_level(LOW)), succ.pc)
+
+
+def realize(program, cfg, pc, lo, seen):
+    """The first state at pc, in high-vector order over the high cells the
+    step reads (every other high cell 0), with low part ``lo`` and the
+    observation ``seen``."""
+    ops = decode(program, cfg)
+    reads = ops[pc].sources if 0 <= pc < len(ops) else ()
+    highs = cfg.cells_of_level(HIGH)
+    value_sets = [range(cfg.word_values) if cell in reads else (0,) for cell in highs]
+    for hi_vec in itertools.product(*value_sets):
+        state = _state_at(cfg, pc, cfg.cells_of_level(LOW) + highs, lo + hi_vec)
+        if observe(program, cfg, state) == seen:
+            return state
+    return None
+
+
+def _state_at(cfg, pc, cells, values):
+    """The state at pc with the cells set to the values, and every other cell 0."""
+    return _with_cells(replace(initial_state(cfg), pc=pc), cells, values)
+
+
+def _with_cells(state, cells, values):
+    # cells index regs + mem
+    data = list(state.regs + state.mem)
+    for cell, val in zip(cells, values):
+        data[cell] = val
+    nregs = len(state.regs)
+    return MachineState(state.pc, tuple(data[:nregs]), tuple(data[nregs:]))
+
+
+def _cells(state, cells):
+    data = state.regs + state.mem
+    return tuple(data[cell] for cell in cells)
+
+
 # -- strong security ------------------------------------------------------------
 
 
@@ -89,6 +130,16 @@ def test_ss_secret_output_violation_with_replayable_witness():
     assert replay_ss_witness(assemble(LEAKY_OUT), cfg, verdict.witness)
     last = verdict.witness["trace"][-1]
     assert last["action_a"] != last["action_b"] or last["low_after_a"] != last["low_after_b"]
+
+
+def test_ss_replay_rejects_a_changed_high_value():
+    program, cfg = assemble(LEAKY_OUT), tiny_cfg()
+    witness = check_strong_security(program, cfg).witness
+    last = witness["trace"][-1]
+    assert (last["pc_a"], last["regs_a"], last["regs_b"]) == (1, [0, 0, 0, 0], [0, 0, 1, 0])
+    tampered = copy.deepcopy(witness)
+    tampered["trace"][-1]["regs_b"][2] = 0  # rh0 as on side a: the output no longer differs
+    assert not replay_ss_witness(program, cfg, tampered)
 
 
 def test_ss_single_nop_secure():
@@ -138,8 +189,8 @@ def test_ss_witnesses_of_random_programs_replay():
 
 
 def test_ss_witness_high_parts_are_the_first_matching_high_vectors():
-    # realize searches only the high cells a step reads; each state it picks
-    # must be the first full high vector, in product order, that steps alike.
+    # Each witness state holds its entry's high source; it must be the first
+    # full high vector, in product order, that steps alike.
     for width in (1, 2):
         rng = Random(23)
         cfg = standard_config(width, 1, 1, (LOW, HIGH))
@@ -150,42 +201,27 @@ def test_ss_witness_high_parts_are_the_first_matching_high_vectors():
             if verdict.secure:
                 continue
             violations += 1
-            tables = _SSTables(program, cfg)
+            highs = cfg.cells_of_level(HIGH)
             for entry in verdict.witness["trace"]:
                 for side in "ab":
                     pc = entry[f"pc_{side}"]
                     regs, mem = entry[f"regs_{side}"], entry[f"mem_{side}"]
                     state = MachineState(pc, tuple(regs), tuple(mem))
-                    seen = tables.observe(state)
+                    seen = observe(program, cfg, state)
                     first = next(
                         hi_vec
-                        for hi_vec in itertools.product(
-                            range(cfg.word_values), repeat=len(tables.highs)
-                        )
-                        if tables.observe(_with_high(state, tables.highs, hi_vec)) == seen
+                        for hi_vec in itertools.product(range(cfg.word_values), repeat=len(highs))
+                        if observe(program, cfg, _with_cells(state, highs, hi_vec)) == seen
                     )
-                    assert _high_of(state, tables.highs) == first, (width, draw, pc)
+                    assert _cells(state, highs) == first, (width, draw, pc)
         assert violations, width
-
-
-def _with_high(state, highs, hi_vec):
-    # cells index regs + mem
-    data = list(state.regs + state.mem)
-    for cell, val in zip(highs, hi_vec):
-        data[cell] = val
-    nregs = len(state.regs)
-    return MachineState(state.pc, tuple(data[:nregs]), tuple(data[nregs:]))
-
-
-def _high_of(state, highs):
-    data = state.regs + state.mem
-    return tuple(data[cell] for cell in highs)
 
 
 def test_ss_summaries_match_brute_force_enumeration():
     # The per-pc summaries, memoised on the low slots each pc touches and
     # lifted onto every full low vector, must agree with direct enumeration
-    # of every high assignment.
+    # of every high assignment, and each entry's high source must be the
+    # first high vector that steps to it.
     rng = Random(13)
     cfg = tiny_cfg(mem=(LOW, HIGH, HIGH))
     for _ in range(12):
@@ -201,14 +237,19 @@ def test_ss_summaries_match_brute_force_enumeration():
                         data[cell] = val
                     nregs = len(cfg.registers)
                     state = MachineState(pc, tuple(data[:nregs]), tuple(data[nregs:]))
-                    brute.add(tables.observe(state))
+                    brute.add(observe(program, cfg, state))
                 lifted = {tables.after(lo, e) for e in tables.entries(pc, lo)}
                 assert brute == lifted, (pc, lo)
+                for entry in tables.entries(pc, lo):
+                    cells, values = tuple(zip(*entry[3])) or ((), ())
+                    state = _state_at(cfg, pc, tables.lows + cells, lo + values)
+                    first = realize(program, cfg, pc, lo, tables.after(lo, entry))
+                    assert state == first, (pc, lo, entry)
 
 
 def brute_force_strong_security(program, cfg):
     """Independent oracle: full refinement over all point pairs and data pairs."""
-    tables = _SSTables(program, cfg)
+    lows = cfg.cells_of_level(LOW)
     values = range(cfg.word_values)
     data_states = [
         (regs, mem)
@@ -217,7 +258,7 @@ def brute_force_strong_security(program, cfg):
     ]
     low_of = {}
     for regs, mem in data_states:
-        key = tuple((regs + mem)[cell] for cell in tables.lows)
+        key = tuple((regs + mem)[cell] for cell in lows)
         low_of[(regs, mem)] = key
     groups: dict = {}
     for d in data_states:
@@ -225,7 +266,7 @@ def brute_force_strong_security(program, cfg):
     points = range(len(program) + 1)
     # the one-step observations of every data state in a low group, per point
     seen = {
-        (pc, lo): {tables.observe(MachineState(pc, regs, mem)) for regs, mem in group}
+        (pc, lo): {observe(program, cfg, MachineState(pc, regs, mem)) for regs, mem in group}
         for pc in points
         for lo, group in groups.items()
     }
@@ -269,11 +310,21 @@ def disassemble_for_debug(program):
 
 class _FullSummaries(_SSTables):
     """Summaries with no shortcut: ``effect`` runs over every word of every
-    high cell an instruction reads, silent steps included."""
+    high cell an instruction reads, silent steps included, and every
+    instruction touches the low slots it reads or writes.  Entries carry no
+    high source; the oracle's witness states come from ``realize``."""
+
+    def __init__(self, program, cfg):
+        super().__init__(program, cfg)
+        slots = self.slot_of_cell
+        self.touched = {
+            pc: tuple(sorted({slots[c] for c in (*op.sources, op.dest) if c in slots}))
+            for pc, op in enumerate(self.ops)
+        }
 
     def _summarize(self, pc, lo):
         if not 0 <= pc < len(self.ops):
-            return ((TAU, (), pc),)
+            return ((TAU, (), pc, ()),)
         instr = self.ops[pc]
         slots = self.slot_of_cell
         every = range(self.cfg.word_values)
@@ -283,14 +334,16 @@ class _FullSummaries(_SSTables):
         for args in itertools.product(*value_sets):
             action, value, nxt = effect(instr, args, pc, self.cfg.width)
             write = () if dest is None or value in (None, lo[dest]) else (dest, value)
-            out.add((low(action), write, nxt))
+            out.add((low(action), write, nxt, ()))
         return tuple(sorted(out, key=lambda e: (str(e[0]), e[1], e[2])))
 
 
 def ss_full_enumeration_oracle(program, cfg):
     """Independent oracle for ``check_strong_security``: the same breadth-first
     pair walk, but every reached pair, diagonal or not, is walked over every
-    value of the low slots its two instructions touch, on full summaries."""
+    value of the low slots its two instructions touch, on full summaries,
+    and each witness state is the first one ``realize`` finds on
+    ``machine.step``."""
     tables = _FullSummaries(program, cfg)
     every = range(cfg.word_values)
     parent = {(0, 0): None}
@@ -304,8 +357,8 @@ def ss_full_enumeration_oracle(program, cfg):
             e1s, e2s = tables.entries(p, lo), tables.entries(q, lo)
             split = next(((a, b) for a in e1s for b in e2s if a[:2] != b[:2]), None)
             if split is not None:
-                witness = _ss_witness(tables, _chain(parent, (pair, lo, *split)))
-                return Verdict("ss", "violation", None, witness)
+                chain = _chain(parent, (pair, lo, *split))
+                return Verdict("ss", "violation", None, _oracle_witness(program, cfg, tables, chain))
             for e1 in e1s:
                 for e2 in e2s:
                     succ = (e1[2], e2[2])
@@ -315,10 +368,43 @@ def ss_full_enumeration_oracle(program, cfg):
     return Verdict("ss", "secure-up-to-bound", None)
 
 
+def _oracle_witness(program, cfg, tables, chain):
+    """The witness of a chain of (pair, low part, entry at p, entry at q),
+    with each state the first one ``realize`` finds for its entry."""
+    lows, highs, nregs = cfg.cells_of_level(LOW), cfg.cells_of_level(HIGH), len(cfg.registers)
+
+    def named(state, cells):
+        return {
+            f"reg{cell}" if cell < nregs else f"mem{cell - nregs}": value
+            for cell, value in zip(cells, _cells(state, cells))
+        }
+
+    steps = []
+    for (p, q), lo, e1, e2 in chain:
+        seen = tables.after(lo, e1), tables.after(lo, e2)
+        steps.append((*(realize(program, cfg, pc, lo, o) for pc, o in zip((p, q), seen)), *seen))
+    first_a, first_b = steps[0][:2]
+    trace = [
+        {
+            "pc_a": a.pc, "pc_b": b.pc,
+            "regs_a": list(a.regs), "mem_a": list(a.mem),
+            "regs_b": list(b.regs), "mem_b": list(b.mem),
+            "action_a": str(seen_a[0]), "action_b": str(seen_b[0]),
+            "low_after_a": list(seen_a[1]), "low_after_b": list(seen_b[1]),
+        }
+        for a, b, seen_a, seen_b in steps
+    ]
+    return {
+        "initial_low": named(first_a, lows),
+        "initial_high_a": named(first_a, highs),
+        "initial_high_b": named(first_b, highs),
+        "trace": trace,
+    }
+
+
 def ss_cases():
-    """The corpus and the shrunken hash at widths 1-3, and random programs at
-    widths 1-3 on machines with memory and ``jlez``; every odd draw has its
-    ``jz`` turned into ``jlez``, so each width gets some."""
+    """The corpus and the shrunken hash at widths 1-3, and random programs,
+    ``jlez`` among their opcodes, at widths 1-3 on machines with memory."""
     for width in (1, 2, 3):
         for name, text in CORPUS:
             src = parse(text)
@@ -335,10 +421,6 @@ def ss_cases():
     for seed in range(300):
         cfg = configs[seed % 3]
         program = random_risc_program(Random(seed), cfg, 6 + seed % 5)
-        if seed % 2:
-            program = RiscProgram(
-                [replace(i, op="jlez") if i.op == "jz" else i for i in program.instructions]
-            )
         yield f"draw {seed} w{cfg.width}", program, cfg
 
 
@@ -381,6 +463,19 @@ def test_ss_budget_guard():
         check_strong_security(program, cfg, CheckConfig(budget=10))
 
 
+def test_ss_silent_side_walks_no_slot():
+    # (1, 2) pairs the silent ``load rh1 0`` with an add of the two low
+    # registers: it walks their 8**2 values, but not the low cell mem0 that
+    # only the silent side reads, so the split there costs 1 + 1 + 64
+    cfg = standard_config(3, 2, 2, (LOW,) * 4)
+    program = assemble("jz l1 rh0\nload rh1 0\nl1: add rl0 rl1")
+    verdict = check_strong_security(program, cfg, CheckConfig(budget=66))
+    assert verdict.status == "violation"
+    assert [(s["pc_a"], s["pc_b"]) for s in verdict.witness["trace"]] == [(0, 0), (1, 2)]
+    assert verdict.witness["trace"][-1]["low_after_b"] == [1, 1, 0, 0, 0, 0]
+    assert replay_ss_witness(program, cfg, verdict.witness)
+
+
 def test_ss_stops_at_the_first_split():
     # (0, 0) and (1, 1) walk one low assignment each, and (1, 1) splits on the
     # secret output; walking on to (1, 2), whose add reads both 8-word low
@@ -410,6 +505,23 @@ def test_poni_leak_found_and_witness_replays():
     assert not verdict.secure
     assert verdict.witness["trace"][-1]["low_a"] != verdict.witness["trace"][-1]["low_b"]
     assert replay_poni_witness(program, cfg, verdict.witness)
+
+
+def test_poni_replay_rejects_a_changed_high_value_or_fault_set():
+    # The ``and`` clears its secret operand unless the flip of rl1_0 before
+    # it keeps rl1 at 1; only then does the low output show rh0.
+    program = assemble("movek rl1 0\nand rl1 rh0\nout low rl1")
+    cfg = tiny_cfg()
+    assert check_poni(program, cfg, CheckConfig(depth=3, fault_scope=())).secure
+    witness = check_poni(program, cfg, CheckConfig(depth=3)).witness
+    assert [step["faults"] for step in witness["trace"]] == [[], ["rl1_0"], []]
+    assert replay_poni_witness(program, cfg, witness)
+    same_high = copy.deepcopy(witness)
+    same_high["initial_high_b"] = dict(witness["initial_high_a"])
+    no_fault = copy.deepcopy(witness)
+    no_fault["trace"][1]["faults"] = []
+    assert not replay_poni_witness(program, cfg, same_high)
+    assert not replay_poni_witness(program, cfg, no_fault)
 
 
 def test_poni_empty_program_secure():
@@ -466,6 +578,19 @@ def test_pni_faultfree_environment_sees_the_leak():
     pa, pb = verdict.witness["probabilities"]
     assert {pa, pb} == {"1", "0"}
     assert replay_pni_witness(program, cfg, env, verdict.witness, CheckConfig(depth=3))
+
+
+def test_pni_replay_rejects_a_changed_probability_or_high_value():
+    program, cfg = assemble(LEAKY_OUT), tiny_cfg()
+    env = uniform_environment(Fraction(1, 4), RiscSystem(program, cfg).faulty_names)
+    witness = check_pni(program, cfg, env, CheckConfig(depth=3)).witness
+    assert replay_pni_witness(program, cfg, env, witness)
+    pa, pb = witness["probabilities"]
+    for probabilities in ([pa, pa], [pb, pa], [pa, "1/3"]):
+        tampered = {**witness, "probabilities": probabilities}
+        assert not replay_pni_witness(program, cfg, env, tampered)
+    same_high = {**witness, "initial_high_b": witness["initial_high_a"]}
+    assert not replay_pni_witness(program, cfg, env, same_high)
 
 
 def test_pni_constant_program_secure_across_family():
@@ -794,7 +919,6 @@ def test_timing_balance_detects_hand_unpadded_variant():
         if_h_sites=(type(compile_text("high h; if h then skip else skip")[0].if_h_sites[0])(
             1, 2, 5, 5, 6
         ),),
-        record=EMPTY_RECORD,
     )
     ok, detail = check_timing_balance(fake, cfg)
     assert not ok
@@ -830,7 +954,7 @@ def timing_sweep_oracle(program, cfg):
     highs = cfg.cells_of_level(HIGH)
     expected = None
     for hi_vec in itertools.product(range(cfg.word_values), repeat=len(highs)):
-        state = _with_high(initial_state(cfg), highs, hi_vec)
+        state = _with_cells(initial_state(cfg), highs, hi_vec)
         timed = []
         for index in range(1, TIMING_MAX_STEPS + 1):
             outcome = step(program, state, cfg)
@@ -864,9 +988,7 @@ def timing_cases():
         program = random_risc_program(Random(seed), cfg, 8)
         jumps = [(pc, instr.target) for pc, instr in enumerate(program) if instr.target]
         if all(program.resolve_label(target) > pc for pc, target in jumps):
-            raw = CompileResult(
-                program, Timing.exact(1), WriteEffect.ANY, {}, {}, (), cfg.width, (), EMPTY_RECORD
-            )
+            raw = CompileResult(program, Timing.exact(1), WriteEffect.ANY, {}, {}, (), cfg.width, ())
             yield f"random {seed}", raw, cfg
 
 
@@ -892,13 +1014,21 @@ def test_timing_sweep_runs_past_a_long_low_countdown():
         "movek rl0 200\nmovek rl1 1\nl0: jz l1 rl0\nsub rl0 rl1\njmp l0\nl1: out low rh0"
     )
     cfg = standard_config(8, 2, 1, ())
-    raw = CompileResult(
-        program, Timing.exact(1), WriteEffect.ANY, {}, {}, (), cfg.width, (), EMPTY_RECORD
-    )
+    raw = CompileResult(program, Timing.exact(1), WriteEffect.ANY, {}, {}, (), cfg.width, ())
     ok, detail = check_timing_balance(raw, cfg)
     witness = {"high": [1], "observed": [(604, "low!1")], "expected": [(604, "low!0")]}
     assert (ok, detail["sweep_witness"]) == (False, witness)
     assert timing_sweep_oracle(program, cfg) == (False, witness)
+
+
+def test_timing_sweep_charges_its_starts_against_the_check_budget():
+    # rh0 and rh1 are both live at pc 0: one group of 2 ** 2 starts at width 1
+    program = assemble("out high rh0\nout high rh1")
+    cfg = tiny_cfg()
+    raw = CompileResult(program, Timing.exact(2), WriteEffect.ANY, {}, {}, (), cfg.width, ())
+    with pytest.raises(BudgetExceeded, match="initial states: 4 exceeds the limit of 3"):
+        check_timing_balance(raw, cfg, CheckConfig(budget=3))
+    assert check_timing_balance(raw, cfg, CheckConfig(budget=4))[0]
 
 
 def test_pni_charges_initial_states_one_low_group_at_a_time():
@@ -925,13 +1055,14 @@ def test_compiled_program_is_ss_and_poni_secure():
 
 def test_ss_is_secure_on_the_full_hash_at_width_8():
     """The 51-instruction keyed hash: diagonal pairs that read no high cell
-    walk one low assignment, or a conditional jump's source, so the walk
-    charges 1,933 low assignments where full enumeration charged 593,278;
-    a budget of 10,000, far below the default, holds it."""
+    walk one low assignment, or a conditional jump's source, and a silent
+    side walks no slot, so the walk charges 403 low assignments where full
+    enumeration charged 593,278; a budget of 1,000, far below the default,
+    holds it."""
     src = hash_source()
     cfg = hash_config(8)
     program = compile_program(src, cfg).program
-    assert check_strong_security(program, cfg, CheckConfig(budget=10_000)).secure
+    assert check_strong_security(program, cfg, CheckConfig(budget=1_000)).secure
 
 
 def test_full_scope_poni_is_secure_on_the_width_2_corpus():
@@ -961,6 +1092,21 @@ def test_fault_checkers_are_secure_on_the_width_4_corpus():
 
 
 # -- random generators ---------------------------------------------------------------
+
+
+def test_random_programs_draw_jlez_only_where_the_config_enables_it():
+    # Configs without ``jlez`` draw the stream they drew before it was added,
+    # which the golden files and the benchmark's expected verdicts pin.
+    for width in (1, 2, 3):
+        for jlez in (False, True):
+            cfg = standard_config(width, 1, 1, (LOW, HIGH), jlez)
+            drawn = {
+                instr.op
+                for seed in range(50)
+                for instr in random_risc_program(Random(seed), cfg, 8).instructions
+            }
+            assert ("jlez" in drawn) == jlez, (width, jlez)
+            assert "jz" in drawn
 
 
 def test_random_programs_fit_a_machine_without_memory():
