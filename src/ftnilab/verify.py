@@ -209,24 +209,24 @@ def _bits_named(system: RiscSystem, state: int, mask: int) -> dict[str, int]:
 class _SSTables:
     """Successor summaries per program point, over the low cells it touches.
 
-    An entry of pc is a (public action, low write, next pc, high source)
-    tuple reachable as the high part ranges over all values.  The low write
-    is ``(slot, value)``, or ``()`` when no low slot changes, so entries with
+    An entry of pc is a (public action, low write, next pc, operands) tuple
+    reachable as the high part ranges over all values.  The low write is
+    ``(slot, value)``, or ``()`` when no low slot changes, so entries with
     equal action and write leave equal low parts.  Entries come from
     ``machine.effect`` run over the value sets of the cells the instruction
     reads (a singleton for a low cell, every word for a high one), so the
     high space is never enumerated.  A ``silent`` step (no jump target, no
     low write, not ``out low``) has the one entry (tau, (), pc + 1, ())
-    whatever it reads and runs no ``effect``; any other step reads at most
-    one high cell, and its high source is ``((cell, value),)`` for the first
-    value of that cell that yields the entry, or ``()`` when it reads none.
-    Only the first three fields tell entries apart.  Entries depend only on
-    the low slots in ``touched`` (those a non-silent instruction reads or
-    writes), are memoised on their values, and are sorted, so checks and
-    witnesses meet them in one order on every run.  A point pair is checked
-    only over the slots either side touches, and a diagonal pair whose
-    instruction reads no high cell only over ``deciding`` (see the module
-    docstring).
+    whatever it reads and runs no ``effect``.  Any other step reads at most
+    one high cell; its operands are the ``(cell, value)`` pairs of the cells
+    it reads, with the first value of that high cell, in ascending order,
+    that yields the entry.  Only the first three fields tell entries apart.
+    Entries depend only on the low slots in ``touched`` (those a non-silent
+    instruction reads or writes), are memoised on their values, and are
+    sorted, so checks and witnesses meet them in one order on every run.  A
+    point pair is checked only over the slots either side touches, and a
+    diagonal pair whose instruction reads no high cell only over
+    ``deciding`` (see the module docstring).
 
     ``charge``, when given, is called with the running number of ``effect``
     evaluations (``word_values ** #high cells read`` per summary that runs
@@ -282,7 +282,6 @@ class _SSTables:
             return ((TAU, (), pc + 1, ()),)
         instr = self.ops[pc]
         slots = self.slot_of_cell
-        high = next((i for i, c in enumerate(instr.sources) if c not in slots), None)
         self.evaluations += self.cfg.word_values ** sum(c not in slots for c in instr.sources)
         if self.charge is not None:
             self.charge(self.evaluations)
@@ -296,8 +295,10 @@ class _SSTables:
             write = () if dest is None or value in (None, lo[dest]) else (dest, value)
             key = (low(action), write, nxt)
             if key not in out:
-                out[key] = () if high is None else ((instr.sources[high], args[high]),)
-        entries = ((*key, source) for key, source in out.items())
+                out[key] = (*key, tuple(zip(instr.sources, args)))
+        entries = tuple(out.values())
+        if len(entries) == 1:
+            return entries
         return tuple(sorted(entries, key=lambda e: (str(e[0]), e[1], e[2])))
 
     @staticmethod
@@ -373,8 +374,8 @@ def _chain(parent: dict, last: tuple) -> list[tuple]:
 
 def _ss_witness(tables: _SSTables, chain: list[tuple]) -> dict:
     """One concrete step pair per (pair, low part, entry at p, entry at q):
-    each state holds the low part and its entry's high source, and every
-    other cell 0."""
+    each state holds the low part and its entry's operands, and every other
+    cell 0."""
     nregs = len(tables.cfg.registers)
     steps = []
     for (p, q), lo, e1, e2 in chain:
