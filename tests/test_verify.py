@@ -189,8 +189,8 @@ def test_ss_witnesses_of_random_programs_replay():
 
 
 def test_ss_witness_high_parts_are_the_first_matching_high_vectors():
-    # Each witness state holds its entry's high source; it must be the first
-    # full high vector, in product order, that steps alike.
+    # Each witness state holds its entry's operands; its high part must be the
+    # first full high vector, in product order, that steps alike.
     for width in (1, 2):
         rng = Random(23)
         cfg = standard_config(width, 1, 1, (LOW, HIGH))
@@ -220,7 +220,7 @@ def test_ss_witness_high_parts_are_the_first_matching_high_vectors():
 def test_ss_summaries_match_brute_force_enumeration():
     # The per-pc summaries, memoised on the low slots each pc touches and
     # lifted onto every full low vector, must agree with direct enumeration
-    # of every high assignment, and each entry's high source must be the
+    # of every high assignment, and each entry's operands must give the
     # first high vector that steps to it.
     rng = Random(13)
     cfg = tiny_cfg(mem=(LOW, HIGH, HIGH))
@@ -312,7 +312,7 @@ class _FullSummaries(_SSTables):
     """Summaries with no shortcut: ``effect`` runs over every word of every
     high cell an instruction reads, silent steps included, and every
     instruction touches the low slots it reads or writes.  Entries carry no
-    high source; the oracle's witness states come from ``realize``."""
+    operands; the oracle's witness states come from ``realize``."""
 
     def __init__(self, program, cfg):
         super().__init__(program, cfg)
