@@ -233,24 +233,30 @@ class EnvironmentSpec:
             dist = self.faults.get(state)
             if dist is None:
                 raise ValueError(f"state {state} has no fault distribution")
-            total = Fraction(0)
             for subset, prob in dist.items():
                 if not frozenset(subset) <= faulty:
                     raise ValueError(f"fault set {sorted(subset)} not within faulty locations")
                 if prob < 0:
                     raise ValueError("negative probability")
-                total += prob
-            if total != 1:
-                raise ValueError(f"fault distribution of {state} sums to {total}, not 1")
+            # summed as integers over the lcm of the denominators
+            den = math.lcm(*(prob.denominator for prob in dist.values()))
+            total = sum(prob.numerator * (den // prob.denominator) for prob in dist.values())
+            if total != den:
+                raise ValueError(
+                    f"fault distribution of {state} sums to {Fraction(total, den)}, not 1"
+                )
 
     def restricted(self, scope: Iterable[str]) -> "EnvironmentSpec":
         """Marginalize every distribution onto a fault scope.
 
         Locations outside the scope are treated as never flipping: each drawn
         set L is replaced by L ∩ scope, and probabilities of sets that collide
-        are summed, so the total mass stays exactly 1.
+        are summed, so the total mass stays exactly 1.  A spec whose sets all
+        lie within the scope already is returned as it is.
         """
         keep = frozenset(scope)
+        if all(keep.issuperset(subset) for dist in self.faults.values() for subset in dist):
+            return self
         faults = {}
         for state, dist in self.faults.items():
             merged: FaultDist = {}
@@ -561,10 +567,11 @@ class Composition:
         table = self._tables.get(env_state)
         if table is None:
             dist = self.env.fault_distribution(env_state)
+            den = self.denominator
             rows = [
-                (self.system.mask_of(subset), int(dist[subset] * self.denominator))
-                for subset in sorted(dist, key=lambda s: tuple(sorted(s)))
-                if dist[subset] != 0
+                (self.system.mask_of(subset), prob.numerator * (den // prob.denominator))
+                for subset, prob in sorted(dist.items(), key=lambda item: tuple(sorted(item[0])))
+                if prob != 0
             ]
             table = self._tables[env_state] = (
                 tuple(mask for mask, _ in rows),

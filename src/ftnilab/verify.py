@@ -25,7 +25,13 @@ All three checkers enumerate concrete state spaces at small word widths:
   initial states, with the fault locations made observable.
 * ``check_pni`` compares exact trace probabilities of low-equal initial
   states composed with a concrete attacker, as integer counts over a power
-  of the attacker's common denominator.
+  of the attacker's common denominator.  It runs the strong-security walk
+  first and answers a strongly secure program without composing: a fault
+  flips the same bits on both sides, so low-equal states stay low-equal,
+  and the fault-tolerant pc keeps faulted runs inside the point pairs the
+  walk has cleared; so strong security implies possibilistic security at
+  every depth and scope, which implies probabilistic security under every
+  attacker.
 
 The two fault checkers walk the liveness quotient of the machine: each
 state is taken with the cells dead at its pc zeroed
@@ -116,14 +122,15 @@ class CheckConfig:
     conditional jump's source), and the running total of ``effect``
     evaluations its summaries make before it builds each (none for a silent
     step); POni, its fault masks before it builds them;
-    POni and PNI, the running total of their initial states (over the cells
-    live at pc 0) before they build each low group; then POni the running
-    total of faulted step pairs (canonical frontier pairs times masks)
-    before it walks each level, and PNI the running total of faulted steps
-    the composition takes (canonical composed states times their fault sets)
-    before it takes each state's; the timing sweep, its starts, as
-    ``initial states``.  A negative depth is refused; depth 0 is the vacuous
-    bound.
+    PNI, first the two totals of strong security, a trip there falling
+    through to the composition; POni and PNI, the running total of their
+    initial states (over the cells live at pc 0) before they build each low
+    group; then POni the running total of faulted step pairs (canonical
+    frontier pairs times masks) before it walks each level, and PNI the
+    running total of faulted steps the composition takes (canonical composed
+    states times their fault sets) before it takes each state's; the timing
+    sweep, its starts, as ``initial states``.  A negative depth is refused;
+    depth 0 is the vacuous bound.
     """
 
     depth: int = 4
@@ -270,7 +277,7 @@ class _SSTables:
 
     def entries(self, pc: int, lo: tuple) -> tuple:
         """The sorted summary entries of pc from the low part ``lo``."""
-        key = (pc, tuple(lo[slot] for slot in self.touched.get(pc, ())))
+        key = (pc, *map(lo.__getitem__, self.touched.get(pc, ())))
         if key not in self._entries:
             self._entries[key] = self._summarize(pc, lo)
         return self._entries[key]
@@ -317,19 +324,35 @@ def check_strong_security(
     """Decide strong low-bisimilarity of the program with itself.
 
     The program is deterministic, so this comes down to one breadth-first
-    walk over the point pairs reachable from (0, 0): a pair is reached when
-    some low part takes the two points to it with publicly equal steps, and
-    the program is secure iff no reached pair has a low part whose two steps
-    differ publicly.  The walk stops at the first such split; its witness is
-    the chain of pairs that first reached it.  A pair is walked over the low
-    slots its two instructions touch, and a diagonal pair whose instruction
-    reads no high cell only over the slot that decides its next pc, if any;
-    the running total of low assignments walked is charged before each pair.
+    walk over the point pairs reachable from (0, 0) (``_ss_split``); the
+    witness of a split is the chain of pairs that first reached it.
     """
-    tables = _SSTables(
-        program, cfg, lambda n: _charge(n, "summary evaluations", check.budget)
-    )
-    every = range(cfg.word_values)
+    tables = _ss_tables(program, cfg, check.budget)
+    chain = _ss_split(tables, check.budget)
+    if chain is None:
+        return Verdict("ss", "secure-up-to-bound", None)
+    return Verdict("ss", "violation", None, _ss_witness(tables, chain))
+
+
+def _ss_tables(program: RiscProgram, cfg: MachineConfig, budget: int) -> _SSTables:
+    return _SSTables(program, cfg, lambda n: _charge(n, "summary evaluations", budget))
+
+
+def _ss_split(tables: _SSTables, budget: int) -> list[tuple] | None:
+    """The ``_chain`` of the first split of the strong-security walk, or None.
+
+    A pair is reached when some low part takes the two points to it with
+    publicly equal steps, and the program is secure iff no reached pair has
+    a low part whose two steps differ publicly.  A pair is walked over the
+    low slots its two instructions touch, and a diagonal pair whose
+    instruction reads no high cell only over the slot that decides its next
+    pc, if any; the running total of low assignments walked is charged
+    before each pair.
+    """
+    nlows = len(tables.lows)
+    values = tables.cfg.word_values
+    every = range(values)
+    zeros = ((0,) * nlows,)
     walked = 0  # low assignments walked over the point pairs reached so far
     # each reached pair maps to the step that first reached it:
     # (the pair it came from, the low part, the entry at p, the entry at q)
@@ -341,22 +364,34 @@ def check_strong_security(
         slots = tables.deciding.get(p, ()) if p == q else None
         if slots is None:
             slots = {*tables.touched.get(p, ()), *tables.touched.get(q, ())}
-        walked += cfg.word_values ** len(slots)
-        _charge(walked, "low assignments walked", check.budget)
-        value_sets = [every if s in slots else (0,) for s in range(len(tables.lows))]
-        for lo in itertools.product(*value_sets):
+        walked += values ** len(slots)
+        _charge(walked, "low assignments walked", budget)
+        if slots:
+            value_sets = [every if s in slots else (0,) for s in range(nlows)]
+            lows = itertools.product(*value_sets)
+        else:
+            lows = zeros
+        for lo in lows:
             e1s, e2s = tables.entries(p, lo), tables.entries(q, lo)
+            if len(e1s) == 1 and len(e2s) == 1:  # the common case, compared directly
+                a, b = e1s[0], e2s[0]
+                if a[0] != b[0] or a[1] != b[1]:
+                    return _chain(parent, (pair, lo, a, b))
+                succ = (a[2], b[2])
+                if succ not in parent:
+                    parent[succ] = (pair, lo, a, b)
+                    queue.append(succ)
+                continue
             split = next(((a, b) for a in e1s for b in e2s if a[:2] != b[:2]), None)
             if split is not None:
-                witness = _ss_witness(tables, _chain(parent, (pair, lo, *split)))
-                return Verdict("ss", "violation", None, witness)
+                return _chain(parent, (pair, lo, *split))
             for e1 in e1s:
                 for e2 in e2s:
                     succ = (e1[2], e2[2])
                     if succ not in parent:
                         parent[succ] = (pair, lo, e1, e2)
                         queue.append(succ)
-    return Verdict("ss", "secure-up-to-bound", None)
+    return None
 
 
 def _chain(parent: dict, last: tuple) -> list[tuple]:
@@ -423,14 +458,30 @@ def _cells_named(state: MachineState, cells) -> dict:
 
 
 def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -> bool:
-    """Re-execute every step of the witness; the last one must publicly differ."""
+    """Re-execute every step of the witness; the last one must publicly differ.
+
+    The first step is at pcs (0, 0), the two states of each step hold one low
+    part, and each later step is at the pcs the step before moved to.  A
+    step's low part need not be the one the step before left: the walk takes
+    each pair over its own low parts.
+    """
     lows = cfg.cells_of_level(LOW)
-    for i, entry in enumerate(witness["trace"]):
-        seen = []
-        for side in "ab":
-            state = MachineState(
+    trace = witness["trace"]
+    pcs = (0, 0)
+    for i, entry in enumerate(trace):
+        states = [
+            MachineState(
                 entry[f"pc_{side}"], tuple(entry[f"regs_{side}"]), tuple(entry[f"mem_{side}"])
             )
+            for side in "ab"
+        ]
+        if (states[0].pc, states[1].pc) != pcs:
+            return False
+        if _cells_of(states[0], lows) != _cells_of(states[1], lows):
+            return False
+        seen = []
+        succs = []
+        for side, state in zip("ab", states):
             action, succ = machine_step(program, state, cfg) or (TAU, state)
             if str(low(action)) != entry[f"action_{side}"]:
                 return False
@@ -438,10 +489,12 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
             if lo != entry[f"low_after_{side}"]:
                 return False
             seen.append((low(action), lo))
-        last = i == len(witness["trace"]) - 1
+            succs.append(succ.pc)
+        pcs = tuple(succs)
+        last = i == len(trace) - 1
         if (seen[0] != seen[1]) != last:
             return False
-    return True
+    return bool(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +644,26 @@ def check_pni(
 ) -> Verdict:
     """Exact trace-probability comparison under one environment.
 
+    A strongly secure program is PNI-secure under every attacker and at
+    every depth (see the module docstring), so once the attacker is
+    validated the strong-security walk runs first, under the same budget,
+    and settles such a program.  Any other program, or one whose walk
+    exceeds the budget, is composed with the attacker (``_composed_pni``).
+    """
+    system = RiscSystem(program, cfg)
+    scope = _scope_names(system, check)
+    env.validate(system.faulty_names)
+    try:
+        if _ss_split(_ss_tables(program, cfg, check.budget), check.budget) is None:
+            return Verdict("pni", "secure-up-to-bound", check.depth)
+    except BudgetExceeded:
+        pass
+    return _composed_pni(system, env.restricted(scope), check)
+
+
+def _composed_pni(system: RiscSystem, env: EnvironmentSpec, check: CheckConfig) -> Verdict:
+    """PNI by composition with an attacker already restricted to the scope.
+
     Distributions of length-``depth`` traces determine the probability of
     every shorter trace by marginalization, so equality is tested at the
     bound only, on the integer trace counts of ``Composition.trace_counts``;
@@ -600,18 +673,14 @@ def check_pni(
     the module docstring); the witness names the first state and the first
     violating state of the first violating group.
     """
-    system = RiscSystem(program, cfg)
-    scope = _scope_names(system, check)
-    env.validate(system.faulty_names)
-    scoped = env.restricted(scope)
     comp = Composition(
-        system, scoped, lambda taken: _charge(taken, "faulted steps composed", check.budget)
+        system, env, lambda taken: _charge(taken, "faulted steps composed", check.budget)
     )
     for states in _initial_groups(system, check.budget):
-        ref_counts = comp.trace_counts(states[0], scoped.initial, check.depth)
+        ref_counts = comp.trace_counts(states[0], env.initial, check.depth)
         for other in states[1:]:
-            if comp.trace_counts(other, scoped.initial, check.depth) != ref_counts:
-                witness = _pni_witness(system, comp, scoped, states[0], other, check.depth)
+            if comp.trace_counts(other, env.initial, check.depth) != ref_counts:
+                witness = _pni_witness(system, comp, env, states[0], other, check.depth)
                 return Verdict("pni", "violation", check.depth, witness)
     return Verdict("pni", "secure-up-to-bound", check.depth)
 

@@ -237,6 +237,7 @@ def test_check_pni_with_env_file(tmp_path, capsys):
     [
         ("fault E0 bogus_0 1", "not within faulty locations"),
         ("fault E0 - 1/2", "sums to 1/2"),
+        ("fault E0 - 3/2\nfault E0 rl0_0 -1/2", "negative probability"),
     ],
 )
 def test_check_pni_rejects_bad_environment(tmp_path, capsys, fault_line, message):
@@ -430,18 +431,50 @@ def test_check_poni_full_scope_returns_a_verdict_under_the_default_budget(
     assert json.loads(stdout)["status"] == "secure-up-to-bound"
 
 
-def test_check_pni_budget_trips_while_composing(tmp_path, capsys):
-    # a uniform attacker on all 12 faulty bits: 4,096 fault sets per composed state
-    out = compile_padded_if(tmp_path, capsys, 2)
-    program, cfg, _ = _load_program(out, 2)
+# The padded conditional of ``compile_padded_if`` without its padding: the
+# branch that writes h takes three more steps to the low output, so the
+# program is not strongly secure, on the same machine of 12 faulty bits at
+# width 2.
+UNPADDED_IF = "load rh0 0\njz br0 rh0\nmovek rh1 1\nstore 0 rh1\nbr0: movek rl0 3\nout low rl0\n"
+PADDED_IF_MACHINE = {
+    "width": 2,
+    "register_levels": {"rh0": "H", "rh1": "H", "rl0": "L", "rl1": "L"},
+    "memory_levels": ["H", "L"],
+}
+
+
+def _uniform_env_file(tmp_path, asm_path):
+    """A uniform attacker on every faulty bit of the program at ``asm_path``."""
+    program, cfg, _ = _load_program(asm_path, 2)
     env = uniform_environment(Fraction(1, 4), RiscSystem(program, cfg).faulty_names)
-    env_path = write(tmp_path, "env.txt", environment_to_text(env))
+    return write(tmp_path, "env.txt", environment_to_text(env))
+
+
+def test_check_pni_budget_trips_while_composing(tmp_path):
+    # a uniform attacker on all 12 faulty bits: 4,096 fault sets per composed
+    # state; strong security splits, so the composition runs
+    out = write(tmp_path, "u.s", UNPADDED_IF)
+    write(tmp_path, "u.meta.json", json.dumps(PADDED_IF_MACHINE))
     run = _cli(
-        "check", out, "--mode", "pni", "--depth", "3", "--width", "2", "--env", env_path,
-        timeout=5, FTNI_BUDGET="1000",
+        "check", out, "--mode", "pni", "--depth", "3", "--width", "2",
+        "--env", _uniform_env_file(tmp_path, out), timeout=5, FTNI_BUDGET="1000",
     )
     assert run.returncode == 4
     assert "faulted steps composed: 4096 exceeds the limit of 1000" in run.stderr
+
+
+def test_check_pni_answers_a_strongly_secure_program_without_composing(tmp_path, capsys):
+    # the attacker and budget above: strong security settles the padded
+    # conditional within the budget, so the 4,096 fault sets are never taken
+    out = compile_padded_if(tmp_path, capsys, 2)
+    run = _cli(
+        "check", out, "--mode", "pni", "--depth", "3", "--width", "2",
+        "--env", _uniform_env_file(tmp_path, out), timeout=5, FTNI_BUDGET="1000",
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {
+        "bound": 3, "checker": "pni", "status": "secure-up-to-bound"
+    }
 
 
 @pytest.mark.parametrize(

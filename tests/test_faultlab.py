@@ -273,6 +273,17 @@ def test_scope_restriction_marginalizes_exactly():
     assert sum(dist.values(), Fraction(0)) == 1
 
 
+def test_scope_restriction_onto_a_scope_holding_every_set_keeps_the_spec():
+    uniform = uniform_environment(Fraction(1, 4), {"a", "b"})
+    strike = scripted_environment(
+        [({frozenset(): Fraction(1)}, "low"), ({frozenset({"a"}): Fraction(1)}, "step")]
+    )
+    for env in (uniform, strike):
+        for scope in ({"a", "b"}, {"a", "b", "c"}):
+            assert env.restricted(scope) == env
+    assert strike.restricted({"b"}) != strike
+
+
 def test_table_system_is_deterministic_by_construction():
     rng = Random(9)
     system = random_table_system(rng, n_locations=4, n_faulty=2)

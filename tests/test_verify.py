@@ -1,6 +1,7 @@
 """Checkers: strong security, possibilistic and probabilistic noninterference."""
 
 import copy
+import functools
 import itertools
 from collections import deque
 from dataclasses import replace
@@ -50,6 +51,7 @@ from ftnilab.verify import (
     Verdict,
     _SSTables,
     _chain,
+    _composed_pni,
     _initial_groups,
     check_pni,
     check_poni,
@@ -140,6 +142,53 @@ def test_ss_replay_rejects_a_changed_high_value():
     tampered = copy.deepcopy(witness)
     tampered["trace"][-1]["regs_b"][2] = 0  # rh0 as on side a: the output no longer differs
     assert not replay_ss_witness(program, cfg, tampered)
+
+
+JZ_OUT = "jz l1 rl0\nout low rl0\nl1: nop"
+
+
+def forged_step(pcs, rl0s, actions):
+    """A hand-made SS witness step on ``standard_config(1, 2, 2, (LOW, HIGH))``:
+    rl0 holds ``rl0s`` on the two sides and every other cell 0, and each
+    side's observations are those its state shows."""
+    step = {}
+    for side, pc, rl0, action in zip("ab", pcs, rl0s, actions):
+        step.update(
+            {
+                f"pc_{side}": pc,
+                f"regs_{side}": [rl0, 0, 0, 0],
+                f"mem_{side}": [0, 0],
+                f"action_{side}": action,
+                f"low_after_{side}": [rl0, 0, 0],
+            }
+        )
+    return step
+
+
+@pytest.mark.parametrize(
+    "text, trace",
+    [
+        pytest.param(JZ_OUT, [forged_step((1, 2), (1, 1), ("low!1", "tau"))], id="off-start"),
+        pytest.param(
+            "out low rl0", [forged_step((0, 0), (0, 1), ("low!0", "low!1"))], id="two-low-parts"
+        ),
+        pytest.param(
+            JZ_OUT,
+            [
+                forged_step((0, 0), (1, 1), ("tau", "tau")),
+                forged_step((1, 2), (1, 1), ("low!1", "tau")),
+            ],
+            id="not-the-next-pcs",
+        ),
+        pytest.param(JZ_OUT, [], id="empty"),
+    ],
+)
+def test_ss_replay_rejects_a_forged_trace(text, trace):
+    """Each step re-executes as claimed and only the last one splits, but the
+    trace is not one the walk can take, on a strongly secure program."""
+    program, cfg = assemble(text), standard_config(1, 2, 2, (LOW, HIGH))
+    assert check_strong_security(program, cfg).secure
+    assert not replay_ss_witness(program, cfg, {"trace": trace})
 
 
 def test_ss_single_nop_secure():
@@ -616,6 +665,68 @@ def test_pni_agrees_with_poni_on_examples():
         assert poni.secure == all(pni_results)
 
 
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        pytest.param(
+            {frozenset({"bogus_0"}): Fraction(1)},
+            "fault set ['bogus_0'] not within faulty locations",
+            id="outside-the-faulty-locations",
+        ),
+        pytest.param(
+            {frozenset(): Fraction(1, 3), frozenset({"rl0_0"}): Fraction(1, 4)},
+            "fault distribution of E0 sums to 7/12, not 1",
+            id="sum-7-12",
+        ),
+        pytest.param(
+            {frozenset(): Fraction(3, 2), frozenset({"rl0_0"}): Fraction(-1, 2)},
+            "negative probability",
+            id="negative",
+        ),
+    ],
+)
+def test_pni_refuses_a_bad_attacker_on_a_strongly_secure_program(faults, message):
+    # strong security would settle the program, but the attacker is checked first
+    program, cfg = assemble(CONSTANT_OUT), tiny_cfg()
+    assert check_strong_security(program, cfg).secure
+    env = EnvironmentSpec(("E0",), "E0", {("E0", WILDCARD): "E0"}, {"E0": faults})
+    with pytest.raises(ValueError) as refused:
+        check_pni(program, cfg, env, CheckConfig(depth=3))
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, width, budget, tripped, status",
+    [
+        # strong security summarises ``out low rh0`` over all 2**16 words of
+        # rh0, while the composition sees rh0 written first: one start
+        pytest.param(
+            "movek rh0 0\nout low rh0", 16, 1_000, "summary evaluations: 65536",
+            "secure-up-to-bound", id="secure",
+        ),
+        # the walk pays 8**2 low assignments at (1, 2), while the composition
+        # meets the timing leak in its first group of 8 starts
+        pytest.param(
+            "jz l1 rh0\nadd rl0 rl1\nl1: out low rl0", 3, 20, "low assignments walked: 66",
+            "violation", id="violation",
+        ),
+    ],
+)
+def test_pni_composes_when_strong_security_exceeds_the_budget(
+    text, width, budget, tripped, status
+):
+    program, cfg = assemble(text), standard_config(width, 2, 1, ())
+    system = RiscSystem(program, cfg)
+    scope = ("rh0_0",)
+    check = CheckConfig(depth=3, fault_scope=scope, budget=budget)
+    with pytest.raises(BudgetExceeded, match=f"{tripped} exceeds the limit of {budget}"):
+        check_strong_security(program, cfg, check)
+    for name, env in environment_family(scope):
+        verdict = check_pni(program, cfg, env, check)
+        assert verdict == _composed_pni(system, env.restricted(scope), check), name
+        assert verdict.status == status, name
+
+
 def every_initial_group(system):
     """Every data state at pc 0, in product order over the registers and then
     the memory, encoded and grouped by the values of its low cells: the
@@ -775,6 +886,13 @@ def test_pni_integer_weights_match_the_fraction_oracle(text):
     depth = 3
     comp = Composition(system, env)
     assert comp.denominator == 12
+    for env_state in env.states:
+        masks, weights = comp._table(env_state)
+        assert dict(zip(masks, weights)) == {
+            system.mask_of(subset): int(prob * comp.denominator)
+            for subset, prob in env.fault_distribution(env_state).items()
+            if prob
+        }
     secure = True
     for states in every_initial_group(system):
         dists = []
@@ -859,14 +977,45 @@ def test_pni_matches_the_run_oracle_under_an_observing_attacker(text, width):
 # -- bridging property -------------------------------------------------------------
 
 
-def test_no_program_is_ss_secure_but_poni_leaky():
-    rng = Random(101)
-    cfg = tiny_cfg(mem=(LOW, HIGH))
-    check = CheckConfig(depth=4, fault_scope=("rl0_0", "rh0_0", "m0_0", "m1_0"))
-    for _ in range(10):
+# Raw programs at widths 1-2, on machines with memory and jlez, drawn from
+# one seed; 71 of the 240 draws are strongly secure.
+SS_POOL_CONFIGS = (
+    standard_config(1, 1, 1, (LOW, HIGH), True),
+    standard_config(2, 1, 1, (LOW, HIGH), True),
+    tiny_cfg(jlez=True),
+)
+
+
+@functools.cache
+def ss_secure_draws():
+    rng = Random(1717)
+    draws = []
+    for i in range(240):
+        cfg = SS_POOL_CONFIGS[i % len(SS_POOL_CONFIGS)]
         program = random_risc_program(rng, cfg, length=6)
-        if check_strong_security(program, cfg, check).secure:
-            assert check_poni(program, cfg, check).secure
+        if check_strong_security(program, cfg).secure:
+            draws.append((program, cfg))
+    return draws
+
+
+def test_no_program_is_ss_secure_but_poni_leaky():
+    draws = ss_secure_draws()
+    assert len(draws) >= 50
+    for program, cfg in draws:
+        assert check_poni(program, cfg, CheckConfig(depth=4)).secure, disassemble(program)
+
+
+def test_ss_secure_draws_are_pni_secure_by_composition():
+    """What ``check_pni`` answers through strong security, the composition
+    itself answers too, for every shipped attacker at depths 2 and 3."""
+    for program, cfg in ss_secure_draws():
+        system = RiscSystem(program, cfg)
+        scope = default_scope(system)
+        for depth in (2, 3):
+            check = CheckConfig(depth=depth, fault_scope=scope)
+            for name, env in environment_family(scope):
+                verdict = _composed_pni(system, env.restricted(scope), check)
+                assert verdict.secure, (name, depth, disassemble(program))
 
 
 def test_ss_violating_program_is_outside_the_implication():
