@@ -995,7 +995,7 @@ def ss_secure_draws():
         program = random_risc_program(rng, cfg, length=6)
         if check_strong_security(program, cfg).secure:
             draws.append((program, cfg))
-    return draws
+    return tuple(draws)
 
 
 def test_no_program_is_ss_secure_but_poni_leaky():
