@@ -11,11 +11,12 @@ Exit codes: 0 success/secure, 1 I/O or parse error, 2 type error,
 The environment variable FTNI_BUDGET, a positive decimal integer read once
 by ``check`` and ``demo-hash``, sets the checkers' one limit on work
 (default 2000000): strong security charges the low assignments it walks
-(none for a silent side, only a conditional jump's source on a diagonal
-pair that reads no high cell) and the running total of effect evaluations its per-point summaries
-make (word values to the power of the high cells read, none for a step
-that writes no low cell, outputs nothing low and does not jump) before
-each summary; the possibilistic checker its fault masks before it builds
+(the low cells its non-silent sides touch, one on a diagonal pair whose
+next pc the code fixes) and the running total of effect evaluations its
+per-point summaries make (word values to the power of the high cells
+read, none for a step that writes no low cell, outputs nothing low and
+does not jump, and no summary for a fixed diagonal step) before each
+summary; the possibilistic checker its fault masks before it builds
 them; both fault checkers the running total of their initial states, over
 the cells live at pc 0, before they build each low group of them; then the
 possibilistic checker the running total of faulted step pairs (frontier

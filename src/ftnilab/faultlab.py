@@ -234,9 +234,9 @@ class EnvironmentSpec:
             if dist is None:
                 raise ValueError(f"state {state} has no fault distribution")
             for subset, prob in dist.items():
-                if not frozenset(subset) <= faulty:
+                if not faulty.issuperset(subset):
                     raise ValueError(f"fault set {sorted(subset)} not within faulty locations")
-                if prob < 0:
+                if prob.numerator < 0:
                     raise ValueError("negative probability")
             # summed as integers over the lcm of the denominators
             den = math.lcm(*(prob.denominator for prob in dist.values()))
@@ -309,13 +309,11 @@ def scripted_environment(stages: Iterable[tuple[FaultDist, str]]) -> Environment
     for i, (dist, advance) in enumerate(stage_list):
         here, there = states[i], states[i + 1]
         faults[here] = dict(dist)
-        if advance == "step":
-            transitions[(here, WILDCARD)] = there
-        elif advance == "low":
-            transitions[(here, WILDCARD)] = there
-            transitions[(here, TAU)] = here
-        else:
+        if advance not in ("step", "low"):
             raise ValueError(f"unknown advance mode {advance!r}")
+        transitions[(here, WILDCARD)] = there
+        if advance == "low":
+            transitions[(here, TAU)] = here
     return EnvironmentSpec(states, states[0], transitions, faults)
 
 

@@ -234,6 +234,12 @@ class MachineConfig:
         levels = [lev for _, lev in self.registers] + list(self.memory_levels)
         return tuple(cell for cell, lev in enumerate(levels) if lev is level)
 
+    def data_bit_names(self) -> list[str]:
+        """The names of the data bits in location order: "<reg>_<bit>", then
+        "m<addr>_<bit>", LSB first; ``RiscSystem`` makes these its faulty bits."""
+        words = [*self.register_names(), *(f"m{addr}" for addr in range(self.memory_size))]
+        return [f"{word}_{b}" for word in words for b in range(self.width)]
+
 
 def standard_config(
     width: int,
@@ -425,15 +431,10 @@ class RiscSystem(FaultProneSystem):
         self.cfg = cfg
         w = cfg.width
         self.pc_bits = max(1, (len(program)).bit_length())
-        locations: list[Location] = []
-        for name, _ in cfg.registers:
-            locations.extend(Location(f"{name}_{b}", Tolerance.FAULTY) for b in range(w))
-        for addr in range(cfg.memory_size):
-            locations.extend(Location(f"m{addr}_{b}", Tolerance.FAULTY) for b in range(w))
-        locations.extend(
-            Location(f"pc_{b}", Tolerance.FAULT_TOLERANT) for b in range(self.pc_bits)
+        super().__init__(
+            [Location(name, Tolerance.FAULTY) for name in cfg.data_bit_names()]
+            + [Location(f"pc_{b}", Tolerance.FAULT_TOLERANT) for b in range(self.pc_bits)]
         )
-        super().__init__(locations)
         self._pc_shift = w * (len(cfg.registers) + cfg.memory_size)
         word = (1 << w) - 1
         lows, highs = cfg.cells_of_level(LOW), cfg.cells_of_level(HIGH)
@@ -458,11 +459,8 @@ class RiscSystem(FaultProneSystem):
     def decode(self, bits: int) -> MachineState:
         w = self.cfg.width
         word = (1 << w) - 1
-        values = []
-        pos = 0
-        for _ in range(len(self.cfg.registers) + self.cfg.memory_size):
-            values.append(bits >> pos & word)
-            pos += w
+        cells = range(len(self.cfg.registers) + self.cfg.memory_size)
+        values = [bits >> cell * w & word for cell in cells]
         nregs = len(self.cfg.registers)
         pc = bits >> self._pc_shift & ((1 << self.pc_bits) - 1)
         return MachineState(pc, tuple(values[:nregs]), tuple(values[nregs:]))

@@ -13,20 +13,23 @@ All three checkers enumerate concrete state spaces at small word widths:
   part of the whole low space.  A silent step (no jump, no low write, not
   ``out low``) takes one public step whatever it reads, so its side adds no
   cell.  A diagonal pair (p, p) whose instruction reads no high cell takes
-  one deterministic step on both sides, so it cannot split; it is walked
-  only over the low source of a ``jz``/``jlez``, the one cell that moves its
-  next pc, and over no cell otherwise.  The first low part that reaches
-  each successor is the same, so verdicts and witnesses are those of the
-  full walk.  Each witness step is read off the summary entry the walk
-  holds: the low part, the first value of the one high cell the step reads
-  that yields the entry, and every other cell 0, which is the first state
-  in high-vector order that steps alike.
+  one deterministic step on both sides, so it cannot split.  A ``jz``/``jlez``
+  is walked over its low source, the one cell that moves its next pc; any
+  other such pair, or a silent one, is fixed: it goes with the all-zero low
+  part to the next pc the code gives and builds no summary.  The first
+  low part that reaches each successor is the same, so verdicts and
+  witnesses are those of the full walk.  Each witness step is read off its
+  summary entry (a fixed step's is built with the witness): the low part,
+  the first value of the one high cell the step reads that yields the
+  entry, and every other cell 0, which is the first state in high-vector
+  order that steps alike.
 * ``check_poni`` compares the sets of fault-annotated traces of low-equal
   initial states, with the fault locations made observable.
 * ``check_pni`` compares exact trace probabilities of low-equal initial
   states composed with a concrete attacker, as integer counts over a power
   of the attacker's common denominator.  It runs the strong-security walk
-  first and answers a strongly secure program without composing: a fault
+  first and answers a strongly secure program from the decoded program
+  alone, building the bit-level ``RiscSystem`` only to compose: a fault
   flips the same bits on both sides, so low-equal states stay low-equal,
   and the fault-tolerant pc keeps faulted runs inside the point pairs the
   walk has cleared; so strong security implies possibilistic security at
@@ -89,6 +92,7 @@ from .machine import (
     decode,
     effect,
     step as machine_step,
+    validate_program,
 )
 from .seccomp import CompileResult
 
@@ -117,11 +121,11 @@ class CheckConfig:
     possibilistic and probabilistic checkers; ``budget`` is the one limit on
     work, charged by every checker: strong security, the running total of
     low assignments it walks over the point pairs it reaches before it walks
-    each pair (the values of the low slots its non-silent sides touch; a
-    diagonal pair that reads no high cell walks one, or the values of a
-    conditional jump's source), and the running total of ``effect``
-    evaluations its summaries make before it builds each (none for a silent
-    step); POni, its fault masks before it builds them;
+    each pair (the values of the low slots its non-silent sides touch, or
+    one for a diagonal pair whose step is fixed), and the running total of
+    ``effect`` evaluations its summaries make before it builds each (none
+    for a silent step, and a fixed diagonal step builds no summary); POni,
+    its fault masks before it builds them;
     PNI, first the two totals of strong security, a trip there falling
     through to the composition; POni and PNI, the running total of their
     initial states (over the cells live at pc 0) before they build each low
@@ -165,11 +169,11 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _scope_names(system: RiscSystem, check: CheckConfig) -> tuple[str, ...]:
+def _scope_names(faulty: frozenset[str], check: CheckConfig) -> tuple[str, ...]:
     if check.fault_scope is None:
-        return tuple(sorted(system.faulty_names))
+        return tuple(sorted(faulty))
     names = tuple(check.fault_scope)
-    unknown = set(names) - system.faulty_names
+    unknown = set(names) - faulty
     if unknown:
         raise ValueError(f"fault scope outside the faulty locations: {sorted(unknown)}")
     return names
@@ -188,10 +192,7 @@ def default_scope(system: RiscSystem, max_bits: int = 4) -> tuple[str, ...]:
             if lev is level:
                 picks.append(f"m{addr}_0")
                 break
-    seen: list[str] = []
-    for name in picks:
-        if name not in seen:
-            seen.append(name)
+    seen = list(dict.fromkeys(picks))
     for name in sorted(system.faulty_names):
         if len(seen) >= max_bits:
             break
@@ -232,8 +233,8 @@ class _SSTables:
     instruction reads or writes), are memoised on their values, and are
     sorted, so checks and witnesses meet them in one order on every run.  A
     point pair is checked only over the slots either side touches, and a
-    diagonal pair whose instruction reads no high cell only over
-    ``deciding`` (see the module docstring).
+    diagonal pair whose step is ``fixed`` goes to its one next pc with no
+    entries built (see the module docstring).
 
     ``charge``, when given, is called with the running number of ``effect``
     evaluations (``word_values ** #high cells read`` per summary that runs
@@ -264,13 +265,14 @@ class _SSTables:
             else tuple(sorted({slots[c] for c in (*op.sources, op.dest) if c in slots}))
             for pc, op in enumerate(self.ops)
         }
-        # per pc, the slots a diagonal pair (pc, pc) walks, or None when the
-        # instruction reads a high cell: its one entry is the same on both
-        # sides, and only a conditional jump's source moves its next pc
-        self.deciding = {
-            pc: None
-            if any(c not in slots for c in op.sources)
-            else self.touched[pc] if op.op in ("jz", "jlez") else ()
+        # per pc, the next pc of a diagonal pair (pc, pc) whose step the code
+        # fixes, or None: a silent step, or one that reads no high cell and
+        # is no conditional jump, moves both sides alike to one pc
+        self.fixed = {
+            pc: (op.target if op.op == "jmp" else pc + 1)
+            if self.silent[pc]
+            or (op.op not in ("jz", "jlez") and all(c in slots for c in op.sources))
+            else None
             for pc, op in enumerate(self.ops)
         }
         self._entries: dict[tuple[int, tuple], tuple] = {}
@@ -344,10 +346,10 @@ def _ss_split(tables: _SSTables, budget: int) -> list[tuple] | None:
     A pair is reached when some low part takes the two points to it with
     publicly equal steps, and the program is secure iff no reached pair has
     a low part whose two steps differ publicly.  A pair is walked over the
-    low slots its two instructions touch, and a diagonal pair whose
-    instruction reads no high cell only over the slot that decides its next
-    pc, if any; the running total of low assignments walked is charged
-    before each pair.
+    low slots its two instructions touch, except that a diagonal pair whose
+    step is fixed goes to its one next pc for the all-zero low part, and
+    its step keeps no entries (``_ss_witness`` reads them back); the running
+    total of low assignments walked is charged before each pair.
     """
     nlows = len(tables.lows)
     values = tables.cfg.word_values
@@ -361,11 +363,15 @@ def _ss_split(tables: _SSTables, budget: int) -> list[tuple] | None:
     while queue:
         pair = queue.popleft()
         p, q = pair
-        slots = tables.deciding.get(p, ()) if p == q else None
-        if slots is None:
-            slots = {*tables.touched.get(p, ()), *tables.touched.get(q, ())}
+        fixed = tables.fixed.get(p, p) if p == q else None  # p past the end stays
+        slots = {*tables.touched.get(p, ()), *tables.touched.get(q, ())} if fixed is None else ()
         walked += values ** len(slots)
         _charge(walked, "low assignments walked", budget)
+        if fixed is not None:
+            if (fixed, fixed) not in parent:
+                parent[fixed, fixed] = (pair, zeros[0], None, None)
+                queue.append((fixed, fixed))
+            continue
         if slots:
             value_sets = [every if s in slots else (0,) for s in range(nlows)]
             lows = itertools.product(*value_sets)
@@ -414,6 +420,8 @@ def _ss_witness(tables: _SSTables, chain: list[tuple]) -> dict:
     nregs = len(tables.cfg.registers)
     steps = []
     for (p, q), lo, e1, e2 in chain:
+        if e1 is None:  # a fixed diagonal step keeps no entry; read its one
+            e1 = e2 = tables.entries(p, lo)[0]
         states = []
         for pc, entry in ((p, e1), (q, e2)):
             data = [0] * (nregs + tables.cfg.memory_size)
@@ -542,7 +550,7 @@ def check_poni(
     ``_initial_groups`` order.
     """
     system = RiscSystem(program, cfg)
-    scope = _scope_names(system, check)
+    scope = _scope_names(system.faulty_names, check)
     _charge(2 ** len(scope), "fault masks", check.budget)
     # each explored pair maps to (the pair it came from, the mask's index)
     parent: dict[tuple[int, int], tuple | None] = {
@@ -649,16 +657,19 @@ def check_pni(
     validated the strong-security walk runs first, under the same budget,
     and settles such a program.  Any other program, or one whose walk
     exceeds the budget, is composed with the attacker (``_composed_pni``).
+    The faulty bits are named by ``MachineConfig.data_bit_names``, so the
+    bit-level ``RiscSystem`` is built only to compose.
     """
-    system = RiscSystem(program, cfg)
-    scope = _scope_names(system, check)
-    env.validate(system.faulty_names)
+    validate_program(program, cfg)
+    faulty = frozenset(cfg.data_bit_names())
+    scope = _scope_names(faulty, check)
+    env.validate(faulty)
     try:
         if _ss_split(_ss_tables(program, cfg, check.budget), check.budget) is None:
             return Verdict("pni", "secure-up-to-bound", check.depth)
     except BudgetExceeded:
         pass
-    return _composed_pni(system, env.restricted(scope), check)
+    return _composed_pni(RiscSystem(program, cfg), env.restricted(scope), check)
 
 
 def _composed_pni(system: RiscSystem, env: EnvironmentSpec, check: CheckConfig) -> Verdict:
@@ -717,7 +728,7 @@ def replay_pni_witness(
 ) -> bool:
     """Recompute the two trace probabilities claimed by the witness."""
     system = RiscSystem(program, cfg)
-    scoped = env.restricted(_scope_names(system, check))
+    scoped = env.restricted(_scope_names(system.faulty_names, check))
     comp = Composition(system, scoped)
     sa, sb = _witness_states(system, witness)
     trace = tuple(parse_action(t) for t in witness["trace"])

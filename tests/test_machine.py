@@ -34,6 +34,20 @@ def cfg_w(width, mem=2, enable_jlez=False):
     return standard_config(width, 2, 2, levels, enable_jlez)
 
 
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("mem", [(), (LOW, HIGH, LOW)])
+def test_data_bit_names_are_the_faulty_locations_in_order(width, mem):
+    cfg = standard_config(width, 2, 1, mem)
+    locations = RiscSystem(assemble("nop\nnop\nnop"), cfg).locations
+    names = cfg.data_bit_names()
+    assert len(names) == width * (3 + len(mem))
+    assert names == [loc.name for loc in locations[: len(names)]]
+    assert all(loc.faulty for loc in locations[: len(names)])
+    # the pc bits follow, fault-tolerant
+    assert [loc.name for loc in locations[len(names) :]] == ["pc_0", "pc_1"]
+    assert not any(loc.faulty for loc in locations[len(names) :])
+
+
 def test_resolve_label_examples():
     program = assemble("nop\nl1: jmp l1")
     assert program.resolve_label("l1") == 1

@@ -27,6 +27,7 @@ from ftnilab.lang import parse
 from ftnilab.machine import (
     HIGH,
     LOW,
+    AssemblyError,
     MachineState,
     RiscProgram,
     assemble,
@@ -538,6 +539,23 @@ def test_ss_stops_at_the_first_split():
     assert verdict == check_strong_security(program, cfg)
 
 
+def test_ss_fixed_diagonal_steps_build_no_summary():
+    # (0, 0) and (1, 1) are fixed by the code: the movek reads no cell and the
+    # add is silent, so each walks one low assignment and builds no summary;
+    # only the secret output at (2, 2) runs ``effect``, over the 8 words of rh0
+    cfg = standard_config(3, 1, 2, ())
+    program = assemble("movek rl0 1\nadd rh0 rh1\nout low rh0")
+    with pytest.raises(BudgetExceeded, match="summary evaluations: 8 exceeds the limit of 7$"):
+        check_strong_security(program, cfg, CheckConfig(budget=7))
+    verdict = check_strong_security(program, cfg)
+    trace = verdict.witness["trace"]
+    assert [(s["pc_a"], s["pc_b"]) for s in trace] == [(0, 0), (1, 1), (2, 2)]
+    # the movek step's entry is built with the witness: both sides write rl0 = 1
+    assert trace[0]["low_after_a"] == trace[0]["low_after_b"] == [1]
+    assert (trace[0]["action_a"], trace[0]["action_b"]) == ("tau", "tau")
+    assert replay_ss_witness(program, cfg, verdict.witness)
+
+
 # -- possibilistic checking ------------------------------------------------------
 
 
@@ -695,6 +713,43 @@ def test_pni_refuses_a_bad_attacker_on_a_strongly_secure_program(faults, message
     assert str(refused.value) == message
 
 
+def test_pni_builds_the_bit_level_system_only_to_compose(monkeypatch):
+    built = []
+
+    class CountingSystem(RiscSystem):
+        def __init__(self, program, cfg):
+            built.append(program)
+            super().__init__(program, cfg)
+
+    monkeypatch.setattr("ftnilab.verify.RiscSystem", CountingSystem)
+    check = CheckConfig(depth=2, fault_scope=("rl0_0",))
+    env = uniform_environment(Fraction(1, 4), ("rl0_0",))
+    # strongly secure corpus code is settled by the walk: nothing is built
+    for name, text in CORPUS:
+        src = parse(text)
+        cfg = config_for_source(src, 1)
+        program = compile_program(src, cfg).program
+        if check_strong_security(program, cfg).secure:
+            assert check_pni(program, cfg, env, check).secure, name
+    assert built == []
+    # the padded conditional without its padding is SS-insecure: one build
+    program = assemble(
+        "load rh0 0\njz br0 rh0\nmovek rh1 1\nstore 0 rh1\nbr0: movek rl0 3\nout low rl0"
+    )
+    cfg = standard_config(1, 2, 2, (HIGH, LOW))
+    assert not check_strong_security(program, cfg).secure
+    check_pni(program, cfg, env, check)
+    assert built == [program]
+    # errors keep their order: the program, then the scope, then the attacker
+    bad = EnvironmentSpec(("E0",), "E0", {("E0", WILDCARD): "E0"}, {"E0": {}})
+    with pytest.raises(AssemblyError, match="unknown register 'rx9'"):
+        check_pni(assemble("out low rx9"), cfg, bad, check)
+    with pytest.raises(ValueError) as refused:
+        check_pni(program, cfg, bad, CheckConfig(fault_scope=("pc_0", "rl0_0")))
+    assert str(refused.value) == "fault scope outside the faulty locations: ['pc_0']"
+    assert built == [program]
+
+
 @pytest.mark.parametrize(
     "text, width, budget, tripped, status",
     [
@@ -788,7 +843,7 @@ def brute_force_poni(program, cfg, check):
     from ftnilab.verify import _scope_names
 
     system = RiscSystem(program, cfg)
-    scope = _scope_names(system, check)
+    scope = _scope_names(system.faulty_names, check)
     for states in every_initial_group(system):
         sets = [
             frozenset(run.trace for run in enumerate_augmented_runs(system, s, check.depth, scope))
