@@ -556,6 +556,19 @@ def test_ss_fixed_diagonal_steps_build_no_summary():
     assert replay_ss_witness(program, cfg, verdict.witness)
 
 
+def test_ss_fixed_jmp_goes_to_its_target():
+    # a diagonal jmp is a fixed step to its target: it skips the secret
+    # output in the first program and lands on it in the second
+    cfg = standard_config(2, 1, 1, ())
+    skipped = assemble("jmp l1\nout low rh0\nl1: out low rl0")
+    assert check_strong_security(skipped, cfg).secure
+    program = assemble("jmp l1\nnop\nl1: out low rh0")
+    verdict = check_strong_security(program, cfg)
+    trace = verdict.witness["trace"]
+    assert [(s["pc_a"], s["pc_b"]) for s in trace] == [(0, 0), (2, 2)]
+    assert replay_ss_witness(program, cfg, verdict.witness)
+
+
 # -- possibilistic checking ------------------------------------------------------
 
 
@@ -724,13 +737,13 @@ def test_pni_builds_the_bit_level_system_only_to_compose(monkeypatch):
     monkeypatch.setattr("ftnilab.verify.RiscSystem", CountingSystem)
     check = CheckConfig(depth=2, fault_scope=("rl0_0",))
     env = uniform_environment(Fraction(1, 4), ("rl0_0",))
-    # strongly secure corpus code is settled by the walk: nothing is built
+    # the corpus is strongly secure, so the walk settles it: nothing is built
     for name, text in CORPUS:
         src = parse(text)
         cfg = config_for_source(src, 1)
         program = compile_program(src, cfg).program
-        if check_strong_security(program, cfg).secure:
-            assert check_pni(program, cfg, env, check).secure, name
+        assert check_strong_security(program, cfg).secure, name
+        assert check_pni(program, cfg, env, check).secure, name
     assert built == []
     # the padded conditional without its padding is SS-insecure: one build
     program = assemble(
