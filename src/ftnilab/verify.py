@@ -357,7 +357,8 @@ def _ss_split(tables: _SSTables, budget: int) -> list[tuple] | None:
     zeros = ((0,) * nlows,)
     walked = 0  # low assignments walked over the point pairs reached so far
     # each reached pair maps to the step that first reached it:
-    # (the pair it came from, the low part, the entry at p, the entry at q)
+    # (the pair it came from, the low part, the entry at p, the entry at q),
+    # with None for both entries of a fixed step
     parent: dict[tuple[int, int], tuple | None] = {(0, 0): None}
     queue = deque(parent)
     while queue:
