@@ -121,6 +121,12 @@ class FaultProneSystem:
         checkers.  Here every state stands for itself."""
         return state
 
+    def relevant(self, state: int) -> int:
+        """The faulty bits whose flips can change the state's public faulted
+        step: masks that agree on them take the same one (see
+        ``faulted_steps``).  Here every faulty bit."""
+        return self.faulty_mask
+
     def public_step(self, state: int) -> tuple[int, int] | None:
         found = self._public.get(state, UNSEEN)
         if found is UNSEEN:
@@ -394,7 +400,8 @@ def faulted_steps(
     it idles silently and keeps the flipped bits.  Entries are (action,
     successor), or with ``public`` (observation code, canonical successor)
     from ``system.public_step`` and ``system.canonical``: the checkers' view,
-    in which states with equal public futures are one state.
+    in which states with equal public futures are one state, and masks
+    with equal ``mask & system.relevant(state)`` take one step.
     """
     step, idle = (system.public_step, 0) if public else (system.step, TAU)
     if step(state) is None:
@@ -556,6 +563,7 @@ class Composition:
         self.charge = charge
         self.steps_taken = 0
         self._tables: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._cut_tables: dict[tuple[str, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._advances: dict[tuple[str, int], str] = {}
         self._steps: dict[tuple[int, str], list[tuple[int, int, int, str]]] = {}
         self._counts: dict[tuple, dict[tuple[int, ...], int]] = {}
@@ -579,12 +587,27 @@ class Composition:
 
     def _aggregate(self, state: int, env_state: str, public: bool = False) -> dict[tuple, int]:
         """Weight over ``denominator`` of each distinct faulted step (see
-        ``faulted_steps``) under the attacker state's fault table."""
+        ``faulted_steps``) under the attacker state's fault table; a public
+        step is taken once per mask cut to ``system.relevant(state)``."""
         masks, weights = self._table(env_state)
+        if public:
+            masks, weights = self._cut_table(env_state, self.system.relevant(state))
         acc: dict[tuple, int] = {}
         for outcome, weight in zip(faulted_steps(self.system, state, masks, public), weights):
             acc[outcome] = acc.get(outcome, 0) + weight
         return acc
+
+    def _cut_table(self, env_state: str, relevant: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The fault table with each mask cut to ``relevant`` and the weights
+        of equal cuts summed, each cut in the place of its first mask."""
+        key = (env_state, relevant)
+        table = self._cut_tables.get(key)
+        if table is None:
+            summed: dict[int, int] = {}
+            for mask, weight in zip(*self._table(env_state)):
+                summed[mask & relevant] = summed.get(mask & relevant, 0) + weight
+            table = self._cut_tables[key] = (tuple(summed), tuple(summed.values()))
+        return table
 
     def _advance(self, env_state: str, code: int) -> str:
         """The attacker's next state on an observation code."""

@@ -500,6 +500,19 @@ class RiscSystem(FaultProneSystem):
             keep = self._keep = self._build_keep()
         return state & keep[state >> self._pc_shift]
 
+    def relevant(self, state: int) -> int:
+        """The bits of the cells live at the state's pc, 0 past the end.
+
+        These are the cells the instruction reads plus those live at a
+        successor pc, less the one it writes (``_build_keep``).  A flip of
+        any other cell is not read, and is overwritten or dead at every
+        successor, so masks that agree here take one public faulted step.
+        """
+        keep = self._keep
+        if keep is None:
+            keep = self._keep = self._build_keep()
+        return keep[state >> self._pc_shift] & self.faulty_mask
+
     def _build_keep(self) -> tuple[int, ...]:
         """Per encoded pc, the mask of the pc bits and the bits of the cells
         live there; a pc past the end keeps only its pc bits.

@@ -51,6 +51,16 @@ start: in product order, a class's first concrete member is the one with
 every dead cell zero, its canonical state, and two such members compare as
 their live cells do.
 
+They also quotient fault masks by the same liveness.  A flip of a cell
+dead at the pc (outside ``RiscSystem.relevant``) is not read, and is
+overwritten or zeroed in the canonical successor, so masks with one cut
+``mask & relevant(state)`` take one public faulted step, and both checkers
+take it once per cut.  POni walks a pair over the masks within the union of
+its sides' relevance masks, in ascending order; every other mask repeats
+the step of its cut, an earlier mask, so the first splitting mask and the
+first mask to reach each successor pair, and with them the witnesses, are
+unchanged.  The composition sums attacker weights per cut.
+
 Verdicts are ``secure-up-to-bound`` or ``violation``; violations carry a
 replayable witness.
 """
@@ -133,8 +143,10 @@ class CheckConfig:
     frontier pairs times masks) before it walks each level, and PNI the
     running total of faulted steps the composition takes (canonical composed
     states times their fault sets) before it takes each state's; the timing
-    sweep, its starts, as ``initial states``.  A negative depth is refused;
-    depth 0 is the vacuous bound.
+    sweep, its starts, as ``initial states``.  The two fault charges stay
+    nominal: they count every mask, though the walks step once per cut
+    mask (see the module docstring), so every budget exit is unchanged.  A
+    negative depth is refused; depth 0 is the vacuous bound.
     """
 
     depth: int = 4
@@ -543,8 +555,9 @@ def check_poni(
     The fault-labelled system is deterministic once the flipped set is part
     of the label, so trace-set equality reduces to a synchronized walk: both
     sides take the same fault sequence and must show the same public actions.
-    Each state's public faulted steps under every mask (its row) are taken
-    once, and a pair compares the two rows' observation codes.
+    Each state's public faulted steps under the masks within its relevance
+    mask (its row) are taken once, and a pair compares the two rows'
+    observation codes at each mask cut to each side's relevance mask.
 
     The walk runs on canonical pairs (see the module docstring).  Its seeds
     pair each low group's first state with every other one, in
@@ -560,13 +573,24 @@ def check_poni(
         for other in states[1:]
     }
     masks = sorted(system.mask_of(subset) for subset in _subsets(scope))
-    # per state, its fault row: the observation code and the successor per mask
-    rows: dict[int, tuple[tuple, tuple]] = {}
+    relevant = system.relevant
+    # per relevance mask, the (index, mask) of the masks within it, ascending
+    classes: dict[int, list[tuple[int, int]]] = {}
 
-    def row(state: int) -> tuple[tuple, tuple]:
+    def within(rel: int) -> list[tuple[int, int]]:
+        found = classes.get(rel)
+        if found is None:
+            found = classes[rel] = [(i, mask) for i, mask in enumerate(masks) if mask & rel == mask]
+        return found
+
+    # per state, its public faulted step under each mask within its relevance mask
+    rows: dict[int, dict[int, tuple[int, int]]] = {}
+
+    def row(state: int) -> dict[int, tuple[int, int]]:
         found = rows.get(state)
         if found is None:
-            found = rows[state] = tuple(zip(*faulted_steps(system, state, masks, True)))
+            cuts = [mask for _, mask in within(relevant(state))]
+            found = rows[state] = dict(zip(cuts, faulted_steps(system, state, cuts, True)))
         return found
 
     frontier = list(parent)
@@ -580,15 +604,20 @@ def check_poni(
         _charge(walked, "faulted step pairs", check.budget)
         nxt: list[tuple[int, int]] = []
         for pair in frontier:
-            lows_a, succs_a = row(pair[0])
-            lows_b, succs_b = row(pair[1])
-            if lows_a != lows_b:
-                violation = (pair, next(i for i, x in enumerate(lows_a) if x != lows_b[i]))
-                break
-            for i, succ in enumerate(zip(succs_a, succs_b)):
+            row_a, row_b = row(pair[0]), row(pair[1])
+            rel_a, rel_b = relevant(pair[0]), relevant(pair[1])
+            for i, mask in within(rel_a | rel_b):
+                code_a, succ_a = row_a[mask & rel_a]
+                code_b, succ_b = row_b[mask & rel_b]
+                if code_a != code_b:
+                    violation = (pair, i)
+                    break
+                succ = (succ_a, succ_b)
                 if succ not in parent:
                     parent[succ] = (pair, i)
                     nxt.append(succ)
+            if violation:
+                break
         if violation:
             break
         frontier = nxt
@@ -606,8 +635,8 @@ def check_poni(
         "trace": [
             {
                 "faults": sorted(system.names_of(masks[i])),
-                "low_a": str(observations[rows[sa][0][i]]),
-                "low_b": str(observations[rows[sb][0][i]]),
+                "low_a": str(observations[rows[sa][masks[i] & relevant(sa)][0]]),
+                "low_b": str(observations[rows[sb][masks[i] & relevant(sb)][0]]),
             }
             for (sa, sb), i in chain
         ],
@@ -615,8 +644,15 @@ def check_poni(
     return Verdict("poni", "violation", check.depth, witness)
 
 
-def _witness_states(system: RiscSystem, witness: dict) -> tuple[int, int]:
-    """The two initial states a POni or PNI witness names; unnamed bits are 0."""
+def _witness_states(system: RiscSystem, witness: dict) -> tuple[int, int] | None:
+    """The two initial states a POni or PNI witness names; unnamed bits are
+    0.  None when ``initial_low`` names anything but low data bits, or an
+    ``initial_high_*`` anything but high data bits."""
+    named = [(witness["initial_low"], system.low_mask)] + [
+        (witness[f"initial_high_{side}"], system.high_mask) for side in "ab"
+    ]
+    if any(not system.names_of(mask).issuperset(bits) for bits, mask in named):
+        return None
     zeros = {loc.name: 0 for loc in system.locations}
     return tuple(
         system.state_of({**zeros, **witness["initial_low"], **witness[f"initial_high_{side}"]})
@@ -625,10 +661,18 @@ def _witness_states(system: RiscSystem, witness: dict) -> tuple[int, int]:
 
 
 def replay_poni_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -> bool:
-    """Drive both initial states through the fault sequence; they must split."""
+    """Drive both initial states through the fault sequence; they must split.
+
+    A fault may name only a faulty location.
+    """
     system = RiscSystem(program, cfg)
-    sa, sb = _witness_states(system, witness)
+    states = _witness_states(system, witness)
+    if states is None:
+        return False
+    sa, sb = states
     for i, entry in enumerate(witness["trace"]):
+        if not system.faulty_names.issuperset(entry["faults"]):
+            return False
         mask = system.mask_of(entry["faults"])
         act_a, sa = faulted_step(system, sa, mask)
         act_b, sb = faulted_step(system, sb, mask)
@@ -731,7 +775,10 @@ def replay_pni_witness(
     system = RiscSystem(program, cfg)
     scoped = env.restricted(_scope_names(system.faulty_names, check))
     comp = Composition(system, scoped)
-    sa, sb = _witness_states(system, witness)
+    states = _witness_states(system, witness)
+    if states is None:
+        return False
+    sa, sb = states
     trace = tuple(parse_action(t) for t in witness["trace"])
     pa = comp.trace_probability(sa, scoped.initial, trace)
     pb = comp.trace_probability(sb, scoped.initial, trace)

@@ -344,7 +344,8 @@ LIVE_AT = ["rh0 m0", "rl0 rh0 m0", "rh0 m0", "rl0 rh0 m0", "rl0 rh0 m0", "rl0", 
 def test_canonical_keeps_the_pc_and_the_cells_live_there():
     cfg = standard_config(2, 1, 1, (LOW, HIGH))
     system = RiscSystem(assemble(LIVENESS_PROGRAM), cfg)
-    assert system._keep is None  # built on first use, not by the constructor
+    # built on first use, with the fault-relevance masks, not by the constructor
+    assert system._keep is None
     assert system.pc_bits == 3
     for pc, names in enumerate(LIVE_AT):
         full = system.encode(MachineState(pc, (3, 3), (3, 3)))
@@ -352,7 +353,10 @@ def test_canonical_keeps_the_pc_and_the_cells_live_there():
         assert system.decode(kept).pc == pc
         ones = {name for name, bit in system.bits_of(kept).items() if bit}
         pc_ones = {f"pc_{b}" for b in range(3) if pc >> b & 1}
-        assert ones == pc_ones | {f"{cell}_{b}" for cell in names.split() for b in (0, 1)}
+        live = {f"{cell}_{b}" for cell in names.split() for b in (0, 1)}
+        assert ones == pc_ones | live
+        # the fault-relevance mask: the live cells, whatever the data
+        assert system.relevant(full) == system.relevant(kept) == system.mask_of(live)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -372,6 +376,28 @@ def test_canonical_states_take_the_same_public_faulted_steps(seed, width):
         assert canon & ~state == 0
         assert faulted_steps(system, state, masks, True) == faulted_steps(
             system, canon, masks, True
+        )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 2))
+def test_masks_that_agree_on_the_relevant_bits_take_one_public_step(seed, width):
+    """The mask quotient is exact: from every state, under every mask of the
+    full scope, the public faulted step equals the one under the mask cut to
+    the state's relevance mask, which is 0 past the end."""
+    cfg = standard_config(width, 1, 1, (LOW, HIGH) if width == 1 else (HIGH,), True)
+    program = random_kernel_program(Random(seed), cfg, 6)
+    system = RiscSystem(program, cfg)
+    names = sorted(system.faulty_names)
+    masks = [system.mask_of(combo) for r in range(len(names) + 1)
+             for combo in itertools.combinations(names, r)]
+    for state in system.all_states():
+        rel = system.relevant(state)
+        assert rel & ~system.faulty_mask == 0
+        if system.decode(state).pc >= len(program):
+            assert rel == 0
+        assert faulted_steps(system, state, masks, True) == faulted_steps(
+            system, state, [mask & rel for mask in masks], True
         )
 
 

@@ -3,7 +3,7 @@
 import copy
 import functools
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -604,6 +604,72 @@ def test_poni_replay_rejects_a_changed_high_value_or_fault_set():
     assert not replay_poni_witness(program, cfg, no_fault)
 
 
+def test_poni_walks_the_masks_either_side_tells_apart():
+    """After the ``jz`` the sides sit at pcs 2 and 1, where rl1 and rl0 with
+    rl1 are live: a flip of rl0, which side a cannot tell from none, splits
+    them, and it is the least mask that does."""
+    program, cfg = assemble("jz l rh0\nout low rl0\nl: out low rl1"), standard_config(1, 2, 1, ())
+    witness = check_poni(program, cfg, CheckConfig(depth=2)).witness
+    assert witness["trace"] == [
+        {"faults": [], "low_a": "tau", "low_b": "tau"},
+        {"faults": ["rl0_0"], "low_a": "low!0", "low_b": "low!1"},
+    ]
+    assert replay_poni_witness(program, cfg, witness)
+
+
+# ``end`` is the only pc a run reaches after pc 0: the ``out`` at pc 1 is
+# skipped, so the program is POni- and PNI-secure, and only a run started at
+# pc 1, or a flip of the fault-tolerant pc, shows rh0.
+SKIPPED_OUT = "jmp end\nout low rh0\nend: nop"
+
+
+def forged_poni_witness(initial_low, high_b, faults, lows):
+    return {
+        "initial_low": initial_low,
+        "initial_high_a": {},
+        "initial_high_b": high_b,
+        "trace": [{"faults": faults, "low_a": lows[0], "low_b": lows[1]}],
+    }
+
+
+@pytest.mark.parametrize(
+    "text, witness",
+    [
+        pytest.param(
+            SKIPPED_OUT,
+            forged_poni_witness({}, {"rh0_0": 1}, ["pc_0"], ("low!0", "low!1")),
+            id="fault-tolerant-fault",
+        ),
+        pytest.param(
+            SKIPPED_OUT,
+            forged_poni_witness({}, {"rh0_0": 1}, ["no_such_bit"], ("low!0", "low!1")),
+            id="unknown-fault",
+        ),
+        pytest.param(
+            SKIPPED_OUT,
+            forged_poni_witness({"pc_0": 1}, {"rh0_0": 1}, [], ("low!0", "low!1")),
+            id="low-names-the-pc",
+        ),
+        pytest.param(
+            SKIPPED_OUT,
+            forged_poni_witness({}, {"pc_0": 1}, [], ("tau", "low!0")),
+            id="high-names-the-pc",
+        ),
+        pytest.param(
+            "out low rl0",
+            forged_poni_witness({}, {"rl0_0": 1}, [], ("low!0", "low!1")),
+            id="high-names-a-low-bit",
+        ),
+    ],
+)
+def test_poni_replay_rejects_a_forged_witness(text, witness):
+    """Each step re-executes as claimed, but from a start the checker never
+    takes or under a flip the attacker cannot make, on a secure program."""
+    program, cfg = assemble(text), standard_config(1, 1, 1, (LOW, HIGH))
+    assert check_poni(program, cfg, CheckConfig(depth=3)).secure
+    assert not replay_poni_witness(program, cfg, witness)
+
+
 def test_poni_empty_program_secure():
     verdict = check_poni(RiscProgram(()), tiny_cfg(), CheckConfig(depth=4))
     assert verdict.secure
@@ -671,6 +737,32 @@ def test_pni_replay_rejects_a_changed_probability_or_high_value():
         assert not replay_pni_witness(program, cfg, env, tampered)
     same_high = {**witness, "initial_high_b": witness["initial_high_a"]}
     assert not replay_pni_witness(program, cfg, env, same_high)
+
+
+@pytest.mark.parametrize(
+    "text, initial_low, high_b, trace, probabilities",
+    [
+        pytest.param(
+            SKIPPED_OUT, {"pc_0": 1}, {"rh0_0": 1}, ["low!0"], ["1", "0"], id="low-names-the-pc"
+        ),
+        pytest.param(SKIPPED_OUT, {}, {"pc_0": 1}, ["low!0"], ["0", "1"], id="high-names-the-pc"),
+        pytest.param(
+            "out low rl0", {}, {"rl0_0": 1}, ["low!0"], ["1", "0"], id="high-names-a-low-bit"
+        ),
+    ],
+)
+def test_pni_replay_rejects_a_forged_start(text, initial_low, high_b, trace, probabilities):
+    program, cfg = assemble(text), standard_config(1, 1, 1, (LOW, HIGH))
+    env = uniform_environment(Fraction(0), cfg.data_bit_names())
+    assert check_pni(program, cfg, env, CheckConfig(depth=3)).secure
+    witness = {
+        "initial_low": initial_low,
+        "initial_high_a": {},
+        "initial_high_b": high_b,
+        "trace": trace,
+        "probabilities": probabilities,
+    }
+    assert not replay_pni_witness(program, cfg, env, witness)
 
 
 def test_pni_constant_program_secure_across_family():
@@ -896,6 +988,96 @@ def test_poni_matches_brute_force_trace_sets(text, mem):
     verdict = check_poni(program, cfg, check)
     assert verdict.secure == expected
     assert verdict.secure or replay_poni_witness(program, cfg, verdict.witness)
+
+
+def per_mask_poni(program, cfg, check):
+    """The POni pair walk with one faulted step per mask in scope, as
+    ``check_poni`` ran before it took one per class of masks a state tells
+    apart (``RiscSystem.relevant``); the same charges, the same JSON."""
+    from ftnilab.faultlab import _subsets, faulted_steps
+    from ftnilab.verify import _bits_named, _charge, _scope_names
+
+    system = RiscSystem(program, cfg)
+    scope = _scope_names(system.faulty_names, check)
+    _charge(2 ** len(scope), "fault masks", check.budget)
+    parent = {
+        (states[0], other): None
+        for states in _initial_groups(system, check.budget)
+        for other in states[1:]
+    }
+    masks = sorted(system.mask_of(subset) for subset in _subsets(scope))
+    rows = {}
+
+    def row(state):
+        if state not in rows:
+            rows[state] = tuple(zip(*faulted_steps(system, state, masks, True)))
+        return rows[state]
+
+    frontier, violation, walked = list(parent), None, 0
+    for _ in range(check.depth):
+        if not frontier:
+            break
+        walked += len(frontier) * len(masks)
+        _charge(walked, "faulted step pairs", check.budget)
+        nxt = []
+        for pair in frontier:
+            (lows_a, succs_a), (lows_b, succs_b) = row(pair[0]), row(pair[1])
+            if lows_a != lows_b:
+                violation = (pair, next(i for i, x in enumerate(lows_a) if x != lows_b[i]))
+                break
+            for i, succ in enumerate(zip(succs_a, succs_b)):
+                if succ not in parent:
+                    parent[succ] = (pair, i)
+                    nxt.append(succ)
+        if violation:
+            break
+        frontier = nxt
+    if violation is None:
+        return Verdict("poni", "secure-up-to-bound", check.depth)
+    chain = _chain(parent, violation)
+    origin_a, origin_b = chain[0][0]
+    witness = {
+        "initial_low": _bits_named(system, origin_a, system.low_mask),
+        "initial_high_a": _bits_named(system, origin_a, system.high_mask),
+        "initial_high_b": _bits_named(system, origin_b, system.high_mask),
+        "trace": [
+            {
+                "faults": sorted(system.names_of(masks[i])),
+                "low_a": str(system.observations[rows[sa][0][i]]),
+                "low_b": str(system.observations[rows[sb][0][i]]),
+            }
+            for (sa, sb), i in chain
+        ],
+    }
+    return Verdict("poni", "violation", check.depth, witness)
+
+
+def test_poni_mask_classes_keep_every_verdict_witness_and_budget_exit():
+    """``check_poni`` takes one faulted step per class of masks; on programs
+    over every opcode, ``jmp`` included, its JSON and its budget exits are
+    those of the per-mask walk, at full and default scope."""
+    from test_machine import random_kernel_program
+
+    rng = Random(19)
+    seen, ops = Counter(), set()
+    for draw in range(200):
+        width = 1 + draw % 2
+        cfg = standard_config(width, 1, 1, (LOW, HIGH) if width == 1 else (HIGH,), True)
+        program = random_kernel_program(rng, cfg, 4 + draw % 5)
+        ops.update(instr.op for instr in program.instructions)
+        scope = default_scope(RiscSystem(program, cfg))
+        for fault_scope, budget in ((None, DEFAULT_BUDGET), (scope, DEFAULT_BUDGET), (scope, 400)):
+            check = CheckConfig(depth=2 + draw % 3, fault_scope=fault_scope, budget=budget)
+            outcomes = []
+            for walk in (check_poni, per_mask_poni):
+                try:
+                    outcomes.append(walk(program, cfg, check).to_json())
+                except BudgetExceeded as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (draw, fault_scope, budget)
+            seen[outcomes[0]["status"] if isinstance(outcomes[0], dict) else "budget"] += 1
+    assert "jmp" in ops
+    assert min(seen["secure-up-to-bound"], seen["violation"], seen["budget"]) >= 10, seen
 
 
 def fault_sequence_oracle(system, env, state, depth):
