@@ -144,9 +144,9 @@ class CheckConfig:
     running total of faulted steps the composition takes (canonical composed
     states times their fault sets) before it takes each state's; the timing
     sweep, its starts, as ``initial states``.  The two fault charges stay
-    nominal: they count every mask, though the walks step once per cut
-    mask (see the module docstring), so every budget exit is unchanged.  A
-    negative depth is refused; depth 0 is the vacuous bound.
+    nominal, every mask counted though the walks step once per cut mask,
+    so every budget exit is unchanged; charging per cut would be a data
+    change.  A negative depth is refused; depth 0 is the vacuous bound.
     """
 
     depth: int = 4
