@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 
 class Tolerance(Enum):
@@ -46,9 +46,12 @@ class Location:
         return self.tolerance is Tolerance.FAULTY
 
 
-@dataclass(frozen=True, order=True)
-class Action:
-    """An observable event: an output on a channel, or the silent tick."""
+class Action(NamedTuple):
+    """An observable event: an output on a channel, or the silent tick.
+
+    A named tuple, so that it is built, hashed and compared in C; it hashes
+    as ``(channel, value)``.
+    """
 
     channel: str | None = None
     value: int | None = None
@@ -58,7 +61,7 @@ class Action:
         return self.channel is None
 
     def __str__(self) -> str:
-        if self.silent:
+        if self.channel is None:
             return "tau"
         return f"{self.channel}!{self.value}"
 

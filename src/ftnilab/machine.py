@@ -254,8 +254,10 @@ def standard_config(
     return MachineConfig(width, regs, tuple(memory_levels), enable_jlez)
 
 
-@dataclass(frozen=True)
-class MachineState:
+class MachineState(NamedTuple):
+    """A program counter and the register and memory words; a named tuple,
+    so that building, hashing and comparing states run in C."""
+
     pc: int
     regs: tuple[int, ...]
     mem: tuple[int, ...]

@@ -22,7 +22,10 @@ All three checkers enumerate concrete state spaces at small word widths:
   summary entry (a fixed step's is built with the witness): the low part,
   the first value of the one high cell the step reads that yields the
   entry, and every other cell 0, which is the first state in high-vector
-  order that steps alike.
+  order that steps alike.  ``_ss_witness`` writes the trace's lists
+  straight from these values and the entry's low write, with no machine
+  state built; ``replay_ss_witness`` is the one re-execution, on
+  ``machine.step``.
 * ``check_poni`` compares the sets of fault-annotated traces of low-equal
   initial states, with the fault locations made observable.
 * ``check_pni`` compares exact trace probabilities of low-equal initial
@@ -322,15 +325,6 @@ class _SSTables:
             return entries
         return tuple(sorted(entries, key=lambda e: (str(e[0]), e[1], e[2])))
 
-    @staticmethod
-    def after(lo: tuple, entry: tuple) -> tuple:
-        """The entry as (public action, low part after the step, next pc) from ``lo``."""
-        action, write, nxt, _ = entry
-        if write:
-            slot, value = write
-            lo = lo[:slot] + (value,) + lo[slot + 1 :]
-        return (action, lo, nxt)
-
 
 def check_strong_security(
     program: RiscProgram, cfg: MachineConfig, check: CheckConfig = CheckConfig()
@@ -427,93 +421,98 @@ def _chain(parent: dict, last: tuple) -> list[tuple]:
 
 
 def _ss_witness(tables: _SSTables, chain: list[tuple]) -> dict:
-    """One concrete step pair per (pair, low part, entry at p, entry at q):
-    each state holds the low part and its entry's operands, and every other
-    cell 0."""
+    """One concrete step pair per (pair, low part, entry at p, entry at q),
+    written straight into the trace lists: each state holds the low part and
+    its entry's operands, and every other cell 0, and each side's low part
+    after the step is the low part with its entry's low write."""
     nregs = len(tables.cfg.registers)
-    steps = []
+    ncells = nregs + tables.cfg.memory_size
+    trace = []
     for (p, q), lo, e1, e2 in chain:
         if e1 is None:  # a fixed diagonal step keeps no entry; read its one
             e1 = e2 = tables.entries(p, lo)[0]
-        states = []
-        for pc, entry in ((p, e1), (q, e2)):
-            data = [0] * (nregs + tables.cfg.memory_size)
-            for cell, value in (*zip(tables.lows, lo), *entry[3]):
+        base = [0] * ncells
+        for cell, value in zip(tables.lows, lo):
+            base[cell] = value
+        sides = []
+        for _, write, _, operands in (e1, e2):
+            data = base.copy()
+            for cell, value in operands:
                 data[cell] = value
-            states.append(MachineState(pc, tuple(data[:nregs]), tuple(data[nregs:])))
-        steps.append((*states, tables.after(lo, e1), tables.after(lo, e2)))
-    state_a, state_b = steps[0][:2]
-    return {
-        "initial_low": _cells_named(state_a, tables.lows),
-        "initial_high_a": _cells_named(state_a, tables.highs),
-        "initial_high_b": _cells_named(state_b, tables.highs),
-        "trace": [
+            low_after = list(lo)
+            if write:
+                low_after[write[0]] = write[1]
+            sides.append((data, low_after))
+        (a, after_a), (b, after_b) = sides
+        trace.append(
             {
-                "pc_a": a.pc,
-                "pc_b": b.pc,
-                "regs_a": list(a.regs),
-                "mem_a": list(a.mem),
-                "regs_b": list(b.regs),
-                "mem_b": list(b.mem),
+                "pc_a": p,
+                "pc_b": q,
+                "regs_a": a[:nregs],
+                "mem_a": a[nregs:],
+                "regs_b": b[:nregs],
+                "mem_b": b[nregs:],
                 "action_a": str(e1[0]),
                 "action_b": str(e2[0]),
-                "low_after_a": list(e1[1]),
-                "low_after_b": list(e2[1]),
+                "low_after_a": after_a,
+                "low_after_b": after_b,
             }
-            for a, b, e1, e2 in steps
-        ],
-    }
+        )
+    first = trace[0]
+    start_a, start_b = first["regs_a"] + first["mem_a"], first["regs_b"] + first["mem_b"]
 
+    def named(data: list[int], cells: tuple[int, ...]) -> dict:
+        return {f"reg{c}" if c < nregs else f"mem{c - nregs}": data[c] for c in cells}
 
-def _cells_of(state: MachineState, cells) -> tuple:
-    data = state.regs + state.mem
-    return tuple(data[cell] for cell in cells)
-
-
-def _cells_named(state: MachineState, cells) -> dict:
-    nregs = len(state.regs)
     return {
-        f"reg{cell}" if cell < nregs else f"mem{cell - nregs}": value
-        for cell, value in zip(cells, _cells_of(state, cells))
+        "initial_low": named(start_a, tables.lows),
+        "initial_high_a": named(start_a, tables.highs),
+        "initial_high_b": named(start_b, tables.highs),
+        "trace": trace,
     }
 
 
 def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -> bool:
-    """Re-execute every step of the witness; the last one must publicly differ.
+    """Re-execute every step of the witness on ``machine.step``; the last one
+    must publicly differ.
 
     The first step is at pcs (0, 0), the two states of each step hold one low
     part, and each later step is at the pcs the step before moved to.  A
     step's low part need not be the one the step before left: the walk takes
-    each pair over its own low parts.
+    each pair over its own low parts.  Each step checks, in order: its pcs,
+    its two low parts, then per side the public action and the low part
+    after; then whether it splits.
     """
     lows = cfg.cells_of_level(LOW)
     trace = witness["trace"]
+    last = len(trace) - 1
     pcs = (0, 0)
     for i, entry in enumerate(trace):
-        states = [
-            MachineState(
-                entry[f"pc_{side}"], tuple(entry[f"regs_{side}"]), tuple(entry[f"mem_{side}"])
-            )
-            for side in "ab"
-        ]
-        if (states[0].pc, states[1].pc) != pcs:
+        state_a = MachineState(entry["pc_a"], tuple(entry["regs_a"]), tuple(entry["mem_a"]))
+        state_b = MachineState(entry["pc_b"], tuple(entry["regs_b"]), tuple(entry["mem_b"]))
+        if (state_a.pc, state_b.pc) != pcs:
             return False
-        if _cells_of(states[0], lows) != _cells_of(states[1], lows):
-            return False
+        cells_a, cells_b = state_a.regs + state_a.mem, state_b.regs + state_b.mem
+        for cell in lows:
+            if cells_a[cell] != cells_b[cell]:
+                return False
         seen = []
-        succs = []
-        for side, state in zip("ab", states):
+        for state, action_key, after_key in (
+            (state_a, "action_a", "low_after_a"),
+            (state_b, "action_b", "low_after_b"),
+        ):
             action, succ = machine_step(program, state, cfg) or (TAU, state)
-            if str(low(action)) != entry[f"action_{side}"]:
+            public = low(action)
+            if str(public) != entry[action_key]:
                 return False
-            lo = list(_cells_of(succ, lows))
-            if lo != entry[f"low_after_{side}"]:
+            cells = succ.regs + succ.mem
+            lo = [cells[cell] for cell in lows]
+            if lo != entry[after_key]:
                 return False
-            seen.append((low(action), lo))
-            succs.append(succ.pc)
-        pcs = tuple(succs)
-        last = i == len(trace) - 1
-        if (seen[0] != seen[1]) != last:
+            seen.append((public, lo, succ.pc))
+        (public_a, lo_a, pc_a), (public_b, lo_b, pc_b) = seen
+        pcs = (pc_a, pc_b)
+        if (public_a != public_b or lo_a != lo_b) != (i == last):
             return False
     return bool(trace)
 
@@ -852,8 +851,10 @@ def check_timing_balance(
             observations = timed
         elif timed != observations:
             sweep_ok = False
-            high = _cells_of(system.decode(start), cfg.cells_of_level(HIGH))
-            witness = {"high": list(high), "observed": timed, "expected": observations}
+            decoded = system.decode(start)
+            cells = decoded.regs + decoded.mem
+            high = [cells[cell] for cell in cfg.cells_of_level(HIGH)]
+            witness = {"high": high, "observed": timed, "expected": observations}
             break
     ok = balanced and sweep_ok
     return ok, {"sites": sites, "sweep_identical": sweep_ok, "sweep_witness": witness}

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ftnilab.faultlab import TAU, faulted_steps, flip, low, output
+from ftnilab.faultlab import TAU, Action, faulted_steps, flip, low, output
 from ftnilab.machine import (
     HIGH,
     LOW,
@@ -70,6 +70,24 @@ def test_unknown_jump_target_rejected():
 def test_parse_error_carries_line():
     with pytest.raises(AssemblyError, match="line 2"):
         assemble("nop\nfrobnicate rl0")
+
+
+def test_actions_and_states_hash_print_and_compare_as_their_fields():
+    """``Action`` and ``MachineState`` hash as their field tuples, so set and
+    dict orders, and with them the witnesses, follow the field values; their
+    ``repr`` and ``str`` are the dataclass forms."""
+    for channel, value in ((None, None), ("low", 1), ("high", 0)):
+        assert hash(Action(channel, value)) == hash((channel, value))
+    for pc, regs, mem in ((0, (0, 0), ()), (3, (1, 2), (0, 3))):
+        assert hash(MachineState(pc, regs, mem)) == hash((pc, regs, mem))
+    assert TAU == Action() and TAU.silent and not output("low", 1).silent
+    assert (repr(TAU), str(TAU)) == ("Action(channel=None, value=None)", "tau")
+    assert (repr(output("low", 1)), str(output("low", 1))) == (
+        "Action(channel='low', value=1)",
+        "low!1",
+    )
+    state = MachineState(3, (1, 2), (0,))
+    assert repr(state) == str(state) == "MachineState(pc=3, regs=(1, 2), mem=(0,))"
 
 
 def test_load_reads_memory_cell():

@@ -4,7 +4,6 @@ import copy
 import functools
 import itertools
 from collections import Counter, deque
-from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -28,6 +27,7 @@ from ftnilab.machine import (
     HIGH,
     LOW,
     AssemblyError,
+    Instruction,
     MachineState,
     RiscProgram,
     assemble,
@@ -100,7 +100,7 @@ def realize(program, cfg, pc, lo, seen):
 
 def _state_at(cfg, pc, cells, values):
     """The state at pc with the cells set to the values, and every other cell 0."""
-    return _with_cells(replace(initial_state(cfg), pc=pc), cells, values)
+    return _with_cells(initial_state(cfg)._replace(pc=pc), cells, values)
 
 
 def _with_cells(state, cells, values):
@@ -115,6 +115,16 @@ def _with_cells(state, cells, values):
 def _cells(state, cells):
     data = state.regs + state.mem
     return tuple(data[cell] for cell in cells)
+
+
+def after(lo, entry):
+    """An ``_SSTables`` entry as (public action, low part after the step, next
+    pc) from the low part ``lo``."""
+    action, write, nxt, _ = entry
+    if write:
+        slot, value = write
+        lo = lo[:slot] + (value,) + lo[slot + 1 :]
+    return (action, lo, nxt)
 
 
 # -- strong security ------------------------------------------------------------
@@ -238,6 +248,94 @@ def test_ss_witnesses_of_random_programs_replay():
                 assert replay_ss_witness(program, cfg, verdict.witness), (width, draw)
 
 
+def reference_replay_ss_witness(program, cfg, witness):
+    """``replay_ss_witness`` in its per-step form, kept as the reference for
+    its checks and their order: side keys built per step, and the low parts
+    compared as tuples of cells."""
+    lows = cfg.cells_of_level(LOW)
+    trace = witness["trace"]
+    pcs = (0, 0)
+    for i, entry in enumerate(trace):
+        states = [
+            MachineState(
+                entry[f"pc_{side}"], tuple(entry[f"regs_{side}"]), tuple(entry[f"mem_{side}"])
+            )
+            for side in "ab"
+        ]
+        if (states[0].pc, states[1].pc) != pcs:
+            return False
+        if _cells(states[0], lows) != _cells(states[1], lows):
+            return False
+        seen = []
+        succs = []
+        for side, state in zip("ab", states):
+            action, succ = step(program, state, cfg) or (TAU, state)
+            if str(low(action)) != entry[f"action_{side}"]:
+                return False
+            lo = list(_cells(succ, lows))
+            if lo != entry[f"low_after_{side}"]:
+                return False
+            seen.append((low(action), lo))
+            succs.append(succ.pc)
+        pcs = tuple(succs)
+        last = i == len(trace) - 1
+        if (seen[0] != seen[1]) != last:
+            return False
+    return bool(trace)
+
+
+def ss_witness_mutations(witness, word_values):
+    """The witness with one field changed: per step, each pc +-1, each
+    ``regs``, ``mem`` and ``low_after`` cell + 1 mod the word, or the two
+    actions swapped; or the last step dropped, or repeated."""
+    trace = witness["trace"]
+
+    def changed(i, fields):
+        return {**witness, "trace": [*trace[:i], {**trace[i], **fields}, *trace[i + 1 :]]}
+
+    for i, entry in enumerate(trace):
+        for side in "ab":
+            for delta in (1, -1):
+                yield changed(i, {f"pc_{side}": entry[f"pc_{side}"] + delta})
+            for key in (f"regs_{side}", f"mem_{side}", f"low_after_{side}"):
+                for cell, value in enumerate(entry[key]):
+                    cells = list(entry[key])
+                    cells[cell] = (value + 1) % word_values
+                    yield changed(i, {key: cells})
+        yield changed(i, {"action_a": entry["action_b"], "action_b": entry["action_a"]})
+    yield {**witness, "trace": trace[:-1]}
+    yield {**witness, "trace": trace + trace[-1:]}
+
+
+def test_ss_replay_keeps_every_check_of_the_reference_replay():
+    """On every strong-security witness of a random pool, and on each of its
+    one-field mutations, ``replay_ss_witness`` answers as the per-step
+    reference does: the same bool, or an exception of the same type."""
+
+    def outcome(replay, program, cfg, witness):
+        try:
+            return replay(program, cfg, witness)
+        except Exception as exc:  # the type is compared
+            return type(exc)
+
+    seen = Counter()
+    for width in (1, 2):
+        rng = Random(20 + width)
+        cfg = standard_config(width, 1, 1, (LOW, HIGH), True)
+        for draw in range(150):
+            program = random_risc_program(rng, cfg, 8)
+            verdict = check_strong_security(program, cfg)
+            if verdict.secure:
+                continue
+            seen["witness"] += 1
+            assert replay_ss_witness(program, cfg, verdict.witness), (width, draw)
+            for witness in ss_witness_mutations(verdict.witness, cfg.word_values):
+                expected = outcome(reference_replay_ss_witness, program, cfg, witness)
+                assert outcome(replay_ss_witness, program, cfg, witness) == expected, (width, draw)
+                seen[expected] += 1
+    assert seen["witness"] >= 150 and min(seen[True], seen[False]) >= 100, seen
+
+
 def test_ss_witness_high_parts_are_the_first_matching_high_vectors():
     # Each witness state holds its entry's operands; its high part must be the
     # first full high vector, in product order, that steps alike.
@@ -288,12 +386,12 @@ def test_ss_summaries_match_brute_force_enumeration():
                     nregs = len(cfg.registers)
                     state = MachineState(pc, tuple(data[:nregs]), tuple(data[nregs:]))
                     brute.add(observe(program, cfg, state))
-                lifted = {tables.after(lo, e) for e in tables.entries(pc, lo)}
+                lifted = {after(lo, e) for e in tables.entries(pc, lo)}
                 assert brute == lifted, (pc, lo)
                 for entry in tables.entries(pc, lo):
                     cells, values = tuple(zip(*entry[3])) or ((), ())
                     state = _state_at(cfg, pc, tables.lows + cells, lo + values)
-                    first = realize(program, cfg, pc, lo, tables.after(lo, entry))
+                    first = realize(program, cfg, pc, lo, after(lo, entry))
                     assert state == first, (pc, lo, entry)
 
 
@@ -431,7 +529,7 @@ def _oracle_witness(program, cfg, tables, chain):
 
     steps = []
     for (p, q), lo, e1, e2 in chain:
-        seen = tables.after(lo, e1), tables.after(lo, e2)
+        seen = after(lo, e1), after(lo, e2)
         steps.append((*(realize(program, cfg, pc, lo, o) for pc, o in zip((p, q), seen)), *seen))
     first_a, first_b = steps[0][:2]
     trace = [
@@ -990,10 +1088,11 @@ def test_poni_matches_brute_force_trace_sets(text, mem):
     assert verdict.secure or replay_poni_witness(program, cfg, verdict.witness)
 
 
-def per_mask_poni(program, cfg, check):
+def per_mask_poni(program, cfg, check, pairs=None):
     """The POni pair walk with one faulted step per mask in scope, as
     ``check_poni`` ran before it took one per class of masks a state tells
-    apart (``RiscSystem.relevant``); the same charges, the same JSON."""
+    apart (``RiscSystem.relevant``); the same charges, the same JSON.  The
+    pairs it walks are appended to ``pairs`` when it is given."""
     from ftnilab.faultlab import _subsets, faulted_steps
     from ftnilab.verify import _bits_named, _charge, _scope_names
 
@@ -1020,6 +1119,8 @@ def per_mask_poni(program, cfg, check):
         walked += len(frontier) * len(masks)
         _charge(walked, "faulted step pairs", check.budget)
         nxt = []
+        if pairs is not None:
+            pairs.extend(frontier)
         for pair in frontier:
             (lows_a, succs_a), (lows_b, succs_b) = row(pair[0]), row(pair[1])
             if lows_a != lows_b:
@@ -1052,6 +1153,37 @@ def per_mask_poni(program, cfg, check):
     return Verdict("poni", "violation", check.depth, witness)
 
 
+def compare_poni_with_per_mask_poni(draws):
+    """``check_poni`` against ``per_mask_poni`` on each (draw, program,
+    config, depth), at full scope, at default scope, and at default scope
+    under a budget of 400: the JSON or the budget exit must be equal.  Counts
+    each outcome, and as ``"split relevance"`` the walked pairs whose sides
+    have different relevance masks."""
+    seen = Counter()
+    for draw, program, cfg, depth in draws:
+        system = RiscSystem(program, cfg)
+        scope = default_scope(system)
+        for fault_scope, budget in ((None, DEFAULT_BUDGET), (scope, DEFAULT_BUDGET), (scope, 400)):
+            check = CheckConfig(depth=depth, fault_scope=fault_scope, budget=budget)
+            walked = []
+            outcomes = []
+            for walk in (check_poni, functools.partial(per_mask_poni, pairs=walked)):
+                try:
+                    outcomes.append(walk(program, cfg, check).to_json())
+                except BudgetExceeded as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (draw, fault_scope, budget)
+            seen[outcomes[0]["status"] if isinstance(outcomes[0], dict) else "budget"] += 1
+            seen["split relevance"] += sum(
+                system.relevant(a) != system.relevant(b) for a, b in walked
+            )
+    return seen
+
+
+def mask_class_config(width):
+    return standard_config(width, 1, 1, (LOW, HIGH) if width == 1 else (HIGH,), True)
+
+
 def test_poni_mask_classes_keep_every_verdict_witness_and_budget_exit():
     """``check_poni`` takes one faulted step per class of masks; on programs
     over every opcode, ``jmp`` included, its JSON and its budget exits are
@@ -1059,25 +1191,45 @@ def test_poni_mask_classes_keep_every_verdict_witness_and_budget_exit():
     from test_machine import random_kernel_program
 
     rng = Random(19)
-    seen, ops = Counter(), set()
+    draws = []
     for draw in range(200):
-        width = 1 + draw % 2
-        cfg = standard_config(width, 1, 1, (LOW, HIGH) if width == 1 else (HIGH,), True)
-        program = random_kernel_program(rng, cfg, 4 + draw % 5)
-        ops.update(instr.op for instr in program.instructions)
-        scope = default_scope(RiscSystem(program, cfg))
-        for fault_scope, budget in ((None, DEFAULT_BUDGET), (scope, DEFAULT_BUDGET), (scope, 400)):
-            check = CheckConfig(depth=2 + draw % 3, fault_scope=fault_scope, budget=budget)
-            outcomes = []
-            for walk in (check_poni, per_mask_poni):
-                try:
-                    outcomes.append(walk(program, cfg, check).to_json())
-                except BudgetExceeded as exc:
-                    outcomes.append(str(exc))
-            assert outcomes[0] == outcomes[1], (draw, fault_scope, budget)
-            seen[outcomes[0]["status"] if isinstance(outcomes[0], dict) else "budget"] += 1
-    assert "jmp" in ops
+        cfg = mask_class_config(1 + draw % 2)
+        draws.append((draw, random_kernel_program(rng, cfg, 4 + draw % 5), cfg, 2 + draw % 3))
+    assert "jmp" in {instr.op for _, program, _, _ in draws for instr in program.instructions}
+    seen = compare_poni_with_per_mask_poni(draws)
     assert min(seen["secure-up-to-bound"], seen["violation"], seen["budget"]) >= 10, seen
+
+
+def high_jz_program(rng, cfg, length):
+    """A random kernel program whose ``jz`` on the high register jumps forward
+    over an ``out low`` to another ``out low``: after it, a pair's two sides
+    sit at pcs with different live cells, so with different relevance masks,
+    and each outputs a register the other side may not read."""
+    from test_machine import random_kernel_program
+
+    instrs = list(random_kernel_program(rng, cfg, length).instructions)
+    jz = rng.randrange(length - 2)
+    target = rng.randrange(jz + 2, length)
+    high = cfg.registers_of_level(HIGH)[0]
+    instrs[jz] = Instruction("jz", f"l{jz}", reg=high, target=f"l{target}")
+    for pc in (rng.randrange(jz + 1, target), target):
+        reg = rng.choice(cfg.register_names())
+        instrs[pc] = Instruction("out", f"l{pc}", reg=reg, channel="low")
+    return RiscProgram(instrs)
+
+
+def test_poni_mask_classes_keep_every_verdict_on_high_branches():
+    """The per-mask differential on draws that split at a high ``jz``, on a
+    machine with two low registers: many walked pairs, and many violations,
+    meet two relevance masks, and a walk over one side's masks only misses
+    the least mask that splits some of them."""
+    rng = Random(20)
+    cfg = standard_config(1, 2, 1, (LOW, HIGH), True)
+    draws = [
+        (draw, high_jz_program(rng, cfg, 4 + draw % 5), cfg, 2 + draw % 3) for draw in range(120)
+    ]
+    seen = compare_poni_with_per_mask_poni(draws)
+    assert seen["violation"] >= 30 and seen["split relevance"] >= 1, seen
 
 
 def fault_sequence_oracle(system, env, state, depth):
