@@ -1180,10 +1180,6 @@ def compare_poni_with_per_mask_poni(draws):
     return seen
 
 
-def mask_class_config(width):
-    return standard_config(width, 1, 1, (LOW, HIGH) if width == 1 else (HIGH,), True)
-
-
 def test_poni_mask_classes_keep_every_verdict_witness_and_budget_exit():
     """``check_poni`` takes one faulted step per class of masks; on programs
     over every opcode, ``jmp`` included, its JSON and its budget exits are
@@ -1193,7 +1189,8 @@ def test_poni_mask_classes_keep_every_verdict_witness_and_budget_exit():
     rng = Random(19)
     draws = []
     for draw in range(200):
-        cfg = mask_class_config(1 + draw % 2)
+        width = 1 + draw % 2
+        cfg = standard_config(width, 1, 1, (LOW, HIGH) if width == 1 else (HIGH,), True)
         draws.append((draw, random_kernel_program(rng, cfg, 4 + draw % 5), cfg, 2 + draw % 3))
     assert "jmp" in {instr.op for _, program, _, _ in draws for instr in program.instructions}
     seen = compare_poni_with_per_mask_poni(draws)
