@@ -111,6 +111,13 @@ class FaultProneSystem:
         self._index = {loc.name: i for i, loc in enumerate(locs)}
         self.faulty_names = frozenset(loc.name for loc in locs if loc.faulty)
         self.faulty_mask = sum(1 << i for i, loc in enumerate(locs) if loc.faulty)
+        self._start_public_view()
+
+    def _start_public_view(self) -> None:
+        """Give this system its own public view: ``observations`` holding
+        only ``TAU`` and an empty ``public_step`` cache.  A subclass that
+        takes its location table from elsewhere calls it in place of
+        ``__init__``."""
         self.observations: list[Action] = [TAU]
         self._codes = {TAU: 0}
         self._public: dict[int, tuple[int, int] | None] = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from collections import Counter
 from typing import NamedTuple
@@ -240,6 +241,77 @@ class MachineConfig:
         words = [*self.register_names(), *(f"m{addr}" for addr in range(self.memory_size))]
         return [f"{word}_{b}" for word in words for b in range(self.width)]
 
+    @cached_property
+    def layout(self) -> "CellLayout":
+        """This config's ``CellLayout``: one per value, shared by equal
+        configs built apart (``_LAYOUTS``), and kept on this object after
+        the first lookup (the fields, equality and hash are untouched)."""
+        layout = _LAYOUTS.get(self)
+        if layout is None:
+            layout = _LAYOUTS[self] = CellLayout(self)
+        return layout
+
+
+class CellLayout:
+    """Where the data cells of one configuration sit in an encoded state,
+    and which bits are faulty.
+
+    In this machine only the pc and the code are fault-tolerant, so all of
+    this depends on the configuration alone, and the location table on the
+    pc width too.  It is built once per configuration value
+    (``MachineConfig.layout``) and shared, read only, by every
+    ``RiscSystem``, strong-security table, start enumeration and replay on
+    that config:
+
+    * ``lows`` and ``highs``, the cells of each level (``cells_of_level``),
+      and ``slot_of_cell``, each low cell's index in ``lows``;
+    * ``cell_masks``, the bits of each cell in an encoded state, and
+      ``low_mask``, ``high_mask`` and ``faulty_mask``, those of every low,
+      high and data cell; ``pc_shift``, the offset of the pc above them;
+    * ``faulty_names`` and, per pc width, the location table
+      (``locations``), built on first use.
+    """
+
+    def __init__(self, cfg: MachineConfig):
+        self.cfg = cfg
+        word = (1 << cfg.width) - 1
+        ncells = len(cfg.registers) + cfg.memory_size
+        self.lows = cfg.cells_of_level(LOW)
+        self.highs = cfg.cells_of_level(HIGH)
+        self.slot_of_cell = {cell: slot for slot, cell in enumerate(self.lows)}
+        self.cell_masks = tuple(word << cell * cfg.width for cell in range(ncells))
+        self.low_mask = sum(self.cell_masks[cell] for cell in self.lows)
+        self.high_mask = sum(self.cell_masks[cell] for cell in self.highs)
+        self.pc_shift = cfg.width * ncells
+        self.faulty_mask = (1 << self.pc_shift) - 1
+        self._tables: dict[int, tuple[tuple[Location, ...], dict[str, int]]] = {}
+
+    @cached_property
+    def faulty_names(self) -> frozenset[str]:
+        return frozenset(self.cfg.data_bit_names())
+
+    def locations(self, pc_bits: int) -> tuple[tuple[Location, ...], dict[str, int]]:
+        """The locations of a machine with a ``pc_bits``-bit pc, the faulty data
+        bits then the fault-tolerant "pc_<bit>", and each name's index;
+        built once per pc width."""
+        table = self._tables.get(pc_bits)
+        if table is None:
+            locs = tuple(
+                [Location(name, Tolerance.FAULTY) for name in self.cfg.data_bit_names()]
+                + [Location(f"pc_{b}", Tolerance.FAULT_TOLERANT) for b in range(pc_bits)]
+            )
+            index = {loc.name: i for i, loc in enumerate(locs)}
+            if len(index) != len(locs):
+                raise ValueError("location names must be unique")
+            table = self._tables[pc_bits] = (locs, index)
+        return table
+
+
+# Every layout built so far, by config value.  Programs are often checked on
+# equal configs built apart (the corpus makes one per program), and sharing
+# their layout keeps one set of location tables per distinct config.
+_LAYOUTS: dict[MachineConfig, CellLayout] = {}
+
 
 def standard_config(
     width: int,
@@ -425,23 +497,28 @@ class RiscSystem(FaultProneSystem):
     fault-tolerant (the code itself is a fixed parameter, never encoded).
     Bit order within a word is LSB first; location names are "<reg>_<bit>",
     "m<addr>_<bit>", and "pc_<bit>".
+
+    The bit layout (``locations``, the name index, ``faulty_names``, the
+    masks and the pc offset) is the config's ``CellLayout``, shared by every
+    system on the config and never written.  Each system keeps its own
+    public view (``observations``, its codes and the ``public_step`` cache)
+    and builds its own per-program tables, the step kernel and the liveness
+    masks, on first use.
     """
 
     def __init__(self, program: RiscProgram, cfg: MachineConfig):
         validate_program(program, cfg)
         self.program = program
         self.cfg = cfg
-        w = cfg.width
         self.pc_bits = max(1, (len(program)).bit_length())
-        super().__init__(
-            [Location(name, Tolerance.FAULTY) for name in cfg.data_bit_names()]
-            + [Location(f"pc_{b}", Tolerance.FAULT_TOLERANT) for b in range(self.pc_bits)]
-        )
-        self._pc_shift = w * (len(cfg.registers) + cfg.memory_size)
-        word = (1 << w) - 1
-        lows, highs = cfg.cells_of_level(LOW), cfg.cells_of_level(HIGH)
-        self.low_mask = self.pack(lows, [word] * len(lows))
-        self.high_mask = self.pack(highs, [word] * len(highs))
+        layout = cfg.layout
+        self.locations, self._index = layout.locations(self.pc_bits)
+        self.faulty_names = layout.faulty_names
+        self.faulty_mask = layout.faulty_mask
+        self.low_mask = layout.low_mask
+        self.high_mask = layout.high_mask
+        self._pc_shift = layout.pc_shift
+        self._start_public_view()
         self._kernel: tuple | None = None
         self._keep: tuple[int, ...] | None = None
 
@@ -546,13 +623,15 @@ class RiscSystem(FaultProneSystem):
                 if out != live[pc]:
                     live[pc] = out
                     changed = True
-        word = (1 << self.cfg.width) - 1
         pc_mask = ((1 << self.pc_bits) - 1) << self._pc_shift
-        cells = range(len(self.cfg.registers) + self.cfg.memory_size)
-        keep = [
-            pc_mask | self.pack(cells, [word if cells_live >> c & 1 else 0 for c in cells])
-            for cells_live in live[:n]
-        ]
+        cell_masks = self.cfg.layout.cell_masks
+        keep = []
+        for cells_live in live[:n]:
+            mask = pc_mask
+            for cell, cell_mask in enumerate(cell_masks):
+                if cells_live >> cell & 1:
+                    mask |= cell_mask
+            keep.append(mask)
         return tuple(keep + [pc_mask] * ((1 << self.pc_bits) - n))
 
     def _build_kernel(self) -> tuple:

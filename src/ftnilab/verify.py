@@ -267,9 +267,9 @@ class _SSTables:
         self.charge = charge
         self.evaluations = 0
         self.ops = decode(program, cfg)
-        self.lows = cfg.cells_of_level(LOW)
-        self.highs = cfg.cells_of_level(HIGH)
-        slots = self.slot_of_cell = {cell: slot for slot, cell in enumerate(self.lows)}
+        layout = cfg.layout
+        self.lows, self.highs = layout.lows, layout.highs
+        slots = self.slot_of_cell = layout.slot_of_cell
         self.silent = [
             op.target is None and op.dest not in slots and (op.op, op.channel) != ("out", "low")
             for op in self.ops
@@ -483,7 +483,7 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
     its two low parts, then per side the public action and the low part
     after; then whether it splits.
     """
-    lows = cfg.cells_of_level(LOW)
+    lows = cfg.layout.lows
     trace = witness["trace"]
     last = len(trace) - 1
     pcs = (0, 0)
@@ -528,22 +528,30 @@ def _initial_groups(system: RiscSystem, budget: int):
     then the live high cells; every other cell is 0, so each state is
     canonical.  The first group has every low cell at 0.
 
-    The running total of states, ``word_values ** #live high`` per group, is
-    charged as ``initial states`` before each group is built, so a caller
-    that stops early pays only for the groups it took.
+    The cells of each level come from the config's shared ``CellLayout``
+    and their liveness from the system's own liveness masks; the high parts
+    are packed once per call, after the first group is charged, and each
+    group is its low part joined with each of them.  The running total of
+    states, ``word_values ** #live high`` per group, is charged as
+    ``initial states`` before each group is built, so a caller that stops
+    early pays only for the groups it took.
     """
     cfg = system.cfg
+    layout = cfg.layout
+    live = system.relevant(0)
     lows, highs = (
-        [c for c in cfg.cells_of_level(level) if system.canonical(system.pack((c,), (1,)))]
-        for level in (LOW, HIGH)
+        [cell for cell in cells if live & layout.cell_masks[cell]]
+        for cells in (layout.lows, layout.highs)
     )
     values = range(cfg.word_values)
     size = cfg.word_values ** len(highs)
+    his: list[int] = []
     for n, lo_vec in enumerate(itertools.product(values, repeat=len(lows)), 1):
         _charge(n * size, "initial states", budget)
+        if n == 1:
+            his = [system.pack(highs, v) for v in itertools.product(values, repeat=len(highs))]
         lo = system.pack(lows, lo_vec)
-        hi_vecs = itertools.product(values, repeat=len(highs))
-        yield [lo | system.pack(highs, hi_vec) for hi_vec in hi_vecs]
+        yield [lo | hi for hi in his]
 
 
 def check_poni(
@@ -853,7 +861,7 @@ def check_timing_balance(
             sweep_ok = False
             decoded = system.decode(start)
             cells = decoded.regs + decoded.mem
-            high = [cells[cell] for cell in cfg.cells_of_level(HIGH)]
+            high = [cells[cell] for cell in cfg.layout.highs]
             witness = {"high": high, "observed": timed, "expected": observations}
             break
     ok = balanced and sweep_ok
