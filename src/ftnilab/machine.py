@@ -268,8 +268,8 @@ class CellLayout:
     * ``cell_masks``, the bits of each cell in an encoded state, and
       ``low_mask``, ``high_mask`` and ``faulty_mask``, those of every low,
       high and data cell; ``pc_shift``, the offset of the pc above them;
-    * ``faulty_names`` and, per pc width, the location table
-      (``locations``), built on first use.
+    * ``data_locations`` and ``faulty_names``, the data bits, and per pc
+      width the location table (``locations``), built on first use.
     """
 
     def __init__(self, cfg: MachineConfig):
@@ -287,18 +287,22 @@ class CellLayout:
         self._tables: dict[int, tuple[tuple[Location, ...], dict[str, int]]] = {}
 
     @cached_property
+    def data_locations(self) -> tuple[Location, ...]:
+        """The faulty data bits, in ``data_bit_names`` order."""
+        return tuple(Location(name, Tolerance.FAULTY) for name in self.cfg.data_bit_names())
+
+    @cached_property
     def faulty_names(self) -> frozenset[str]:
-        return frozenset(self.cfg.data_bit_names())
+        return frozenset(loc.name for loc in self.data_locations)
 
     def locations(self, pc_bits: int) -> tuple[tuple[Location, ...], dict[str, int]]:
-        """The locations of a machine with a ``pc_bits``-bit pc, the faulty data
-        bits then the fault-tolerant "pc_<bit>", and each name's index;
-        built once per pc width."""
+        """The locations of a machine with a ``pc_bits``-bit pc, the data bits
+        then the fault-tolerant "pc_<bit>", and each name's index; built
+        once per pc width."""
         table = self._tables.get(pc_bits)
         if table is None:
-            locs = tuple(
-                [Location(name, Tolerance.FAULTY) for name in self.cfg.data_bit_names()]
-                + [Location(f"pc_{b}", Tolerance.FAULT_TOLERANT) for b in range(pc_bits)]
+            locs = self.data_locations + tuple(
+                Location(f"pc_{b}", Tolerance.FAULT_TOLERANT) for b in range(pc_bits)
             )
             index = {loc.name: i for i, loc in enumerate(locs)}
             if len(index) != len(locs):
