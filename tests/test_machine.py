@@ -6,7 +6,17 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ftnilab.faultlab import TAU, Action, faulted_steps, flip, low, output
+from ftnilab.faultlab import (
+    TAU,
+    Action,
+    FaultProneSystem,
+    Location,
+    Tolerance,
+    faulted_steps,
+    flip,
+    low,
+    output,
+)
 from ftnilab.machine import (
     HIGH,
     LOW,
@@ -17,6 +27,7 @@ from ftnilab.machine import (
     RiscProgram,
     RiscSystem,
     assemble,
+    decode,
     disassemble,
     initial_state,
     run,
@@ -375,6 +386,96 @@ def test_canonical_keeps_the_pc_and_the_cells_live_there():
         assert ones == pc_ones | live
         # the fault-relevance mask: the live cells, whatever the data
         assert system.relevant(full) == system.relevant(kept) == system.mask_of(live)
+
+
+def reference_keep(system):
+    """A test-only copy of ``_build_keep`` that packs each pc's mask from a
+    word per live cell, where the code ORs the layout's cell masks."""
+    ops = decode(system.program, system.cfg)
+    n = len(ops)
+    live = [0] * (n + 1)
+    changed = True
+    while changed:
+        changed = False
+        for pc in reversed(range(n)):
+            instr = ops[pc]
+            if instr.op == "jmp":
+                out = live[instr.target]
+            elif instr.target is not None:
+                out = live[instr.target] | live[pc + 1]
+            else:
+                out = live[pc + 1]
+            if instr.dest is not None:
+                out &= ~(1 << instr.dest)
+            for cell in instr.sources:
+                out |= 1 << cell
+            if out != live[pc]:
+                live[pc] = out
+                changed = True
+    word = (1 << system.cfg.width) - 1
+    pc_mask = ((1 << system.pc_bits) - 1) << system._pc_shift
+    cells = range(len(system.cfg.registers) + system.cfg.memory_size)
+    keep = [
+        pc_mask | system.pack(cells, [word if cells_live >> c & 1 else 0 for c in cells])
+        for cells_live in live[:n]
+    ]
+    return tuple(keep + [pc_mask] * ((1 << system.pc_bits) - n))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("memory", [(), (LOW, HIGH)], ids=["no-mem", "mem"])
+@pytest.mark.parametrize("jlez", [False, True], ids=["jz", "jlez"])
+def test_build_keep_matches_the_packed_reference(width, memory, jlez):
+    cfg = standard_config(width, 2, 1, memory, jlez)
+    rng = Random(width * 4 + len(memory) + jlez)
+    ops = set()
+    for _ in range(40):
+        program = random_risc_program(rng, cfg, 8)
+        ops.update(instr.op for instr in program.instructions)
+        system = RiscSystem(program, cfg)
+        assert system._build_keep() == reference_keep(system), disassemble(program)
+    assert ("jlez" in ops) == jlez and ("load" in ops) == bool(memory)
+    system = RiscSystem(assemble(LIVENESS_PROGRAM), standard_config(2, 1, 1, (LOW, HIGH)))
+    assert system._build_keep() == reference_keep(system)
+
+
+def test_systems_share_their_layout_but_not_their_public_view():
+    """Systems on one config, or on equal configs built apart, read one bit
+    layout; each numbers its own observations and caches its own steps."""
+    cfg = standard_config(2, 1, 1, (LOW, HIGH))
+    program = assemble("movek rl0 3\nout low rl0")
+    first, second = RiscSystem(program, cfg), RiscSystem(program, cfg)
+    assert first.locations is second.locations
+
+    at_out = first.encode(MachineState(1, (3, 0), (0, 0)))
+    assert first.public_step(at_out) == (1, first.encode(MachineState(2, (3, 0), (0, 0))))
+    assert first.observations == [TAU, output("low", 3)]
+    assert second.observations == [TAU]
+    assert second._codes == {TAU: 0} and second._public == {}
+    # the second system numbers its own first output 1 as well
+    other = second.encode(MachineState(1, (2, 0), (0, 0)))
+    assert second.public_step(other)[0] == 1
+    assert second.observations == [TAU, output("low", 2)]
+    assert first.observations == [TAU, output("low", 3)]
+    assert first.public_step(other)[0] == 2
+
+    twin = standard_config(2, 1, 1, (LOW, HIGH))
+    assert twin == cfg and twin is not cfg
+    third = RiscSystem(program, twin)
+    assert third.observations == [TAU]
+    # the shared layout equals one built from scratch for the same bits
+    expected = FaultProneSystem(
+        [Location(name, Tolerance.FAULTY) for name in cfg.data_bit_names()]
+        + [Location(f"pc_{b}", Tolerance.FAULT_TOLERANT) for b in range(2)]
+    )
+    word = (1 << cfg.width) - 1
+    for system in (first, second, third):
+        assert system.locations == expected.locations
+        assert system._index == expected._index
+        assert system.faulty_names == expected.faulty_names
+        assert system.faulty_mask == expected.faulty_mask
+        assert system.low_mask == system.pack((0, 2), (word, word))
+        assert system.high_mask == system.pack((1, 3), (word, word))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1040,6 +1040,78 @@ def test_initial_groups_match_a_state_by_state_enumeration(cfg):
     assert len(set().union(*low_parts)) == len(every)
 
 
+def reference_initial_groups(system, budget):
+    """A test-only copy of ``_initial_groups`` that finds the live cells
+    through ``canonical`` and packs every group's high parts anew, where the
+    code reads ``relevant(0)`` and packs the high parts once per call."""
+    cfg = system.cfg
+    lows, highs = (
+        [c for c in cfg.cells_of_level(level) if system.canonical(system.pack((c,), (1,)))]
+        for level in (LOW, HIGH)
+    )
+    values = range(cfg.word_values)
+    size = cfg.word_values ** len(highs)
+    for n, lo_vec in enumerate(itertools.product(values, repeat=len(lows)), 1):
+        if n * size > budget:
+            raise BudgetExceeded(f"initial states: {n * size} exceeds the limit of {budget}")
+        lo = system.pack(lows, lo_vec)
+        hi_vecs = itertools.product(values, repeat=len(highs))
+        yield [lo | system.pack(highs, hi_vec) for hi_vec in hi_vecs]
+
+
+def drain(groups):
+    """The groups a start enumeration yields, and the budget message it stops
+    with, if any."""
+    taken = []
+    try:
+        for group in groups:
+            taken.append(group)
+    except BudgetExceeded as exc:
+        return taken, str(exc)
+    return taken, None
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("memory", [(), (LOW, HIGH)], ids=["no-mem", "mem"])
+@pytest.mark.parametrize("jlez", [False, True], ids=["jz", "jlez"])
+def test_initial_groups_match_the_per_group_product(width, memory, jlez):
+    """The same groups, in the same order, and the same budget exits."""
+    cfg = standard_config(width, 2, 1, memory, jlez)
+    rng = Random(width * 4 + len(memory) + jlez)
+    exits = 0
+    for _ in range(30):
+        system = RiscSystem(random_risc_program(rng, cfg, 6), cfg)
+        full = drain(reference_initial_groups(system, DEFAULT_BUDGET))
+        assert drain(_initial_groups(system, DEFAULT_BUDGET)) == full
+        assert full[1] is None
+        for budget in (1, len(full[0][0]), len(full[0][0]) * 2 + 1):
+            expected = drain(reference_initial_groups(system, budget))
+            assert drain(_initial_groups(system, budget)) == expected
+            exits += expected[1] is not None
+    assert exits
+
+
+def test_initial_groups_charge_the_first_group_before_packing_and_pack_highs_once():
+    # Cells rl0, rh0, m0 (low), m1 (high), all live at pc 0: two live low
+    # cells and two live high ones, so 4 groups of 4 starts at width 1.
+    cfg = standard_config(1, 1, 1, (LOW, HIGH))
+    system = RiscSystem(
+        assemble("out low rh0\nout low rl0\nload rl0 0\nload rh0 1\nout low rh0"), cfg
+    )
+    packed = []
+    pack = system.pack
+    system.pack = lambda cells, values: packed.append(tuple(cells)) or pack(cells, values)
+    with pytest.raises(BudgetExceeded, match="initial states: 4 exceeds the limit of 3"):
+        next(_initial_groups(system, 3))
+    assert packed == []
+
+    groups = list(_initial_groups(system, DEFAULT_BUDGET))
+    assert [len(group) for group in groups] == [4, 4, 4, 4]
+    assert packed.count((1, 3)) == 4  # each high part once, not once per group
+    assert packed.count((0, 2)) == 4
+    assert groups == list(reference_initial_groups(system, DEFAULT_BUDGET))
+
+
 def brute_force_poni(program, cfg, check):
     """Independent oracle: materialize and compare fault-annotated trace sets."""
     from ftnilab.faultlab import enumerate_augmented_runs
