@@ -16,13 +16,14 @@ next pc the code fixes) and the running total of effect evaluations its
 per-point summaries make (word values to the power of the high cells
 read, none for a step that writes no low cell, outputs nothing low and
 does not jump, and no summary for a fixed diagonal step) before each
-summary; the possibilistic checker its fault masks before it builds
-them; both fault checkers the running total of their initial states, over
-the cells live at pc 0, before they build each low group of them; then the
-possibilistic checker the running total of faulted step pairs (frontier
-times masks) before each level, and the probabilistic checker the running
-total of faulted steps it composes (composed states times their fault sets)
-before each expansion; the timing sweep of ``demo-hash`` its starts.
+summary; both fault checkers the running total of their initial states,
+over the cells live at pc 0, before they build each low group of them; then
+the possibilistic checker the running total of faulted step pairs (per
+frontier pair, the masks it walks: 2 to the number of bits in scope live on
+either side) before each level, and the probabilistic checker the running
+total of faulted steps it composes (per composed state, the distinct cuts
+of its fault sets to the bits live there) before each expansion; the timing
+sweep of ``demo-hash`` its starts.
 Any other value exits 64, as do a ``--width`` or ``--depth`` below 1, a
 ``--steps`` below 0 and a ``--mem`` value outside the machine word.  A
 side-car that is not JSON or does not describe a machine (a width below 1,
@@ -245,6 +246,8 @@ def _parse_fault_script(text: str) -> dict[int, frozenset[str]]:
             index = -1
         if index < 0:
             raise ValueError(f"fault script line {lineno}: bad step index {head!r}")
+        if index in script:
+            raise ValueError(f"fault script line {lineno}: a second line for step {index}")
         names = rest.strip()
         script[index] = frozenset() if names in ("", "-") else frozenset(names.split(","))
     return script

@@ -374,18 +374,26 @@ def environment_from_text(text: str) -> EnvironmentSpec:
         parts = line.split()
         try:
             if parts[0] == "start" and len(parts) == 2:
+                if initial is not None:
+                    raise ValueError(f"a second start state {parts[1]!r}")
                 initial = parts[1]
                 note_state(parts[1])
             elif parts[0] == "trans" and len(parts) == 4:
                 state, obs_text, dest = parts[1:]
                 obs = WILDCARD if obs_text == WILDCARD else parse_action(obs_text)
+                if (state, obs) in transitions:
+                    raise ValueError(f"a second transition of {state} on {obs_text}")
                 transitions[(state, obs)] = dest
                 note_state(state)
                 note_state(dest)
             elif parts[0] == "fault" and len(parts) == 4:
                 state, set_text, prob_text = parts[1:]
                 note_state(state)
-                faults.setdefault(state, {})[_parse_fault_set(set_text)] = Fraction(prob_text)
+                dist = faults.setdefault(state, {})
+                subset = _parse_fault_set(set_text)
+                if subset in dist:
+                    raise ValueError(f"a second fault set {set_text} for {state}")
+                dist[subset] = Fraction(prob_text)
             else:
                 raise ValueError(f"unrecognized directive {parts[0]!r}")
         except (ValueError, ZeroDivisionError) as exc:
@@ -555,8 +563,9 @@ class Composition:
     and ``trace_probability``.
 
     ``charge``, when given, is called with the running number of faulted
-    steps taken (composed states expanded times their nonzero fault sets)
-    before each new expansion, and may raise to stop the run.
+    steps taken (per composed state expanded, the distinct cuts of its
+    nonzero fault sets to ``system.relevant``) before each new expansion,
+    and may raise to stop the run.
     """
 
     def __init__(
@@ -579,7 +588,7 @@ class Composition:
         self._counts: dict[tuple, dict[tuple[int, ...], int]] = {}
 
     def _table(self, env_state: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The fault masks of an attacker state with nonzero odds, and their weights."""
+        """An attacker state's fault sets with nonzero odds, as masks, and their weights."""
         table = self._tables.get(env_state)
         if table is None:
             dist = self.env.fault_distribution(env_state)
@@ -635,7 +644,7 @@ class Composition:
         key = (state, env_state)
         entries = self._steps.get(key)
         if entries is None:
-            self.steps_taken += len(self._table(env_state)[0])
+            self.steps_taken += len(self._cut_table(env_state, self.system.relevant(state))[0])
             if self.charge is not None:
                 self.charge(self.steps_taken)
             advance = self._advance

@@ -54,15 +54,16 @@ start: in product order, a class's first concrete member is the one with
 every dead cell zero, its canonical state, and two such members compare as
 their live cells do.
 
-They also quotient fault masks by the same liveness.  A flip of a cell
-dead at the pc (outside ``RiscSystem.relevant``) is not read, and is
-overwritten or zeroed in the canonical successor, so masks with one cut
+They also quotient the masks by the same liveness.  A flip of a cell dead
+at the pc (outside ``RiscSystem.relevant``) is not read, and is overwritten
+or zeroed in the canonical successor, so masks with one cut
 ``mask & relevant(state)`` take one public faulted step, and both checkers
-take it once per cut.  POni walks a pair over the masks within the union of
-its sides' relevance masks, in ascending order; every other mask repeats
-the step of its cut, an earlier mask, so the first splitting mask and the
-first mask to reach each successor pair, and with them the witnesses, are
-unchanged.  The composition sums attacker weights per cut.
+take it, and charge it, once per cut.  POni walks a pair over the submasks
+of the union of its sides' relevance masks within the scope, in ascending
+order; every other mask repeats the step of its cut, an earlier mask, so
+the first splitting mask and the first mask to reach each successor pair,
+and with them the witnesses, are unchanged.  No list of every mask in
+scope is built.  The composition sums attacker weights per cut.
 
 Verdicts are ``secure-up-to-bound`` or ``violation``; violations carry a
 replayable witness.
@@ -84,7 +85,6 @@ from .faultlab import (
     Location,
     TableSystem,
     Tolerance,
-    _subsets,
     faulted_step,
     faulted_steps,
     low,
@@ -137,19 +137,17 @@ class CheckConfig:
     each pair (the values of the low slots its non-silent sides touch, or
     one for a diagonal pair whose step is fixed), and the running total of
     ``effect`` evaluations its summaries make before it builds each (none
-    for a silent step, and a fixed diagonal step builds no summary); POni,
-    its fault masks before it builds them;
-    PNI, first the two totals of strong security, a trip there falling
-    through to the composition; POni and PNI, the running total of their
-    initial states (over the cells live at pc 0) before they build each low
-    group; then POni the running total of faulted step pairs (canonical
-    frontier pairs times masks) before it walks each level, and PNI the
-    running total of faulted steps the composition takes (canonical composed
-    states times their fault sets) before it takes each state's; the timing
-    sweep, its starts, as ``initial states``.  The two fault charges stay
-    nominal, every mask counted though the walks step once per cut mask,
-    so every budget exit is unchanged; charging per cut would be a data
-    change.  A negative depth is refused; depth 0 is the vacuous bound.
+    for a silent step, and a fixed diagonal step builds no summary); PNI,
+    first the two totals of strong security, a trip there falling through to
+    the composition; POni and PNI, the running total of their initial states
+    (over the cells live at pc 0) before they build each low group; then
+    POni the running total of faulted step pairs before it walks each level,
+    per canonical frontier pair the masks in scope within its sides'
+    relevance masks, counted from those masks before any is listed; and PNI
+    the running total of faulted steps the composition takes before it takes
+    each state's, per canonical composed state the distinct cuts of its fault
+    sets; the timing sweep, its starts, as ``initial states``.  A negative
+    depth is refused; depth 0 is the vacuous bound.
     """
 
     depth: int = 4
@@ -571,23 +569,24 @@ def check_poni(
     ``_initial_groups`` order.
     """
     system = RiscSystem(program, cfg)
-    scope = _scope_names(system.faulty_names, check)
-    _charge(2 ** len(scope), "fault masks", check.budget)
-    # each explored pair maps to (the pair it came from, the mask's index)
+    scope_mask = system.mask_of(_scope_names(system.faulty_names, check))
+    # each explored pair maps to (the pair it came from, the mask it took)
     parent: dict[tuple[int, int], tuple | None] = {
         (states[0], other): None
         for states in _initial_groups(system, check.budget)
         for other in states[1:]
     }
-    masks = sorted(system.mask_of(subset) for subset in _subsets(scope))
     relevant = system.relevant
-    # per relevance mask, the (index, mask) of the masks within it, ascending
-    classes: dict[int, list[tuple[int, int]]] = {}
+    # per relevance mask, the masks in scope within it, ascending
+    classes: dict[int, list[int]] = {}
 
-    def within(rel: int) -> list[tuple[int, int]]:
+    def within(rel: int) -> list[int]:
         found = classes.get(rel)
         if found is None:
-            found = classes[rel] = [(i, mask) for i, mask in enumerate(masks) if mask & rel == mask]
+            cut = rel & scope_mask
+            found = classes[rel] = [0]
+            while mask := (found[-1] - cut) & cut:
+                found.append(mask)
         return found
 
     # per state, its public faulted step under each mask within its relevance mask
@@ -596,7 +595,7 @@ def check_poni(
     def row(state: int) -> dict[int, tuple[int, int]]:
         found = rows.get(state)
         if found is None:
-            cuts = [mask for _, mask in within(relevant(state))]
+            cuts = within(relevant(state))
             found = rows[state] = dict(zip(cuts, faulted_steps(system, state, cuts, True)))
         return found
 
@@ -607,21 +606,23 @@ def check_poni(
     for _ in range(check.depth):
         if not frontier:
             break
-        walked += len(frontier) * len(masks)
+        walked += sum(
+            1 << ((relevant(a) | relevant(b)) & scope_mask).bit_count() for a, b in frontier
+        )
         _charge(walked, "faulted step pairs", check.budget)
         nxt: list[tuple[int, int]] = []
         for pair in frontier:
             row_a, row_b = row(pair[0]), row(pair[1])
             rel_a, rel_b = relevant(pair[0]), relevant(pair[1])
-            for i, mask in within(rel_a | rel_b):
+            for mask in within(rel_a | rel_b):
                 code_a, succ_a = row_a[mask & rel_a]
                 code_b, succ_b = row_b[mask & rel_b]
                 if code_a != code_b:
-                    violation = (pair, i)
+                    violation = (pair, mask)
                     break
                 succ = (succ_a, succ_b)
                 if succ not in parent:
-                    parent[succ] = (pair, i)
+                    parent[succ] = (pair, mask)
                     nxt.append(succ)
             if violation:
                 break
@@ -641,11 +642,11 @@ def check_poni(
         "initial_high_b": _bits_named(system, origin_b, system.high_mask),
         "trace": [
             {
-                "faults": sorted(system.names_of(masks[i])),
-                "low_a": str(observations[rows[sa][masks[i] & relevant(sa)][0]]),
-                "low_b": str(observations[rows[sb][masks[i] & relevant(sb)][0]]),
+                "faults": sorted(system.names_of(mask)),
+                "low_a": str(observations[rows[sa][mask & relevant(sa)][0]]),
+                "low_b": str(observations[rows[sb][mask & relevant(sb)][0]]),
             }
-            for (sa, sb), i in chain
+            for (sa, sb), mask in chain
         ],
     }
     return Verdict("poni", "violation", check.depth, witness)

@@ -188,6 +188,15 @@ def test_run_rejects_a_negative_fault_step(tmp_path, capsys):
     assert "fault script line 2: bad step index '-1'" in err
 
 
+@pytest.mark.parametrize("command", ["run", "inject"])
+def test_run_rejects_a_second_line_for_a_fault_step(tmp_path, capsys, command):
+    out, _ = compile_ok(tmp_path, capsys)
+    script = write(tmp_path, "faults.txt", "0: rl0_0\n0: rh0_0\n")
+    code, stdout, err = invoke(capsys, command, out, "--faults", script)
+    assert code == 1 and stdout == ""
+    assert "fault script error: fault script line 2: a second line for step 0" in err
+
+
 def test_inject_requires_fault_script(tmp_path, capsys):
     out, _ = compile_ok(tmp_path, capsys)
     code, _, _ = invoke(capsys, "inject", out)
@@ -238,6 +247,12 @@ def test_check_pni_with_env_file(tmp_path, capsys):
         ("fault E0 bogus_0 1", "not within faulty locations"),
         ("fault E0 - 1/2", "sums to 1/2"),
         ("fault E0 - 3/2\nfault E0 rl0_0 -1/2", "negative probability"),
+        (
+            "fault E0 rl0_0 1/2\nfault E0 rl0_0 1/2\nfault E0 - 1/2",
+            "line 4: a second fault set rl0_0 for E0",
+        ),
+        ("trans E0 * E0\nfault E0 - 1", "line 3: a second transition of E0 on *"),
+        ("start E0\nfault E0 - 1", "line 3: a second start state 'E0'"),
     ],
 )
 def test_check_pni_rejects_bad_environment(tmp_path, capsys, fault_line, message):
@@ -293,10 +308,12 @@ def test_out_of_range_numbers_exit_64(tmp_path, capsys, argv, message):
 
 
 def test_check_budget_exit_4(tmp_path, capsys, monkeypatch):
+    # the padded conditional's first level walks 6 faulted step pairs
+    out = compile_padded_if(tmp_path, capsys, 1)
     monkeypatch.setenv("FTNI_BUDGET", "2")
-    out, _ = compile_ok(tmp_path, capsys)
     code, _, err = invoke(capsys, "check", out, "--mode", "poni", "--width", "1", "--depth", "6")
-    assert code == 4 and "budget" in err
+    assert code == 4
+    assert "faulted step pairs: 6 exceeds the limit of 2" in err
 
 
 FAULT_FREE_ENV = "start E0\ntrans E0 * E0\nfault E0 - 1\n"
@@ -396,27 +413,29 @@ def compile_padded_if(tmp_path, capsys, width):
     return out
 
 
-def test_check_poni_budget_trips_before_enumerating_masks(tmp_path, capsys):
-    # 24 faulty bits at width 4: 2**24 fault masks, charged before any is built
+def test_check_poni_budget_trips_before_building_the_cuts_of_a_level(tmp_path, capsys):
+    # 24 faulty bits at width 4: the first level's pairs have 4,080 cuts in
+    # all, charged from their relevance masks before any cut list is built
     out = compile_padded_if(tmp_path, capsys, 4)
     run = _cli(
         "check", out, "--mode", "poni", "--depth", "2", "--width", "4",
         timeout=5, FTNI_BUDGET="1000",
     )
-    assert run.returncode == 4 and "budget" in run.stderr
+    assert run.returncode == 4
+    assert "faulted step pairs: 4080 exceeds the limit of 1000" in run.stderr
 
 
 def test_check_poni_budget_trips_before_walking_a_level(tmp_path, capsys):
-    # 12 faulty bits at width 2: 4,096 masks and 3 seed pairs, over the cells
-    # live at pc 0, each under the limit, but the first level walks 4,096 * 3
-    # faulted step pairs
+    # 12 faulty bits at width 2: the 4 starts over the cell live at pc 0
+    # (the 2 bits of h) are under the limit, but their 3 seed pairs walk
+    # 3 * 2**2 faulted step pairs at the first level
     out = compile_padded_if(tmp_path, capsys, 2)
     run = _cli(
         "check", out, "--mode", "poni", "--depth", "3", "--width", "2",
-        timeout=5, FTNI_BUDGET="5000",
+        timeout=5, FTNI_BUDGET="8",
     )
     assert run.returncode == 4
-    assert "faulted step pairs: 12288 exceeds the limit of 5000" in run.stderr
+    assert "faulted step pairs: 12 exceeds the limit of 8" in run.stderr
 
 
 def test_check_poni_full_scope_returns_a_verdict_under_the_default_budget(
@@ -451,25 +470,25 @@ def _uniform_env_file(tmp_path, asm_path):
 
 
 def test_check_pni_budget_trips_while_composing(tmp_path):
-    # a uniform attacker on all 12 faulty bits: 4,096 fault sets per composed
-    # state; strong security splits, so the composition runs
+    # a uniform attacker on all 12 faulty bits; strong security splits, so
+    # the composition runs, charged per cut of the 4,096 fault sets
     out = write(tmp_path, "u.s", UNPADDED_IF)
     write(tmp_path, "u.meta.json", json.dumps(PADDED_IF_MACHINE))
     run = _cli(
         "check", out, "--mode", "pni", "--depth", "3", "--width", "2",
-        "--env", _uniform_env_file(tmp_path, out), timeout=5, FTNI_BUDGET="1000",
+        "--env", _uniform_env_file(tmp_path, out), timeout=5, FTNI_BUDGET="30",
     )
     assert run.returncode == 4
-    assert "faulted steps composed: 4096 exceeds the limit of 1000" in run.stderr
+    assert "faulted steps composed: 34 exceeds the limit of 30" in run.stderr
 
 
 def test_check_pni_answers_a_strongly_secure_program_without_composing(tmp_path, capsys):
-    # the attacker and budget above: strong security settles the padded
-    # conditional within the budget, so the 4,096 fault sets are never taken
+    # the attacker and budget above: composing the padded conditional would
+    # take 34 faulted steps, but strong security settles it within the budget
     out = compile_padded_if(tmp_path, capsys, 2)
     run = _cli(
         "check", out, "--mode", "pni", "--depth", "3", "--width", "2",
-        "--env", _uniform_env_file(tmp_path, out), timeout=5, FTNI_BUDGET="1000",
+        "--env", _uniform_env_file(tmp_path, out), timeout=5, FTNI_BUDGET="30",
     )
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == {

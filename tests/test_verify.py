@@ -1,6 +1,7 @@
 """Checkers: strong security, possibilistic and probabilistic noninterference."""
 
 import copy
+import dataclasses
 import functools
 import itertools
 from collections import Counter, deque
@@ -1163,14 +1164,15 @@ def test_poni_matches_brute_force_trace_sets(text, mem):
 def per_mask_poni(program, cfg, check, pairs=None):
     """The POni pair walk with one faulted step per mask in scope, as
     ``check_poni`` ran before it took one per class of masks a state tells
-    apart (``RiscSystem.relevant``); the same charges, the same JSON.  The
-    pairs it walks are appended to ``pairs`` when it is given."""
+    apart (``RiscSystem.relevant``); the same charges (each pair's cuts, by
+    the union of its sides' relevance masks), the same JSON.  The pairs it
+    walks are appended to ``pairs`` when it is given."""
     from ftnilab.faultlab import _subsets, faulted_steps
     from ftnilab.verify import _bits_named, _charge, _scope_names
 
     system = RiscSystem(program, cfg)
     scope = _scope_names(system.faulty_names, check)
-    _charge(2 ** len(scope), "fault masks", check.budget)
+    scope_mask = system.mask_of(scope)
     parent = {
         (states[0], other): None
         for states in _initial_groups(system, check.budget)
@@ -1188,7 +1190,10 @@ def per_mask_poni(program, cfg, check, pairs=None):
     for _ in range(check.depth):
         if not frontier:
             break
-        walked += len(frontier) * len(masks)
+        walked += sum(
+            2 ** len(system.names_of((system.relevant(a) | system.relevant(b)) & scope_mask))
+            for a, b in frontier
+        )
         _charge(walked, "faulted step pairs", check.budget)
         nxt = []
         if pairs is not None:
@@ -1299,6 +1304,36 @@ def test_poni_mask_classes_keep_every_verdict_on_high_branches():
     ]
     seen = compare_poni_with_per_mask_poni(draws)
     assert seen["violation"] >= 30 and seen["split relevance"] >= 1, seen
+
+
+def charge_ladder(walk, program, cfg, check):
+    """Every running total ``walk`` charges, read off its budget exits by
+    raising the budget to each total in turn, then its JSON."""
+    charges = []
+    while True:
+        try:
+            return charges, walk(program, cfg, check).to_json()
+        except BudgetExceeded as exc:
+            what, _, rest = str(exc).partition(": ")
+            charges.append((what, int(rest.split()[0])))
+            check = dataclasses.replace(check, budget=charges[-1][1])
+
+
+def test_poni_charges_each_pair_the_cuts_of_both_sides():
+    """Every charge of ``check_poni``, not only those a fixed budget trips
+    on, is that of the per-mask walk, on draws whose pairs meet two
+    relevance masks: a pair is charged for the masks within the union of
+    its sides' masks, not for either side's alone."""
+    rng = Random(22)
+    cfg = standard_config(1, 2, 1, (LOW, HIGH), True)
+    levels = 0
+    for draw in range(40):
+        program = high_jz_program(rng, cfg, 4 + draw % 5)
+        check = CheckConfig(depth=2 + draw % 3, budget=0)
+        ladder = charge_ladder(check_poni, program, cfg, check)
+        assert ladder == charge_ladder(per_mask_poni, program, cfg, check), draw
+        levels += sum(what == "faulted step pairs" for what, _ in ladder[0])
+    assert levels >= 60, levels
 
 
 def fault_sequence_oracle(system, env, state, depth):
@@ -1693,6 +1728,18 @@ def test_full_scope_poni_is_secure_on_the_width_2_corpus():
         cfg = config_for_source(src, 2)
         program = compile_program(src, cfg).program
         assert check_poni(program, cfg, CheckConfig(depth=4)).secure, name
+
+
+def test_full_scope_poni_is_secure_on_the_width_3_corpus():
+    """At width 3 the machines have 15 to 21 faulty bits, but each level is
+    charged only for the cuts its pairs walk, so every walk returns under
+    the default budget."""
+    for name, text in CORPUS:
+        src = parse(text)
+        cfg = config_for_source(src, 3)
+        program = compile_program(src, cfg).program
+        verdict = check_poni(program, cfg, CheckConfig(depth=4))
+        assert verdict.status == "secure-up-to-bound", name
 
 
 def test_fault_checkers_are_secure_on_the_width_4_corpus():
