@@ -36,7 +36,7 @@ from ftnilab.lang import (
     parse,
     render_source,
 )
-from ftnilab.machine import HIGH, LOW, disassemble
+from ftnilab.machine import HIGH, LOW, assemble, disassemble
 from ftnilab.seccomp import CompileError, compile_program
 
 GOLDEN = Path(__file__).with_name("golden_compile.json")
@@ -148,6 +148,22 @@ def test_golden_file_covers_padding_and_every_rejection_rule():
     rules = {c["error"].split(":")[0].removeprefix("rule ") for c in compiles if "error" in c}
     assert rules == REJECTION_RULES
     assert sum(len(c["meta"]["if_h_sites"]) for c in compiles if "meta" in c) >= 100
+
+
+def test_assembler_undoes_the_disassembly_of_every_golden_compile():
+    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    compiled = 0
+    for name, text, jlez in programs():
+        src = parse(text, allow_positive_guards=jlez)
+        for key, (low_regs, high_regs) in REGISTERS.items():
+            if "asm" not in doc[name][key]:
+                continue
+            cfg = config_for_source(src, WIDTH, low_regs, high_regs, enable_jlez=jlez)
+            program = compile_program(src, cfg).program
+            assert disassemble(program).splitlines() == doc[name][key]["asm"]
+            assert assemble(disassemble(program)) == program
+            compiled += 1
+    assert compiled > 300
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from ftnilab.lang import (
     render_source,
     run_while,
     step_while,
+    _tokenize,
 )
 from ftnilab.machine import HIGH, LOW
 
@@ -214,6 +215,50 @@ def test_high_write_commands_preserve_low_view():
     ],
 )
 def test_parse_reports_an_undeclared_variable_where_it_is_used(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+def test_tokenize_pins_kinds_texts_and_positions():
+    """Tabs and blanks count one column each, a ``#`` comment runs to the
+    end of its line, and blank or comment-only lines yield no token."""
+    text = (
+        "low x;\thigh h; # a comment := here\n"
+        "\twhile x > 0 do {x:=x-1}  \n"
+        "  \n"
+        "# only a comment\n"
+        "out\thigh (h&3)*x;\t \n"
+    )
+    stream = [(t.kind, t.text, t.line, t.column) for t in _tokenize(text)]
+    assert stream == [
+        ("id", "low", 1, 1), ("id", "x", 1, 5), ("op", ";", 1, 6),
+        ("id", "high", 1, 8), ("id", "h", 1, 13), ("op", ";", 1, 14),
+        ("id", "while", 2, 2), ("id", "x", 2, 8), ("op", ">", 2, 10),
+        ("num", "0", 2, 12), ("id", "do", 2, 14), ("op", "{", 2, 17),
+        ("id", "x", 2, 18), ("op", ":=", 2, 19), ("id", "x", 2, 21),
+        ("op", "-", 2, 22), ("num", "1", 2, 23), ("op", "}", 2, 24),
+        ("id", "out", 5, 1), ("id", "high", 5, 5), ("op", "(", 5, 10),
+        ("id", "h", 5, 11), ("op", "&", 5, 12), ("num", "3", 5, 13),
+        ("op", ")", 5, 14), ("op", "*", 5, 15), ("id", "x", 5, 16),
+        ("op", ";", 5, 17),
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("low x;\n x := 1 $ 2", "unexpected character '$' (line 2, col 9)"),
+        ("low x;\n\tx := 1é", "unexpected character 'é' (line 2, col 8)"),
+        ("low x; x := 1 # $ is inside a comment\n@", "unexpected character '@' (line 2, col 1)"),
+        ("low x; x := 1 +", "expected an expression at end of input (line 1, col 15)"),
+        ("low x; x :=\n# trailing\n  ", "expected an expression at end of input (line 1, col 10)"),
+        ("low x;\n\twhile x", "while guard must be a variable at end of input (line 2, col 8)"),
+        ("", "expected a statement at end of input (line 1, col 1)"),
+        ("# only a comment\n", "expected a statement at end of input (line 1, col 1)"),
+    ],
+)
+def test_parse_errors_name_their_line_and_column(text, message):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert str(exc.value) == message

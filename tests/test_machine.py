@@ -101,6 +101,31 @@ def test_actions_and_states_hash_print_and_compare_as_their_fields():
     assert repr(state) == str(state) == "MachineState(pc=3, regs=(1, 2), mem=(0,))"
 
 
+def test_instructions_hash_print_and_compare_as_their_fields():
+    """An ``Instruction`` hashes as its field tuple, in declaration order, so
+    set and dict orders over programs follow the field values; its ``repr``
+    is the dataclass form and ``render`` its assembly line."""
+    fields = ("op", "label", "reg", "reg2", "addr", "value", "target", "channel")
+    for instr in (
+        Instruction("nop"),
+        Instruction("load", "l0", reg="rl0", addr=1),
+        Instruction("add", reg="rh0", reg2="rh1"),
+        Instruction("jz", target="br0", reg="rl1"),
+        Instruction("movek", reg="rl0", value=3),
+        Instruction("out", channel="low", reg="rl0"),
+    ):
+        values = tuple(getattr(instr, f) for f in fields)
+        assert hash(instr) == hash(values)
+        assert instr == Instruction(*values) and instr != Instruction("halt")
+    load = Instruction("load", "l0", reg="rl0", addr=1)
+    assert repr(load) == str(load) == (
+        "Instruction(op='load', label='l0', reg='rl0', reg2=None, addr=1,"
+        " value=None, target=None, channel=None)"
+    )
+    assert load.render() == "l0: load rl0 1" and load.registers() == ("rl0",)
+    assert Instruction("mover", reg="rl0", reg2="rh0").registers() == ("rl0", "rh0")
+
+
 def test_load_reads_memory_cell():
     cfg = standard_config(8, 1, 1, (LOW,) * 6)
     program = assemble("load rl0 5")
