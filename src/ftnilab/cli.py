@@ -249,7 +249,13 @@ def _parse_fault_script(text: str) -> dict[int, frozenset[str]]:
         if index in script:
             raise ValueError(f"fault script line {lineno}: a second line for step {index}")
         names = rest.strip()
-        script[index] = frozenset() if names in ("", "-") else frozenset(names.split(","))
+        if names in ("", "-"):
+            script[index] = frozenset()
+            continue
+        flips = [name.strip() for name in names.split(",")]
+        if "" in flips:
+            raise ValueError(f"fault script line {lineno}: an empty location name in {names!r}")
+        script[index] = frozenset(flips)
     return script
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .faultlab import Action, TAU, output
 from .machine import SecurityLevel, LOW, HIGH, signed
@@ -101,14 +102,15 @@ class ParseError(Exception):
         self.column = column
 
 
+# Every non-blank character starts a match, so a search over a line skips
+# exactly its blanks and columns count from the line's first character.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<id>[A-Za-z_]\w*)|(?P<op>:=|[+\-*&;{}()>])|(?P<bad>\S))"
+    r"(?P<num>\d+)|(?P<id>[A-Za-z_]\w*)|(?P<op>:=|[+\-*&;{}()>])|(?P<bad>\S)"
 )
 _KEYWORDS = {"low", "high", "skip", "out", "if", "then", "else", "while", "do"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -118,25 +120,19 @@ class _Token:
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        pos = 0
-        while pos < len(line):
-            m = _TOKEN_RE.match(line, pos)
-            if m is None:
-                break
-            col = m.start(m.lastgroup) + 1
-            if m.lastgroup == "bad":
-                raise ParseError(f"unexpected character {m.group('bad')!r}", lineno, col)
-            if m.lastgroup is None:
-                break
-            tokens.append(_Token(m.lastgroup, m.group(m.lastgroup), lineno, col))
-            pos = m.end()
+        for m in _TOKEN_RE.finditer(raw.split("#", 1)[0]):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", lineno, m.start() + 1)
+            tokens.append(_Token(kind, m.group(), lineno, m.start() + 1))
     return tokens
 
 
 class _Parser:
     def __init__(self, tokens: list[_Token], allow_positive_guards: bool):
         self.tokens = tokens
+        # Each token's text, then None for the end of input: what ``at`` reads.
+        self.texts = [tok.text for tok in tokens] + [None]
         self.pos = 0
         self.allow_positive_guards = allow_positive_guards
         self.declared: set[str] = set()
@@ -161,8 +157,7 @@ class _Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
+        return self.texts[self.pos] == text
 
     def variable(self, tok: _Token) -> str:
         """The name a variable token uses, which must be declared."""

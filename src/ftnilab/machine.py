@@ -67,8 +67,9 @@ class AssemblyError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
+    """One assembly instruction: a value, equal and hashed as its fields."""
+
     op: str
     label: str | None = None
     reg: str | None = None
@@ -172,7 +173,7 @@ def assemble(text: str) -> RiscProgram:
         operands: dict[str, str | int] = {}
         for field, arg in zip(fields, args):
             if field in ("addr", "value"):
-                if not arg.isdigit():
+                if not (arg.isascii() and arg.isdigit()):
                     raise AssemblyError(f"expected a decimal number, got {arg!r}", lineno)
                 operands[field] = int(arg)
             elif field == "channel" and arg not in CHANNELS:
@@ -347,11 +348,11 @@ def initial_state(cfg: MachineConfig, mem: dict[int, int] | None = None) -> Mach
 
 
 def validate_program(program: RiscProgram, cfg: MachineConfig) -> None:
-    names = set(cfg.register_names())
+    names = {None, *cfg.register_names()}  # None: the operand is absent
     for i, instr in enumerate(program.instructions):
-        for reg in instr.registers():
-            if reg not in names:
-                raise AssemblyError(f"instruction {i}: unknown register {reg!r}")
+        if instr.reg not in names or instr.reg2 not in names:
+            reg = instr.reg if instr.reg not in names else instr.reg2
+            raise AssemblyError(f"instruction {i}: unknown register {reg!r}")
         if instr.addr is not None and not (0 <= instr.addr < cfg.memory_size):
             raise AssemblyError(f"instruction {i}: address {instr.addr} out of range")
         if instr.op == "jlez" and not cfg.enable_jlez:

@@ -19,7 +19,7 @@ preferring registers that cache nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .lang import (
@@ -129,21 +129,29 @@ class RegisterRecord:
                 return reg
         return None
 
+    @staticmethod
+    def _of(pairs: dict[str, str]) -> "RegisterRecord":
+        """A record owning ``pairs``, which must already be a bijection."""
+        rec = RegisterRecord.__new__(RegisterRecord)
+        rec._pairs = pairs
+        return rec
+
+    # Each of these keeps a subset of a bijection's pairs, plus at most one
+    # pair whose register and variable it has just removed, so none re-checks.
     def update(self, reg: str, var: str) -> "RegisterRecord":
         """Minimal change binding reg to var while staying a bijection."""
         pairs = {r: v for r, v in self._pairs.items() if r != reg and v != var}
         pairs[reg] = var
-        return RegisterRecord(pairs)
+        return RegisterRecord._of(pairs)
 
     def without(self, reg: str) -> "RegisterRecord":
-        pairs = {r: v for r, v in self._pairs.items() if r != reg}
-        return RegisterRecord(pairs)
+        return RegisterRecord._of({r: v for r, v in self._pairs.items() if r != reg})
 
     def meet(self, other: "RegisterRecord") -> "RegisterRecord":
         pairs = {
             r: v for r, v in self._pairs.items() if other._pairs.get(r) == v
         }
-        return RegisterRecord(pairs)
+        return RegisterRecord._of(pairs)
 
     def __le__(self, other: "RegisterRecord") -> bool:
         return all(other._pairs.get(r) == v for r, v in self._pairs.items())
@@ -232,7 +240,7 @@ class _Emitter:
 
     def emit(self, instr: Instruction) -> None:
         if self.pending is not None:
-            instr = replace(instr, label=self.pending)
+            instr = instr._replace(label=self.pending)
             self.pending = None
         self.instrs.append(instr)
 
@@ -276,8 +284,15 @@ class _Compiler:
         return HIGH if left is HIGH else self.expr_level(expr.right)
 
     def pick_register(
-        self, level: SecurityLevel, avoid: frozenset[str], rec: RegisterRecord, context: str, rule: str = "expr"
+        self,
+        level: SecurityLevel,
+        avoid: frozenset[str],
+        rec: RegisterRecord,
+        context: Expr | Cmd,
+        rule: str = "expr",
     ) -> str:
+        """The register to compute into; ``context``, the expression or
+        command it is for, is rendered only into the error when none is left."""
         pool = self.cfg.registers_of_level(level)
         for reg in pool:
             if reg not in avoid and rec.variable_of(reg) is None:
@@ -285,9 +300,10 @@ class _Compiler:
         for reg in pool:
             if reg not in avoid:
                 return reg
+        shown = render_expr(context) if isinstance(context, Expr) else render_cmd(context)
         raise CompileError(
             rule, "no-register",
-            context, f"no level-{level.value} register outside {sorted(avoid)}",
+            shown, f"no level-{level.value} register outside {sorted(avoid)}",
         )
 
     # expressions -----------------------------------------------------------
@@ -305,7 +321,7 @@ class _Compiler:
         rides along when a cached variable produces no code at all.
         """
         if isinstance(expr, Const):
-            reg = self.pick_register(level, avoid, rec, render_expr(expr))
+            reg = self.pick_register(level, avoid, rec, expr)
             self.em.pend(label)
             self.em.emit(Instruction("movek", reg=reg, value=expr.value % self.cfg.word_values))
             return (1, reg, rec.without(reg))
@@ -326,7 +342,7 @@ class _Compiler:
                     f"variable {expr.name} has level {self.var_level(expr.name).value},"
                     f" context demands {level.value}",
                 )
-            reg = self.pick_register(level, avoid, rec, render_expr(expr))
+            reg = self.pick_register(level, avoid, rec, expr)
             self.em.pend(label)
             self.em.emit(Instruction("load", reg=reg, addr=self.v2p[expr.name]))
             return (1, reg, rec.update(reg, expr.name))
@@ -462,7 +478,7 @@ class _Compiler:
             instrs = self.em.instrs
             nops = [Instruction("nop", label=instrs[jmp].label)]
             nops += [Instruction("nop")] * (n2 - n1 - 1)
-            instrs[jmp:jmp + 1] = nops + [replace(instrs[jmp], label=None)]
+            instrs[jmp:jmp + 1] = nops + [instrs[jmp]._replace(label=None)]
         self.em.pend(out2)
         for _ in range(n1 - n2):
             self.em.emit(Instruction("nop"))
@@ -478,7 +494,7 @@ class _Compiler:
     def compile_while(self, rec: RegisterRecord, label: str | None, cmd: While):
         level = self.var_level(cmd.var)
         bound = write_bound(level)
-        reg = self.pick_register(level, frozenset(), rec, render_cmd(cmd), "while")
+        reg = self.pick_register(level, frozenset(), rec, cmd, "while")
         lp = self.fresh_label("lp")
         ex = self.fresh_label("ex")
         addr = self.v2p[cmd.var]

@@ -710,11 +710,12 @@ def check_pni(
     validated the strong-security walk runs first, under the same budget,
     and settles such a program.  Any other program, or one whose walk
     exceeds the budget, is composed with the attacker (``_composed_pni``).
-    The faulty bits are named by ``MachineConfig.data_bit_names``, so the
-    bit-level ``RiscSystem`` is built only to compose.
+    The faulty bits' names are read off the configuration's shared layout
+    (``CellLayout.faulty_names``), so the bit-level ``RiscSystem`` is built
+    only to compose.
     """
     validate_program(program, cfg)
-    faulty = frozenset(cfg.data_bit_names())
+    faulty = cfg.layout.faulty_names
     scope = _scope_names(faulty, check)
     env.validate(faulty)
     try:

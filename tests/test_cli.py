@@ -197,6 +197,35 @@ def test_run_rejects_a_second_line_for_a_fault_step(tmp_path, capsys, command):
     assert "fault script error: fault script line 2: a second line for step 0" in err
 
 
+@pytest.mark.parametrize("command", ["run", "inject"])
+def test_run_strips_the_names_of_a_fault_step(tmp_path, capsys, command):
+    out, _ = compile_ok(tmp_path, capsys)
+    spaced = write(tmp_path, "spaced.txt", "1:  rl0_0 ,\trh0_0  \n")
+    tight = write(tmp_path, "tight.txt", "1: rl0_0,rh0_0\n")
+    code, stdout, err = invoke(capsys, command, out, "--faults", spaced)
+    assert code == 0, err
+    assert invoke(capsys, command, out, "--faults", tight) == (0, stdout, err)
+    assert "rl0_0" in stdout and "rh0_0" in stdout
+
+
+@pytest.mark.parametrize("command", ["run", "inject"])
+@pytest.mark.parametrize("names", ["rl0_0,", ", rl0_0", "rl0_0,,rh0_0", ","])
+def test_run_rejects_an_empty_name_in_a_fault_step(tmp_path, capsys, command, names):
+    out, _ = compile_ok(tmp_path, capsys)
+    script = write(tmp_path, "faults.txt", f"0: -\n1: {names}\n")
+    code, stdout, err = invoke(capsys, command, out, "--faults", script)
+    assert code == 1 and stdout == ""
+    assert "fault script error: fault script line 2: an empty location name in" in err
+
+
+def test_run_rejects_a_non_ascii_digit_without_a_traceback(tmp_path):
+    asm = write(tmp_path, "sup.s", "movek rl0 \u00b3\nout low rl0\n")
+    run = _cli("run", asm)
+    assert run.returncode == 1 and run.stdout == ""
+    assert "expected a decimal number, got '\u00b3' (line 1)" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_inject_requires_fault_script(tmp_path, capsys):
     out, _ = compile_ok(tmp_path, capsys)
     code, _, _ = invoke(capsys, "inject", out)
