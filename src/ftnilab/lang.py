@@ -18,6 +18,8 @@ from .machine import SecurityLevel, LOW, HIGH, signed
 
 BINOPS = ("+", "-", "*", "&")
 
+# The AST nodes are frozen dataclasses, not named tuples, because tuples
+# compare by their fields alone: as tuples, Skip() would equal Done().
 
 @dataclass(frozen=True)
 class Const:
