@@ -25,7 +25,8 @@ total of faulted steps it composes (per composed state, the distinct cuts
 of its fault sets to the bits live there) before each expansion; the timing
 sweep of ``demo-hash`` its starts.
 Any other value exits 64, as do a ``--width`` or ``--depth`` below 1, a
-``--steps`` below 0 and a ``--mem`` value outside the machine word.  A
+``--steps`` below 0, a ``--mem`` value outside the machine word and a
+second ``--mem`` for one address.  A
 side-car that is not JSON or does not describe a machine (a width below 1,
 a level other than "L" or "H") exits 1 with ``side-car error: ...``.  A
 sequence of any length compiles, but a source whose parentheses, blocks or
@@ -270,18 +271,18 @@ def cmd_run(args) -> int:
     for item in args.mem or ():
         key, _, value = item.partition("=")
         try:
-            addr = int(key)
-            mem[addr] = int(value)
+            addr, word = int(key), int(value)
         except ValueError:
             return _fail(EXIT_USAGE, f"bad --mem entry {item!r}")
+        if addr in mem:
+            return _fail(EXIT_USAGE, f"a second --mem for address {addr}")
+        mem[addr] = word
         if not 0 <= addr < cfg.memory_size:
             return _fail(
                 EXIT_USAGE, f"--mem address {addr} outside memory of {cfg.memory_size} cells"
             )
-        if not 0 <= mem[addr] < cfg.word_values:
-            return _fail(
-                EXIT_USAGE, f"--mem value {mem[addr]} outside the {cfg.width}-bit word"
-            )
+        if not 0 <= word < cfg.word_values:
+            return _fail(EXIT_USAGE, f"--mem value {word} outside the {cfg.width}-bit word")
     script: dict[int, frozenset[str]] = {}
     if args.faults:
         try:

@@ -15,8 +15,10 @@ observation code in place of the action projected by ``low``: a small int
 that ``observations`` maps back to the public action, with 0 for the silent
 one and the others numbered as they are first met.  The possibilistic rows,
 the composition and its trace counts hold only these codes and int states;
-``Action`` objects are rebuilt at the interface (``compose_step``,
-``trace_distribution``, ``trace_probability`` and the witnesses).
+``Action`` objects are rebuilt at the interface (``trace_distribution``,
+``trace_probability`` and the witnesses).  ``compose_step`` and
+``enumerate_runs`` are the oracle the kernel is tested against: full
+actions and ``Fraction`` odds, sharing no code with ``Composition``.
 """
 
 from __future__ import annotations
@@ -452,11 +454,18 @@ def compose_step(
     Entries are aggregated on identical (action, successor); the attacker
     advances by the public view of the action.  Each fault set takes a
     faulted step, which never halts, so total probability mass is exactly 1.
+    The attacker's own odds are summed as ``Fraction`` over its fault sets
+    in sorted order: an oracle that shares no code with ``Composition``.
     """
-    comp = Composition(system, env)
+    dist = env.fault_distribution(env_state)
+    subsets = sorted((s for s, prob in dist.items() if prob != 0), key=sorted)
+    steps = faulted_steps(system, state, [system.mask_of(s) for s in subsets])
+    acc: dict[tuple[Action, int], Fraction] = {}
+    for subset, outcome in zip(subsets, steps):
+        acc[outcome] = acc.get(outcome, Fraction(0)) + dist[subset]
     return [
-        (action, Fraction(weight, comp.denominator), succ, env.advance(env_state, low(action)))
-        for (action, succ), weight in comp._aggregate(state, env_state).items()
+        (action, prob, succ, env.advance(env_state, low(action)))
+        for (action, succ), prob in acc.items()
     ]
 
 
@@ -559,8 +568,8 @@ class Composition:
     denominators.  A step's weights sum to ``denominator``, and a trace of
     length n has a count over ``denominator ** n``.  Steps and traces carry
     the system's observation codes; Fractions and ``Action`` objects are
-    built only at the interface: ``compose_step``, ``trace_distribution``
-    and ``trace_probability``.
+    built only at the interface: ``trace_distribution`` and
+    ``trace_probability``.
 
     ``charge``, when given, is called with the running number of faulted
     steps taken (per composed state expanded, the distinct cuts of its
@@ -581,76 +590,57 @@ class Composition:
         )
         self.charge = charge
         self.steps_taken = 0
-        self._tables: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._cut_tables: dict[tuple[str, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._advances: dict[tuple[str, int], str] = {}
         self._steps: dict[tuple[int, str], list[tuple[int, int, int, str]]] = {}
         self._counts: dict[tuple, dict[tuple[int, ...], int]] = {}
 
-    def _table(self, env_state: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """An attacker state's fault sets with nonzero odds, as masks, and their weights."""
-        table = self._tables.get(env_state)
-        if table is None:
-            dist = self.env.fault_distribution(env_state)
-            den = self.denominator
-            rows = [
-                (self.system.mask_of(subset), prob.numerator * (den // prob.denominator))
-                for subset, prob in sorted(dist.items(), key=lambda item: tuple(sorted(item[0])))
-                if prob != 0
-            ]
-            table = self._tables[env_state] = (
-                tuple(mask for mask, _ in rows),
-                tuple(weight for _, weight in rows),
-            )
-        return table
-
-    def _aggregate(self, state: int, env_state: str, public: bool = False) -> dict[tuple, int]:
-        """Weight over ``denominator`` of each distinct faulted step (see
-        ``faulted_steps``) under the attacker state's fault table; a public
-        step is taken once per mask cut to ``system.relevant(state)``."""
-        masks, weights = self._table(env_state)
-        if public:
-            masks, weights = self._cut_table(env_state, self.system.relevant(state))
-        acc: dict[tuple, int] = {}
-        for outcome, weight in zip(faulted_steps(self.system, state, masks, public), weights):
-            acc[outcome] = acc.get(outcome, 0) + weight
-        return acc
-
     def _cut_table(self, env_state: str, relevant: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The fault table with each mask cut to ``relevant`` and the weights
-        of equal cuts summed, each cut in the place of its first mask."""
+        """The attacker state's fault sets with nonzero odds, in sorted order,
+        as masks cut to ``relevant``, and their weights over ``denominator``,
+        with the weights of equal cuts summed, each cut in the place of its
+        first set.  A relevance mask lies within ``system.faulty_mask``, so
+        every other table is folded from the one cut to it, which is built
+        once per attacker state."""
         key = (env_state, relevant)
         table = self._cut_tables.get(key)
         if table is None:
+            faulty = self.system.faulty_mask
+            if relevant == faulty:
+                dist = self.env.fault_distribution(env_state)
+                den, mask_of = self.denominator, self.system.mask_of
+                rows = [
+                    (mask_of(subset), prob.numerator * (den // prob.denominator))
+                    for subset, prob in sorted(dist.items(), key=lambda item: sorted(item[0]))
+                    if prob != 0
+                ]
+            else:
+                rows = zip(*self._cut_table(env_state, faulty))
             summed: dict[int, int] = {}
-            for mask, weight in zip(*self._table(env_state)):
+            for mask, weight in rows:
                 summed[mask & relevant] = summed.get(mask & relevant, 0) + weight
             table = self._cut_tables[key] = (tuple(summed), tuple(summed.values()))
         return table
 
-    def _advance(self, env_state: str, code: int) -> str:
-        """The attacker's next state on an observation code."""
-        key = (env_state, code)
-        found = self._advances.get(key)
-        if found is None:
-            found = self._advances[key] = self.env.advance(
-                env_state, self.system.observations[code]
-            )
-        return found
-
     def step(self, state: int, env_state: str) -> list[tuple[int, int, int, str]]:
         """(observation code, weight over ``denominator``, successor, attacker
-        state) entries, aggregated on identical (code, successor)."""
+        state) entries, aggregated on identical (code, successor): the public
+        faulted steps (see ``faulted_steps``), one per mask cut to
+        ``system.relevant(state)``."""
         key = (state, env_state)
         entries = self._steps.get(key)
         if entries is None:
-            self.steps_taken += len(self._cut_table(env_state, self.system.relevant(state))[0])
+            system = self.system
+            masks, weights = self._cut_table(env_state, system.relevant(state))
+            self.steps_taken += len(masks)
             if self.charge is not None:
                 self.charge(self.steps_taken)
-            advance = self._advance
+            acc: dict[tuple[int, int], int] = {}
+            for outcome, weight in zip(faulted_steps(system, state, masks, True), weights):
+                acc[outcome] = acc.get(outcome, 0) + weight
+            observations, advance = system.observations, self.env.advance
             entries = self._steps[key] = [
-                (code, weight, succ, advance(env_state, code))
-                for (code, succ), weight in self._aggregate(state, env_state, True).items()
+                (code, weight, succ, advance(env_state, observations[code]))
+                for (code, succ), weight in acc.items()
             ]
         return entries
 

@@ -225,9 +225,6 @@ class MachineConfig:
                 return i
         raise KeyError(name)
 
-    def register_level(self, name: str) -> SecurityLevel:
-        return self.registers[self.register_index(name)][1]
-
     def registers_of_level(self, level: SecurityLevel) -> tuple[str, ...]:
         return tuple(name for name, lev in self.registers if lev is level)
 

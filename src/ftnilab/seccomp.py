@@ -255,6 +255,10 @@ def _registers_needed(expr: Expr) -> int:
 class _Compiler:
     def __init__(self, src: SourceProgram, cfg: MachineConfig):
         self.cfg = cfg
+        self.register_level = dict(cfg.registers)
+        self.pools: dict[SecurityLevel, list[str]] = {LOW: [], HIGH: []}
+        for reg, level in cfg.registers:
+            self.pools[level].append(reg)
         self.levels = {name: level for name, level in src.levels}
         self.v2p = {name: addr for addr, (name, _) in enumerate(src.levels)}
         if cfg.memory_size < len(self.v2p):
@@ -293,7 +297,7 @@ class _Compiler:
     ) -> str:
         """The register to compute into; ``context``, the expression or
         command it is for, is rendered only into the error when none is left."""
-        pool = self.cfg.registers_of_level(level)
+        pool = self.pools[level]
         for reg in pool:
             if reg not in avoid and rec.variable_of(reg) is None:
                 return reg
@@ -332,7 +336,7 @@ class _Compiler:
             if (
                 cached is not None
                 and cached not in avoid
-                and self.cfg.register_level(cached) is level
+                and self.register_level[cached] is level
             ):
                 self.em.pend(label)
                 return (0, cached, rec)
@@ -430,7 +434,7 @@ class _Compiler:
         and conditionals, and every guard and expression must fit the high
         registers.  All of that is syntactic: no record changes the answer.
         """
-        high_regs = len(self.cfg.registers_of_level(HIGH))
+        high_regs = len(self.pools[HIGH])
         stack = [cmd]
         while stack:
             cmd = stack.pop()

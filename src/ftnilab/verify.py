@@ -76,7 +76,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Callable
 
 from .faultlab import (
     TAU,
@@ -249,20 +248,15 @@ class _SSTables:
     diagonal pair whose step is ``fixed`` goes to its one next pc with no
     entries built (see the module docstring).
 
-    ``charge``, when given, is called with the running number of ``effect``
-    evaluations (``word_values ** #high cells read`` per summary that runs
-    them) before each new such summary is built, and may raise to stop the
-    run.
+    The running number of ``effect`` evaluations (``word_values ** #high
+    cells read`` per summary that runs them) is charged against ``budget``
+    as ``summary evaluations`` before each new such summary is built; the
+    pair walk (``_ss_split``) charges its low assignments against it too.
     """
 
-    def __init__(
-        self,
-        program: RiscProgram,
-        cfg: MachineConfig,
-        charge: Callable[[int], None] | None = None,
-    ):
+    def __init__(self, program: RiscProgram, cfg: MachineConfig, budget: int = DEFAULT_BUDGET):
         self.cfg = cfg
-        self.charge = charge
+        self.budget = budget
         self.evaluations = 0
         self.ops = decode(program, cfg)
         layout = cfg.layout
@@ -305,8 +299,7 @@ class _SSTables:
         instr = self.ops[pc]
         slots = self.slot_of_cell
         self.evaluations += self.cfg.word_values ** sum(c not in slots for c in instr.sources)
-        if self.charge is not None:
-            self.charge(self.evaluations)
+        _charge(self.evaluations, "summary evaluations", self.budget)
         every = range(self.cfg.word_values)
         value_sets = [(lo[slots[c]],) if c in slots else every for c in instr.sources]
         dest = slots.get(instr.dest)
@@ -333,18 +326,14 @@ def check_strong_security(
     walk over the point pairs reachable from (0, 0) (``_ss_split``); the
     witness of a split is the chain of pairs that first reached it.
     """
-    tables = _ss_tables(program, cfg, check.budget)
-    chain = _ss_split(tables, check.budget)
+    tables = _SSTables(program, cfg, check.budget)
+    chain = _ss_split(tables)
     if chain is None:
         return Verdict("ss", "secure-up-to-bound", None)
     return Verdict("ss", "violation", None, _ss_witness(tables, chain))
 
 
-def _ss_tables(program: RiscProgram, cfg: MachineConfig, budget: int) -> _SSTables:
-    return _SSTables(program, cfg, lambda n: _charge(n, "summary evaluations", budget))
-
-
-def _ss_split(tables: _SSTables, budget: int) -> list[tuple] | None:
+def _ss_split(tables: _SSTables) -> list[tuple] | None:
     """The ``_chain`` of the first split of the strong-security walk, or None.
 
     A pair is reached when some low part takes the two points to it with
@@ -355,7 +344,7 @@ def _ss_split(tables: _SSTables, budget: int) -> list[tuple] | None:
     its step keeps no entries (``_ss_witness`` reads them back); the running
     total of low assignments walked is charged before each pair.
     """
-    nlows = len(tables.lows)
+    nlows, budget = len(tables.lows), tables.budget
     values = tables.cfg.word_values
     every = range(values)
     zeros = ((0,) * nlows,)
@@ -719,7 +708,7 @@ def check_pni(
     scope = _scope_names(faulty, check)
     env.validate(faulty)
     try:
-        if _ss_split(_ss_tables(program, cfg, check.budget), check.budget) is None:
+        if _ss_split(_SSTables(program, cfg, check.budget)) is None:
             return Verdict("pni", "secure-up-to-bound", check.depth)
     except BudgetExceeded:
         pass

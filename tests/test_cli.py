@@ -174,6 +174,15 @@ def test_run_rejects_memory_value_outside_the_word(tmp_path, capsys, command, va
     assert f"--mem value {value} outside the 8-bit word" in err
 
 
+@pytest.mark.parametrize("command", ["run", "inject"])
+def test_run_rejects_a_second_value_for_one_memory_address(tmp_path, capsys, command):
+    asm = write(tmp_path, "y.s", "load rl0 0\nout low rl0\n")
+    script = write(tmp_path, "faults.txt", "0: -\n")
+    code, stdout, err = invoke(capsys, command, asm, "--mem=0=1", "--mem=0=2", "--faults", script)
+    assert code == 64 and stdout == ""
+    assert "a second --mem for address 0" in err
+
+
 def test_run_accepts_the_largest_word_value(tmp_path, capsys):
     asm = write(tmp_path, "y.s", "load rl0 0\nout low rl0\n")
     code, stdout, _ = invoke(capsys, "run", asm, "--mem=0=255")

@@ -334,6 +334,52 @@ def test_trace_probability_matches_run_enumeration_for_every_short_trace():
             assert fresh.trace_probability(state, "E1", (output("low", 7),)) == 0
 
 
+def random_attacker(rng: Random, faulty: frozenset[str]) -> EnvironmentSpec:
+    """Two attacker states that read tau and low!0 and catch the rest, each
+    with random integer odds over a random choice of fault sets, some of
+    them zero."""
+    names = sorted(faulty)
+    subsets = [
+        frozenset(combo) for r in range(len(names) + 1) for combo in itertools.combinations(names, r)
+    ]
+    faults = {}
+    for state in ("E0", "E1"):
+        chosen = rng.sample(subsets, rng.randint(1, len(subsets)))
+        odds = [rng.randrange(4) for _ in chosen]
+        odds[rng.randrange(len(odds))] += 1  # some mass, so the odds normalise
+        faults[state] = {sub: Fraction(w, sum(odds)) for sub, w in zip(chosen, odds)}
+    transitions = {
+        ("E0", TAU): "E0",
+        ("E0", output("low", 0)): "E1",
+        ("E0", "*"): "E0",
+        ("E1", TAU): "E1",
+        ("E1", "*"): "E0",
+    }
+    return EnvironmentSpec(("E0", "E1"), "E0", transitions, faults)
+
+
+def test_composition_step_equals_the_oracle_step_grouped_by_public_action():
+    # compose_step sums the attacker's Fractions over full actions; grouped on
+    # (public action, successor) in the order first met, it must be the
+    # kernel's integer step, weight for weight and entry for entry
+    rng = Random(61)
+    for _ in range(40):
+        system = random_table_system(rng, n_locations=4, n_faulty=rng.randint(1, 3))
+        env = random_attacker(rng, system.faulty_names)
+        env.validate(system.faulty_names)
+        comp = Composition(system, env)
+        for state in system.all_states():
+            for env_state in env.states:
+                grouped: dict = {}
+                for action, prob, succ, e2 in compose_step(system, state, env_state, env):
+                    key = (low(action), succ, e2)
+                    grouped[key] = grouped.get(key, Fraction(0)) + prob
+                assert [(*key[:2], prob, key[2]) for key, prob in grouped.items()] == [
+                    (system.observations[code], succ, Fraction(weight, comp.denominator), e2)
+                    for code, weight, succ, e2 in comp.step(state, env_state)
+                ]
+
+
 def test_trace_counts_with_a_prefix_follow_only_the_matching_steps():
     rng = Random(58)
     system = random_table_system(rng, n_locations=3, n_faulty=2)

@@ -1393,7 +1393,7 @@ def test_pni_integer_weights_match_the_fraction_oracle(text):
     comp = Composition(system, env)
     assert comp.denominator == 12
     for env_state in env.states:
-        masks, weights = comp._table(env_state)
+        masks, weights = comp._cut_table(env_state, system.faulty_mask)
         assert dict(zip(masks, weights)) == {
             system.mask_of(subset): int(prob * comp.denominator)
             for subset, prob in env.fault_distribution(env_state).items()
