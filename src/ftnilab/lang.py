@@ -107,7 +107,7 @@ class ParseError(Exception):
 # Every non-blank character starts a match, so a search over a line skips
 # exactly its blanks and columns count from the line's first character.
 _TOKEN_RE = re.compile(
-    r"(?P<num>[0-9]+)|(?P<id>[A-Za-z_]\w*)|(?P<op>:=|[+\-*&;{}()>])|(?P<bad>\S)"
+    r"(?P<num>[0-9]+)|(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>:=|[+\-*&;{}()>])|(?P<bad>\S)"
 )
 _KEYWORDS = {"low", "high", "skip", "out", "if", "then", "else", "while", "do"}
 

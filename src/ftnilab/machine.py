@@ -414,8 +414,8 @@ def effect(
     """The instruction semantics: (action, value written to ``dest`` or None, next pc).
 
     ``args`` holds the values of ``instr.sources``, in order.  This is the
-    only opcode switch that executes anything: the machine step and the
-    strong-security summaries both call it.
+    only opcode switch that executes anything: the machine run and step and
+    the strong-security summaries all call it.
     """
     op = instr.op
     nxt = pc + 1
@@ -475,16 +475,32 @@ def run(
     cfg: MachineConfig,
     max_steps: int,
 ) -> tuple[list[Action], MachineState, bool]:
-    """Fault-free execution; returns (output actions, final state, terminated)."""
+    """Fault-free execution; returns (output actions, final state, terminated).
+
+    The run drives ``effect`` on one mutable cell list, ``regs + mem``,
+    decoding the program once and building one ``MachineState`` at the end;
+    it gives what a fold of ``step`` gives.  ``step`` is the one-step form
+    that witness replay re-executes.  ``terminated`` says the pc is outside
+    the code after the last step.
+    """
+    ops = decode(program, cfg)
+    width = cfg.width
+    nregs = len(state.regs)
+    cells = [*state.regs, *state.mem]
+    pc = state.pc
+    end = len(ops)
     outputs: list[Action] = []
     for _ in range(max_steps):
-        result = step(program, state, cfg)
-        if result is None:
-            return outputs, state, True
-        action, state = result
-        if not action.silent:
+        if not 0 <= pc < end:
+            break
+        instr = ops[pc]
+        action, value, pc = effect(instr, [cells[c] for c in instr.sources], pc, width)
+        if value is not None:
+            cells[instr.dest] = value
+        if action.channel is not None:  # not silent
             outputs.append(action)
-    return outputs, state, step(program, state, cfg) is None
+    final = MachineState(pc, tuple(cells[:nregs]), tuple(cells[nregs:]))
+    return outputs, final, not 0 <= pc < end
 
 
 # ---------------------------------------------------------------------------

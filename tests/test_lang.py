@@ -251,6 +251,7 @@ def test_tokenize_pins_kinds_texts_and_positions():
         ("low x;\n x := 1 $ 2", "unexpected character '$' (line 2, col 9)"),
         ("low x;\n\tx := 1é", "unexpected character 'é' (line 2, col 8)"),
         ("low x; x := ٣٣; out low x", "unexpected character '٣' (line 1, col 13)"),
+        ("low x٣; x٣ := 1; out low x٣", "unexpected character '٣' (line 1, col 6)"),
         ("low x; x := 1 # $ is inside a comment\n@", "unexpected character '@' (line 2, col 1)"),
         ("low x; x := 1 +", "expected an expression at end of input (line 1, col 15)"),
         ("low x; x :=\n# trailing\n  ", "expected an expression at end of input (line 1, col 10)"),

@@ -246,6 +246,59 @@ def test_run_collects_outputs_and_terminates():
     assert done
 
 
+def run_by_steps(program, state, cfg, max_steps):
+    """The reference for ``run``: a fold of ``step``."""
+    outs = []
+    for _ in range(max_steps):
+        result = step(program, state, cfg)
+        if result is None:
+            break
+        action, state = result
+        if not action.silent:
+            outs.append(action)
+    return outs, state, step(program, state, cfg) is None
+
+
+@pytest.mark.parametrize(
+    "width, mem, jlez", [(1, 0, False), (2, 2, False), (2, 0, True), (3, 3, True)]
+)
+def test_run_equals_a_fold_of_step_on_random_programs(width, mem, jlez):
+    cfg = cfg_w(width, mem, jlez)
+    rng = Random(width * 100 + mem * 10 + jlez)
+    for _ in range(60):
+        program = random_risc_program(rng, cfg, length=rng.randrange(1, 12))
+        state = MachineState(
+            rng.randrange(len(program) + 2),  # at times past the end
+            tuple(rng.randrange(cfg.word_values) for _ in cfg.registers),
+            tuple(rng.randrange(cfg.word_values) for _ in range(mem)),
+        )
+        for max_steps in (0, 1, 2, 7, 40):
+            assert run(program, state, cfg, max_steps) == run_by_steps(
+                program, state, cfg, max_steps
+            )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # jumps the random programs never draw; the loops use up max_steps
+        "top: movek rl0 1\nout low rl0\nstore 1 rl0\njmp top",
+        "jmp end\nout high rh0\nend: add rl0 rl1\nstore 0 rl0\nout low rl0",
+        "spin: jmp spin",
+        "load rl0 1\nloop: sub rl0 rl1\nout low rl0\njz done rl0\njmp loop\ndone: store 0 rl0",
+    ],
+)
+def test_run_equals_a_fold_of_step_on_jumps_and_loops(text):
+    cfg = cfg_w(2)
+    program = assemble(text)
+    starts = [MachineState(pc, (1, 3, 2, 0), (0, 2)) for pc in range(len(program) + 2)]
+    for state in [initial_state(cfg, {1: 3}), *starts]:
+        for max_steps in (0, 1, 3, 5, 12, 100):
+            assert run(program, state, cfg, max_steps) == run_by_steps(
+                program, state, cfg, max_steps
+            )
+
+
 def test_assembly_round_trip_is_canonical():
     text = "l0: movek rl0 1\nout low rl0\n"
     program = assemble(text)
