@@ -9,9 +9,7 @@ from fractions import Fraction
 
 from ftnilab.faultlab import (
     Composition,
-    Location,
     TableSystem,
-    Tolerance,
     augmented_step,
     compose_step,
     output,
@@ -19,12 +17,12 @@ from ftnilab.faultlab import (
     uniform_environment,
 )
 
-# Locations: p (public, faulty) and s (secret, faulty).  From any state the
+# Bits: p (public, faulty) and s (secret, faulty).  From any state the
 # system outputs the value of p on the low channel, then halts by moving to
 # a state with s = 1, p = 1 (arbitrarily chosen stuck sink).
-locations = [Location("p", Tolerance.FAULTY), Location("s", Tolerance.FAULTY)]
 system = TableSystem(
-    locations,
+    ["p", "s"],
+    ["p", "s"],
     {
         0b00: (output("low", 0), 0b11),
         0b01: (output("low", 1), 0b11),

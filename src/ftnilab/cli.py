@@ -24,9 +24,10 @@ either side) before each level, and the probabilistic checker the running
 total of faulted steps it composes (per composed state, the distinct cuts
 of its fault sets to the bits live there) before each expansion; the timing
 sweep of ``demo-hash`` its starts.
-Any other value exits 64, as do a ``--width`` or ``--depth`` below 1, a
-``--steps`` below 0, a ``--mem`` value outside the machine word and a
-second ``--mem`` for one address.  A
+Any other value exits 64, as do a ``--width``, ``--depth`` or ``--steps``
+that is not ASCII decimal digits, a ``--width`` or ``--depth`` below 1 (a
+``--width`` below 8 for ``demo-hash``), a ``--steps`` below 0, a ``--mem``
+value outside the machine word and a second ``--mem`` for one address.  A
 side-car that is not JSON or does not describe a machine (a width below 1,
 a level other than "L" or "H") exits 1 with ``side-car error: ...``.  A
 sequence of any length compiles, but a source whose parentheses, blocks or
@@ -83,13 +84,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _decimal(text: str) -> int | None:
+    """``text`` as an int when it is ASCII digits only, else None; ``int``
+    alone would also take a sign, underscores, spaces and other scripts'
+    digits."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def _at_least(low: int):
-    """An argparse type: a decimal integer no smaller than ``low``."""
+    """An argparse type: a decimal integer no smaller than ``low``.  A
+    negative one is read only to say so."""
 
     def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        value = _decimal(text.removeprefix("-"))
+        if value is None:
+            raise ValueError(text)
+        if text.startswith("-") or value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {text}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
@@ -110,10 +121,11 @@ def _budget() -> int:
     text = os.environ.get("FTNI_BUDGET")
     if text is None:
         return DEFAULT_BUDGET
-    if not (text.isascii() and text.isdigit()) or int(text) == 0:
+    value = _decimal(text)
+    if not value:
         print(f"FTNI_BUDGET must be a positive decimal integer, not {text!r}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    return int(text)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +253,8 @@ def _parse_fault_script(text: str) -> dict[int, frozenset[str]]:
         if not line:
             continue
         head, _, rest = line.partition(":")
-        try:
-            index = int(head.strip())
-        except ValueError:
-            index = -1
-        if index < 0:
+        index = _decimal(head.strip())
+        if index is None:
             raise ValueError(f"fault script line {lineno}: bad step index {head!r}")
         if index in script:
             raise ValueError(f"fault script line {lineno}: a second line for step {index}")
@@ -291,6 +300,9 @@ def cmd_run(args) -> int:
             return _fail(EXIT_IO, f"fault script error: {exc}")
 
     system = RiscSystem(program, cfg)
+    bad = frozenset().union(*script.values()) - system.faulty_names
+    if bad:
+        return _fail(EXIT_IO, f"fault script names non-flippable locations: {sorted(bad)}")
     state = system.encode(initial_state(cfg, mem))
     limit = args.steps if args.steps is not None else 10_000
     for index in range(limit):
@@ -298,9 +310,6 @@ def cmd_run(args) -> int:
         if stuck_before and args.steps is None and index >= max(script, default=-1) + 1:
             break
         faults = script.get(index, frozenset())
-        bad = faults - system.faulty_names
-        if bad:
-            return _fail(EXIT_IO, f"fault script names non-flippable locations: {sorted(bad)}")
         pc = system.decode(state).pc
         action, state = faulted_step(system, state, system.mask_of(faults))
         rendered = ",".join(sorted(faults))
@@ -350,8 +359,6 @@ def cmd_check(args) -> int:
 
 def cmd_demo_hash(args) -> int:
     check = CheckConfig(budget=_budget())
-    if args.width < 8:
-        return _fail(EXIT_USAGE, "--width must be at least 8 for the hash demo")
     src = corpus.hash_source()
     cfg = corpus.hash_config(args.width)
     try:
@@ -438,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(func=cmd_check)
 
     d = sub.add_parser("demo-hash", help="compile and validate the keyed-hash showcase")
-    d.add_argument("--width", type=int, default=8)
+    d.add_argument("--width", type=_at_least(8), default=8)
     d.set_defaults(func=cmd_demo_hash)
     return parser
 

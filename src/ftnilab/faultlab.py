@@ -26,26 +26,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
-
-
-class Tolerance(Enum):
-    FAULT_TOLERANT = "fault_tolerant"
-    FAULTY = "faulty"
-
-
-@dataclass(frozen=True)
-class Location:
-    """A named single-bit cell, either shielded from faults or exposed to them."""
-
-    name: str
-    tolerance: Tolerance
-
-    @property
-    def faulty(self) -> bool:
-        return self.tolerance is Tolerance.FAULTY
 
 
 class Action(NamedTuple):
@@ -92,9 +74,11 @@ def parse_action(text: str) -> Action:
 
 
 class FaultProneSystem:
-    """Deterministic labelled transition system over bit locations.
+    """Deterministic labelled transition system over named bits.
 
-    States are ints; bit i of a state is the value of ``locations[i]``.
+    States are ints; bit i of a state is the value of ``names[i]``.  The
+    bits named in ``faulty`` are the ones an attacker may flip
+    (``faulty_names``, ``faulty_mask``); the rest are fault-tolerant.
     Subclasses implement ``step``, returning the unique successor or None
     when the state is stuck.  ``public_step`` is its public view, the one
     for every system, cached per state: (observation code, successor), where
@@ -102,23 +86,24 @@ class FaultProneSystem:
     other codes are assigned in the order the actions are first seen.
     """
 
-    locations: tuple[Location, ...] = ()
+    names: tuple[str, ...] = ()
 
-    def __init__(self, locations: Iterable[Location]):
-        locs = tuple(locations)
-        names = [loc.name for loc in locs]
-        if len(set(names)) != len(names):
+    def __init__(self, names: Iterable[str], faulty: Iterable[str]):
+        self.names = tuple(names)
+        self._index = {name: i for i, name in enumerate(self.names)}
+        if len(self._index) != len(self.names):
             raise ValueError("location names must be unique")
-        self.locations = locs
-        self._index = {loc.name: i for i, loc in enumerate(locs)}
-        self.faulty_names = frozenset(loc.name for loc in locs if loc.faulty)
-        self.faulty_mask = sum(1 << i for i, loc in enumerate(locs) if loc.faulty)
+        self.faulty_names = frozenset(faulty)
+        unknown = self.faulty_names - self._index.keys()
+        if unknown:
+            raise ValueError(f"faulty names outside the system: {sorted(unknown)}")
+        self.faulty_mask = self.mask_of(self.faulty_names)
         self._start_public_view()
 
     def _start_public_view(self) -> None:
         """Give this system its own public view: ``observations`` holding
         only ``TAU`` and an empty ``public_step`` cache.  A subclass that
-        takes its location table from elsewhere calls it in place of
+        takes its bit-name table from elsewhere calls it in place of
         ``__init__``."""
         self.observations: list[Action] = [TAU]
         self._codes = {TAU: 0}
@@ -160,20 +145,18 @@ class FaultProneSystem:
         return mask
 
     def names_of(self, mask: int) -> frozenset[str]:
-        return frozenset(
-            loc.name for i, loc in enumerate(self.locations) if mask >> i & 1
-        )
+        return frozenset(name for i, name in enumerate(self.names) if mask >> i & 1)
 
     def state_of(self, bits: dict[str, int]) -> int:
         if set(bits) != set(self._index):
             raise ValueError("state must assign every location")
-        return sum((bits[loc.name] & 1) << i for i, loc in enumerate(self.locations))
+        return sum((bits[name] & 1) << i for i, name in enumerate(self.names))
 
     def bits_of(self, state: int) -> dict[str, int]:
-        return {loc.name: state >> i & 1 for i, loc in enumerate(self.locations)}
+        return {name: state >> i & 1 for i, name in enumerate(self.names)}
 
     def all_states(self) -> range:
-        return range(1 << len(self.locations))
+        return range(1 << len(self.names))
 
 
 class TableSystem(FaultProneSystem):
@@ -181,11 +164,12 @@ class TableSystem(FaultProneSystem):
 
     def __init__(
         self,
-        locations: Iterable[Location],
+        names: Iterable[str],
+        faulty: Iterable[str],
         transitions: dict[int, tuple[Action, int]],
     ):
-        super().__init__(locations)
-        limit = 1 << len(self.locations)
+        super().__init__(names, faulty)
+        limit = 1 << len(self.names)
         for src, (_, dst) in transitions.items():
             if not (0 <= src < limit and 0 <= dst < limit):
                 raise ValueError("transition outside the state space")
@@ -267,7 +251,7 @@ class EnvironmentSpec:
     def restricted(self, scope: Iterable[str]) -> "EnvironmentSpec":
         """Marginalize every distribution onto a fault scope.
 
-        Locations outside the scope are treated as never flipping: each drawn
+        Bits outside the scope are treated as never flipping: each drawn
         set L is replaced by L ∩ scope, and probabilities of sets that collide
         are summed, so the total mass stays exactly 1.  A spec whose sets all
         lie within the scope already is returned as it is.

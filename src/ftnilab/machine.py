@@ -18,8 +18,6 @@ from typing import NamedTuple
 from .faultlab import (
     Action,
     FaultProneSystem,
-    Location,
-    Tolerance,
     TAU,
     output,
 )
@@ -139,7 +137,7 @@ class RiscProgram:
         return max(addrs) if addrs else -1
 
 
-_LABEL_RE = re.compile(r"^[A-Za-z_]\w*$")
+_LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 def assemble(text: str) -> RiscProgram:
@@ -234,7 +232,7 @@ class MachineConfig:
         return tuple(cell for cell, lev in enumerate(levels) if lev is level)
 
     def data_bit_names(self) -> list[str]:
-        """The names of the data bits in location order: "<reg>_<bit>", then
+        """The names of the data bits in state-bit order: "<reg>_<bit>", then
         "m<addr>_<bit>", LSB first; ``RiscSystem`` makes these its faulty bits."""
         words = [*self.register_names(), *(f"m{addr}" for addr in range(self.memory_size))]
         return [f"{word}_{b}" for word in words for b in range(self.width)]
@@ -255,7 +253,7 @@ class CellLayout:
     and which bits are faulty.
 
     In this machine only the pc and the code are fault-tolerant, so all of
-    this depends on the configuration alone, and the location table on the
+    this depends on the configuration alone, and the bit-name table on the
     pc width too.  It is built once per configuration value
     (``MachineConfig.layout``) and shared, read only, by every
     ``RiscSystem``, strong-security table, start enumeration and replay on
@@ -266,8 +264,8 @@ class CellLayout:
     * ``cell_masks``, the bits of each cell in an encoded state, and
       ``low_mask``, ``high_mask`` and ``faulty_mask``, those of every low,
       high and data cell; ``pc_shift``, the offset of the pc above them;
-    * ``data_locations`` and ``faulty_names``, the data bits, and per pc
-      width the location table (``locations``), built on first use.
+    * ``faulty_names``, the names of the data bits, and per pc width the
+      bit-name table (``bit_names``), built on first use.
     """
 
     def __init__(self, cfg: MachineConfig):
@@ -282,36 +280,29 @@ class CellLayout:
         self.high_mask = sum(self.cell_masks[cell] for cell in self.highs)
         self.pc_shift = cfg.width * ncells
         self.faulty_mask = (1 << self.pc_shift) - 1
-        self._tables: dict[int, tuple[tuple[Location, ...], dict[str, int]]] = {}
-
-    @cached_property
-    def data_locations(self) -> tuple[Location, ...]:
-        """The faulty data bits, in ``data_bit_names`` order."""
-        return tuple(Location(name, Tolerance.FAULTY) for name in self.cfg.data_bit_names())
+        self._tables: dict[int, tuple[tuple[str, ...], dict[str, int]]] = {}
 
     @cached_property
     def faulty_names(self) -> frozenset[str]:
-        return frozenset(loc.name for loc in self.data_locations)
+        return frozenset(self.cfg.data_bit_names())
 
-    def locations(self, pc_bits: int) -> tuple[tuple[Location, ...], dict[str, int]]:
-        """The locations of a machine with a ``pc_bits``-bit pc, the data bits
-        then the fault-tolerant "pc_<bit>", and each name's index; built
-        once per pc width."""
+    def bit_names(self, pc_bits: int) -> tuple[tuple[str, ...], dict[str, int]]:
+        """The bit names of a machine with a ``pc_bits``-bit pc, the data
+        bits in ``data_bit_names`` order then the fault-tolerant "pc_<bit>",
+        and each name's index; built once per pc width."""
         table = self._tables.get(pc_bits)
         if table is None:
-            locs = self.data_locations + tuple(
-                Location(f"pc_{b}", Tolerance.FAULT_TOLERANT) for b in range(pc_bits)
-            )
-            index = {loc.name: i for i, loc in enumerate(locs)}
-            if len(index) != len(locs):
+            names = (*self.cfg.data_bit_names(), *(f"pc_{b}" for b in range(pc_bits)))
+            index = {name: i for i, name in enumerate(names)}
+            if len(index) != len(names):
                 raise ValueError("location names must be unique")
-            table = self._tables[pc_bits] = (locs, index)
+            table = self._tables[pc_bits] = (names, index)
         return table
 
 
 # Every layout built so far, by config value.  Programs are often checked on
 # equal configs built apart (the corpus makes one per program), and sharing
-# their layout keeps one set of location tables per distinct config.
+# their layout keeps one set of bit-name tables per distinct config.
 _LAYOUTS: dict[MachineConfig, CellLayout] = {}
 
 
@@ -509,14 +500,14 @@ def run(
 
 
 class RiscSystem(FaultProneSystem):
-    """A program plus machine configuration, exposed as bit locations.
+    """A program plus machine configuration, exposed as named bits.
 
     Register and memory bits are faulty; program-counter bits are
     fault-tolerant (the code itself is a fixed parameter, never encoded).
-    Bit order within a word is LSB first; location names are "<reg>_<bit>",
+    Bit order within a word is LSB first; bit names are "<reg>_<bit>",
     "m<addr>_<bit>", and "pc_<bit>".
 
-    The bit layout (``locations``, the name index, ``faulty_names``, the
+    The bit layout (``names``, the name index, ``faulty_names``, the
     masks and the pc offset) is the config's ``CellLayout``, shared by every
     system on the config and never written.  Each system keeps its own
     public view (``observations``, its codes and the ``public_step`` cache)
@@ -530,7 +521,7 @@ class RiscSystem(FaultProneSystem):
         self.cfg = cfg
         self.pc_bits = max(1, (len(program)).bit_length())
         layout = cfg.layout
-        self.locations, self._index = layout.locations(self.pc_bits)
+        self.names, self._index = layout.bit_names(self.pc_bits)
         self.faulty_names = layout.faulty_names
         self.faulty_mask = layout.faulty_mask
         self.low_mask = layout.low_mask

@@ -81,9 +81,7 @@ from .faultlab import (
     TAU,
     Composition,
     EnvironmentSpec,
-    Location,
     TableSystem,
-    Tolerance,
     faulted_step,
     faulted_steps,
     low,
@@ -214,11 +212,7 @@ def default_scope(system: RiscSystem, max_bits: int = 4) -> tuple[str, ...]:
 
 
 def _bits_named(system: RiscSystem, state: int, mask: int) -> dict[str, int]:
-    return {
-        loc.name: state >> i & 1
-        for i, loc in enumerate(system.locations)
-        if mask >> i & 1
-    }
+    return {name: state >> i & 1 for i, name in enumerate(system.names) if mask >> i & 1}
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +644,7 @@ def _witness_states(system: RiscSystem, witness: dict) -> tuple[int, int] | None
     ]
     if any(not system.names_of(mask).issuperset(bits) for bits, mask in named):
         return None
-    zeros = {loc.name: 0 for loc in system.locations}
+    zeros = dict.fromkeys(system.names, 0)
     return tuple(
         system.state_of({**zeros, **witness["initial_low"], **witness[f"initial_high_{side}"]})
         for side in "ab"
@@ -889,11 +883,8 @@ def random_table_system(
 ) -> TableSystem:
     """A random deterministic fault-prone system on a few bits."""
     assert n_faulty <= n_locations
-    faulty = set(rng.sample(range(n_locations), n_faulty))
-    locations = [
-        Location(f"b{i}", Tolerance.FAULTY if i in faulty else Tolerance.FAULT_TOLERANT)
-        for i in range(n_locations)
-    ]
+    names = [f"b{i}" for i in range(n_locations)]
+    faulty = [names[i] for i in rng.sample(range(n_locations), n_faulty)]
     actions = [TAU, TAU, output("low", 0), output("low", 1), output("high", 0)]
     transitions = {}
     for state in range(1 << n_locations):
@@ -903,7 +894,7 @@ def random_table_system(
             actions[rng.randrange(len(actions))],
             rng.randrange(1 << n_locations),
         )
-    return TableSystem(locations, transitions)
+    return TableSystem(names, faulty, transitions)
 
 
 def random_risc_program(rng: Random, cfg: MachineConfig, length: int = 8) -> RiscProgram:

@@ -155,6 +155,18 @@ def test_run_rejects_fault_on_protected_bit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "inject"])
+@pytest.mark.parametrize("steps", [[], ["--steps", "2"]], ids=["no-steps", "steps-2"])
+def test_run_rejects_a_later_fault_on_an_unknown_bit_before_the_first_step(
+    tmp_path, capsys, command, steps
+):
+    out, _ = compile_ok(tmp_path, capsys)
+    script = write(tmp_path, "faults.txt", "0: rl0_0\n3: bogus\n")
+    code, stdout, err = invoke(capsys, command, out, *steps, "--faults", script)
+    assert code == 1 and stdout == ""
+    assert "fault script names non-flippable locations: ['bogus']" in err
+
+
+@pytest.mark.parametrize("command", ["run", "inject"])
 @pytest.mark.parametrize("item", ["5=1", "-1=3"])
 def test_run_rejects_memory_address_outside_memory(tmp_path, capsys, command, item):
     out, _ = compile_ok(tmp_path, capsys)
@@ -225,6 +237,57 @@ def test_run_rejects_an_empty_name_in_a_fault_step(tmp_path, capsys, command, na
     code, stdout, err = invoke(capsys, command, out, "--faults", script)
     assert code == 1 and stdout == ""
     assert "fault script error: fault script line 2: an empty location name in" in err
+
+
+@pytest.mark.parametrize("command", ["run", "inject"])
+@pytest.mark.parametrize("head", ["\u0663", "1_0", "+3"])
+def test_run_rejects_a_fault_step_that_is_not_ascii_digits(tmp_path, capsys, command, head):
+    out, _ = compile_ok(tmp_path, capsys)
+    script = write(tmp_path, "faults.txt", f"0: -\n{head}: -\n")
+    code, stdout, err = invoke(capsys, command, out, "--faults", script)
+    assert code == 1 and stdout == ""
+    assert f"fault script error: fault script line 2: bad step index {head!r}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{asm}", "--mode", "ss", "--width", "\u0662"],
+        ["check", "{asm}", "--mode", "ss", "--depth", "1_0"],
+        ["check", "{asm}", "--mode", "ss", "--depth", "+3"],
+        ["compile", "{src}", "--width", "\u0662", "--out", "{out}", "--meta", "{meta}"],
+        ["run", "{asm}", "--steps", "\u0663"],
+        ["run", "{asm}", "--steps", "+3"],
+        ["inject", "{asm}", "--steps", "1_0", "--faults", "{faults}"],
+        ["demo-hash", "--width", "\u0668"],
+        ["demo-hash", "--width", "1_0"],
+    ],
+    ids=[
+        "check-width-arabic-indic",
+        "check-depth-underscore",
+        "check-depth-plus",
+        "compile-width-arabic-indic",
+        "run-steps-arabic-indic",
+        "run-steps-plus",
+        "inject-steps-underscore",
+        "demo-hash-width-arabic-indic",
+        "demo-hash-width-underscore",
+    ],
+)
+def test_integer_options_take_only_ascii_digits(tmp_path, capsys, argv):
+    asm, _ = compile_ok(tmp_path, capsys)
+    paths = {
+        "asm": asm,
+        "src": write(tmp_path, "other.src", GOOD_SOURCE),
+        "out": str(tmp_path / "other.s"),
+        "meta": str(tmp_path / "other.meta.json"),
+        "faults": write(tmp_path, "faults.txt", "0: -\n"),
+    }
+    code, stdout, err = invoke(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 64 and stdout == ""
+    value = next(argv[i + 1] for i, arg in enumerate(argv) if arg in ("--width", "--depth", "--steps"))
+    assert f"invalid int value: {value!r}" in err
+    assert not (tmp_path / "other.s").exists()
 
 
 def test_run_rejects_a_non_ascii_digit_without_a_traceback(tmp_path):

@@ -10,9 +10,8 @@ from ftnilab.faultlab import (
     TAU,
     Composition,
     EnvironmentSpec,
-    Location,
+    FaultProneSystem,
     TableSystem,
-    Tolerance,
     augmented_step,
     compose_step,
     enumerate_runs,
@@ -28,16 +27,15 @@ from ftnilab.faultlab import (
 from ftnilab.verify import random_table_system
 
 
-def locs(spec: str):
-    """'a,b|c' -> a, b faulty and c fault-tolerant."""
-    faulty, _, tolerant = spec.partition("|")
-    out = [Location(n, Tolerance.FAULTY) for n in faulty.split(",") if n]
-    out += [Location(n, Tolerance.FAULT_TOLERANT) for n in tolerant.split(",") if n]
-    return out
+def bits(spec: str):
+    """'a,b|c' -> names a, b, c with a, b faulty and c fault-tolerant."""
+    head, _, tail = spec.partition("|")
+    faulty = [n for n in head.split(",") if n]
+    return faulty + [n for n in tail.split(",") if n], faulty
 
 
 def three_bit_system():
-    return TableSystem(locs("a,b,c|"), {})
+    return TableSystem(*bits("a,b,c|"), {})
 
 
 def test_flip_named_bits_only():
@@ -62,8 +60,29 @@ def test_flip_is_an_involution():
         assert flip(system, flip(system, state, names), names) == state
 
 
+def test_system_names_the_faulty_bits_in_its_mask():
+    system = TableSystem(*bits("a,c|b,d"), {})
+    assert system.names == ("a", "c", "b", "d")
+    assert system.faulty_names == frozenset({"a", "c"})
+    assert system.faulty_mask == 0b0011
+
+
+@pytest.mark.parametrize("cls", [FaultProneSystem, TableSystem])
+def test_system_rejects_a_faulty_name_outside_its_names(cls):
+    extra = ({},) if cls is TableSystem else ()
+    with pytest.raises(ValueError, match=r"faulty names outside the system: \['z'\]"):
+        cls(["a", "b"], ["a", "z"], *extra)
+
+
+@pytest.mark.parametrize("cls", [FaultProneSystem, TableSystem])
+def test_system_rejects_duplicate_names(cls):
+    extra = ({},) if cls is TableSystem else ()
+    with pytest.raises(ValueError, match="location names must be unique"):
+        cls(["a", "b", "a"], ["a"], *extra)
+
+
 def test_flip_rejects_fault_tolerant_locations():
-    system = TableSystem(locs("a|t"), {})
+    system = TableSystem(*bits("a|t"), {})
     with pytest.raises(ValueError):
         flip(system, 0, {"t"})
     with pytest.raises(ValueError):
@@ -102,7 +121,7 @@ def test_uniform_environment_rejects_bad_epsilon():
 
 def test_compose_step_one_bit_example():
     # b=0 emits 'a' into the stuck state b=1; b=1 is stuck.
-    system = TableSystem(locs("b|"), {0: (output("low", 0), 1)})
+    system = TableSystem(*bits("b|"), {0: (output("low", 0), 1)})
     env = uniform_environment(Fraction(1, 4), {"b"})
     entries = compose_step(system, 0, "E0", env)
     assert set(entries) == {
@@ -112,7 +131,7 @@ def test_compose_step_one_bit_example():
 
 
 def test_compose_step_stuck_state_loops_with_mass_one():
-    system = TableSystem(locs("b|"), {0: (output("low", 0), 1)})
+    system = TableSystem(*bits("b|"), {0: (output("low", 0), 1)})
     env = uniform_environment(Fraction(1, 4), {"b"})
     assert compose_step(system, 1, "E0", env) == [(TAU, Fraction(1), 1, "E0")]
 
@@ -138,7 +157,7 @@ def test_compose_step_mass_with_six_faulty_bits():
 
 
 def test_augmented_step_one_bit_example():
-    system = TableSystem(locs("b|"), {0: (output("low", 0), 1)})
+    system = TableSystem(*bits("b|"), {0: (output("low", 0), 1)})
     assert set(augmented_step(system, 0)) == {
         (frozenset(), output("low", 0), 1),
         (frozenset({"b"}), TAU, 1),
@@ -146,7 +165,7 @@ def test_augmented_step_one_bit_example():
 
 
 def test_augmented_step_stuck_keeps_state():
-    system = TableSystem(locs("a,b|"), {})
+    system = TableSystem(*bits("a,b|"), {})
     entries = augmented_step(system, 2)
     assert len(entries) == 4
     assert all(act == TAU and succ == 2 for _, act, succ in entries)
@@ -163,7 +182,7 @@ def test_augmented_step_counts_and_injectivity():
 
 
 def test_augmented_step_respects_scope():
-    system = TableSystem(locs("a,b,c|"), {0: (TAU, 1)})
+    system = TableSystem(*bits("a,b,c|"), {0: (TAU, 1)})
     entries = augmented_step(system, 0, scope={"a"})
     assert len(entries) == 2
     assert {subset for subset, _, _ in entries} == {frozenset(), frozenset({"a"})}
@@ -171,7 +190,7 @@ def test_augmented_step_respects_scope():
 
 def test_termination_transparent_step():
     # the fault-free step (mask 0): a stuck state idles silently
-    system = TableSystem(locs("a|"), {0: (output("low", 1), 1)})
+    system = TableSystem(*bits("a|"), {0: (output("low", 1), 1)})
     assert faulted_step(system, 0, 0) == (output("low", 1), 1)
     state = 1
     for _ in range(5):
@@ -188,7 +207,7 @@ def test_trace_probability_empty_trace():
 def test_trace_probability_leaky_demo():
     # One fault-tolerant bit holding the secret, emitted on the low channel.
     transitions = {0: (output("low", 0), 0), 1: (output("low", 1), 1)}
-    system = TableSystem(locs("|s"), transitions)
+    system = TableSystem(*bits("|s"), transitions)
     env = uniform_environment(Fraction(1, 4), frozenset())
     comp = Composition(system, env)
     assert comp.trace_probability(1, "E0", (output("low", 1),)) == 1

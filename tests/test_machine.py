@@ -10,8 +10,6 @@ from ftnilab.faultlab import (
     TAU,
     Action,
     FaultProneSystem,
-    Location,
-    Tolerance,
     faulted_steps,
     flip,
     low,
@@ -49,14 +47,15 @@ def cfg_w(width, mem=2, enable_jlez=False):
 @pytest.mark.parametrize("mem", [(), (LOW, HIGH, LOW)])
 def test_data_bit_names_are_the_faulty_locations_in_order(width, mem):
     cfg = standard_config(width, 2, 1, mem)
-    locations = RiscSystem(assemble("nop\nnop\nnop"), cfg).locations
+    system = RiscSystem(assemble("nop\nnop\nnop"), cfg)
     names = cfg.data_bit_names()
     assert len(names) == width * (3 + len(mem))
-    assert names == [loc.name for loc in locations[: len(names)]]
-    assert all(loc.faulty for loc in locations[: len(names)])
+    assert list(system.names[: len(names)]) == names
+    assert system.faulty_names == frozenset(names)
+    assert system.faulty_mask == (1 << len(names)) - 1
     # the pc bits follow, fault-tolerant
-    assert [loc.name for loc in locations[len(names) :]] == ["pc_0", "pc_1"]
-    assert not any(loc.faulty for loc in locations[len(names) :])
+    assert system.names[len(names) :] == ("pc_0", "pc_1")
+    assert system.faulty_mask >> len(names) == 0
 
 
 def test_resolve_label_examples():
@@ -523,7 +522,7 @@ def test_systems_share_their_layout_but_not_their_public_view():
     cfg = standard_config(2, 1, 1, (LOW, HIGH))
     program = assemble("movek rl0 3\nout low rl0")
     first, second = RiscSystem(program, cfg), RiscSystem(program, cfg)
-    assert first.locations is second.locations
+    assert first.names is second.names
 
     at_out = first.encode(MachineState(1, (3, 0), (0, 0)))
     assert first.public_step(at_out) == (1, first.encode(MachineState(2, (3, 0), (0, 0))))
@@ -543,12 +542,12 @@ def test_systems_share_their_layout_but_not_their_public_view():
     assert third.observations == [TAU]
     # the shared layout equals one built from scratch for the same bits
     expected = FaultProneSystem(
-        [Location(name, Tolerance.FAULTY) for name in cfg.data_bit_names()]
-        + [Location(f"pc_{b}", Tolerance.FAULT_TOLERANT) for b in range(2)]
+        [*cfg.data_bit_names(), "pc_0", "pc_1"], cfg.data_bit_names()
     )
     word = (1 << cfg.width) - 1
     for system in (first, second, third):
-        assert system.locations == expected.locations
+        assert system.names is first.names
+        assert system.names == expected.names
         assert system._index == expected._index
         assert system.faulty_names == expected.faulty_names
         assert system.faulty_mask == expected.faulty_mask
@@ -663,6 +662,7 @@ def test_every_opcode_round_trips_through_the_assembler():
         ("l0: frob", "unknown mnemonic 'frob' (line 1, col 5)"),
         ("lo: l", "unknown mnemonic 'l' (line 1, col 5)"),
         ("1x: nop", "bad label '1x' (line 1, col 1)"),
+        ("x\u0663: nop\njmp x\u0663", "bad label 'x\u0663' (line 1, col 1)"),
         ("l0:", "label with no instruction (line 1)"),
     ],
 )
