@@ -27,11 +27,14 @@ sweep of ``demo-hash`` its starts.
 Any other value exits 64, as do a ``--width``, ``--depth`` or ``--steps``
 that is not ASCII decimal digits, a ``--width`` or ``--depth`` below 1 (a
 ``--width`` below 8 for ``demo-hash``), a ``--steps`` below 0, a ``--mem``
-value outside the machine word and a second ``--mem`` for one address.  A
-side-car that is not JSON or does not describe a machine (a width below 1,
-a level other than "L" or "H") exits 1 with ``side-car error: ...``.  A
-sequence of any length compiles, but a source whose parentheses, blocks or
-branches nest a few hundred levels deep exits 1 with ``source error: ...``.
+address or value that is not ASCII decimal digits after at most one ``-``,
+a ``--mem`` value outside the machine word and a second ``--mem`` for one
+address.  A side-car that is not JSON or does not describe a machine (a
+width below 1, a level other than "L" or "H") exits 1 with ``side-car
+error: ...``.  A sequence of any length compiles, as do about 980 nested
+parentheses, 490 nested blocks and 490 nested conditionals or loops (330
+when each body is a braced block); a source nested deeper exits 1 with
+``source error: ...``.
 """
 
 from __future__ import annotations
@@ -91,12 +94,19 @@ def _decimal(text: str) -> int | None:
     return int(text) if text.isascii() and text.isdigit() else None
 
 
+def _integer(text: str) -> int | None:
+    """``text`` as an int when it is ASCII digits after at most one ``-``,
+    else None."""
+    value = _decimal(text.removeprefix("-"))
+    return -value if value is not None and text.startswith("-") else value
+
+
 def _at_least(low: int):
     """An argparse type: a decimal integer no smaller than ``low``.  A
     negative one is read only to say so."""
 
     def parse(text: str) -> int:
-        value = _decimal(text.removeprefix("-"))
+        value = _integer(text)
         if value is None:
             raise ValueError(text)
         if text.startswith("-") or value < low:
@@ -279,9 +289,8 @@ def cmd_run(args) -> int:
     mem: dict[int, int] = {}
     for item in args.mem or ():
         key, _, value = item.partition("=")
-        try:
-            addr, word = int(key), int(value)
-        except ValueError:
+        addr, word = _integer(key), _integer(value)
+        if addr is None or word is None:
             return _fail(EXIT_USAGE, f"bad --mem entry {item!r}")
         if addr in mem:
             return _fail(EXIT_USAGE, f"a second --mem for address {addr}")

@@ -16,7 +16,9 @@ from typing import NamedTuple
 from .faultlab import Action, TAU, output
 from .machine import SecurityLevel, LOW, HIGH, signed
 
-BINOPS = ("+", "-", "*", "&")
+# Each binary operator and how tightly it binds: ``*`` and ``&`` before ``+`` and ``-``.
+_BINDING = {"+": 0, "-": 0, "*": 1, "&": 1}
+BINOPS = tuple(_BINDING)
 
 # The AST nodes are frozen dataclasses, not named tuples, because tuples
 # compare by their fields alone: as tuples, Skip() would equal Done().
@@ -189,36 +191,28 @@ class _Parser:
         return decls
 
     # expressions ----------------------------------------------------------
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.at("+") or self.at("-"):
-            op = self.take().text
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.at("*") or self.at("&"):
-            op = self.take().text
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self) -> Expr:
+    def expr(self, level: int = 0) -> Expr:
+        """An operand, then each next operator binding at least ``level``, its
+        right operand read one binding tighter (precedence climbing)."""
         tok = self.peek()
         if tok is None:
             raise self.error("expected an expression")
         if tok.kind == "num":
             self.take()
-            return Const(int(tok.text))
-        if tok.kind == "id" and tok.text not in _KEYWORDS:
+            node: Expr = Const(int(tok.text))
+        elif tok.kind == "id" and tok.text not in _KEYWORDS:
             self.take()
-            return Var(self.variable(tok))
-        if tok.text == "(":
-            self.take("(")
+            node = Var(self.variable(tok))
+        elif tok.text == "(":
+            self.take()
             node = self.expr()
             self.take(")")
-            return node
-        raise self.error("expected an expression")
+        else:
+            raise self.error("expected an expression")
+        while (binding := _BINDING.get(self.texts[self.pos], -1)) >= level:
+            op = self.take().text
+            node = BinOp(op, node, self.expr(binding + 1))
+        return node
 
     # commands -------------------------------------------------------------
     def command(self) -> Cmd:
@@ -230,20 +224,15 @@ class _Parser:
             node = Seq(node, self.basic())
         return node
 
-    def block_or_basic(self) -> Cmd:
-        if self.at("{"):
-            self.take("{")
-            node = self.command()
-            self.take("}")
-            return node
-        return self.basic()
-
     def basic(self) -> Cmd:
         tok = self.peek()
         if tok is None:
             raise self.error("expected a statement")
         if tok.text == "{":
-            return self.block_or_basic()
+            self.take()
+            node = self.command()
+            self.take("}")
+            return node
         if tok.text == "skip":
             self.take()
             return Skip()
@@ -257,9 +246,9 @@ class _Parser:
             self.take()
             guard = self.expr()
             self.take("then")
-            then_cmd = self.block_or_basic()
+            then_cmd = self.basic()
             self.take("else")
-            else_cmd = self.block_or_basic()
+            else_cmd = self.basic()
             return If(guard, then_cmd, else_cmd)
         if tok.text == "while":
             self.take()
@@ -280,7 +269,7 @@ class _Parser:
             if not self.at("do"):
                 raise self.error("while guard must be a variable")
             self.take("do")
-            return While(name, self.block_or_basic(), positive)
+            return While(name, self.basic(), positive)
         if tok.kind == "id" and tok.text not in _KEYWORDS:
             self.take()
             self.take(":=")
@@ -306,7 +295,7 @@ def render_expr(expr: Expr) -> str:
     left, right = expr.left, expr.right
     lt = render_expr(left)
     rt = render_expr(right)
-    if isinstance(left, BinOp) and left.op in ("+", "-") and expr.op in ("*", "&"):
+    if isinstance(left, BinOp) and _BINDING[left.op] < _BINDING[expr.op]:
         lt = f"({lt})"
     if isinstance(right, BinOp):
         rt = f"({rt})"

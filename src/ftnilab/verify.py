@@ -439,17 +439,24 @@ def _ss_witness(tables: _SSTables, chain: list[tuple]) -> dict:
                 "low_after_b": after_b,
             }
         )
-    first = trace[0]
-    start_a, start_b = first["regs_a"] + first["mem_a"], first["regs_b"] + first["mem_b"]
+    return {**_ss_initial(tables.cfg, trace[0]), "trace": trace}
 
-    def named(data: list[int], cells: tuple[int, ...]) -> dict:
+
+def _ss_initial(cfg: MachineConfig, first: dict) -> dict:
+    """The ``initial_*`` fields of an SS witness whose first step is
+    ``first``: side a's low cells and each side's high cells, keyed
+    ``reg<index>`` or ``mem<address>``."""
+    nregs = len(cfg.registers)
+
+    def named(side: str, cells: tuple[int, ...]) -> dict:
+        data = first[f"regs_{side}"] + first[f"mem_{side}"]
         return {f"reg{c}" if c < nregs else f"mem{c - nregs}": data[c] for c in cells}
 
+    lows, highs = cfg.layout.lows, cfg.layout.highs
     return {
-        "initial_low": named(start_a, tables.lows),
-        "initial_high_a": named(start_a, tables.highs),
-        "initial_high_b": named(start_b, tables.highs),
-        "trace": trace,
+        "initial_low": named("a", lows),
+        "initial_high_a": named("a", highs),
+        "initial_high_b": named("b", highs),
     }
 
 
@@ -457,15 +464,29 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
     """Re-execute every step of the witness on ``machine.step``; the last one
     must publicly differ.
 
-    The first step is at pcs (0, 0), the two states of each step hold one low
-    part, and each later step is at the pcs the step before moved to.  A
-    step's low part need not be the one the step before left: the walk takes
-    each pair over its own low parts.  Each step checks, in order: its pcs,
-    its two low parts, then per side the public action and the low part
-    after; then whether it splits.
+    Every step's ``regs_*`` and ``mem_*`` are lists of words of the
+    configuration's lengths, and the ``initial_*`` fields name the first
+    step's cells as ``_ss_witness`` writes them.  The first step is at pcs
+    (0, 0), the two states of each step hold one low part, and each later
+    step is at the pcs the step before moved to.  A step's low part need not
+    be the one the step before left: the walk takes each pair over its own
+    low parts.  Each step checks, in order: its pcs, its two low parts, then
+    per side the public action and the low part after; then whether it
+    splits.
     """
     lows = cfg.layout.lows
     trace = witness["trace"]
+    fields = [entry[key] for entry in trace for key in ("regs_a", "mem_a", "regs_b", "mem_b")]
+    sizes = [len(cfg.registers), cfg.memory_size] * (2 * len(trace))
+    if not trace or [len(f) if type(f) is list else -1 for f in fields] != sizes:
+        return False
+    cells = list(itertools.chain.from_iterable(fields))
+    if set(map(type, cells)) - {int}:
+        return False
+    if min(cells, default=0) < 0 or max(cells, default=0) >= cfg.word_values:
+        return False
+    if any(witness.get(key) != named for key, named in _ss_initial(cfg, trace[0]).items()):
+        return False
     last = len(trace) - 1
     pcs = (0, 0)
     for i, entry in enumerate(trace):
@@ -495,7 +516,7 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
         pcs = (pc_a, pc_b)
         if (public_a != public_b or lo_a != lo_b) != (i == last):
             return False
-    return bool(trace)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -637,12 +658,14 @@ def check_poni(
 
 def _witness_states(system: RiscSystem, witness: dict) -> tuple[int, int] | None:
     """The two initial states a POni or PNI witness names; unnamed bits are
-    0.  None when ``initial_low`` names anything but low data bits, or an
-    ``initial_high_*`` anything but high data bits."""
+    0.  None when ``initial_low`` names anything but low data bits, an
+    ``initial_high_*`` anything but high data bits, or a value is not 0 or 1."""
     named = [(witness["initial_low"], system.low_mask)] + [
         (witness[f"initial_high_{side}"], system.high_mask) for side in "ab"
     ]
-    if any(not system.names_of(mask).issuperset(bits) for bits, mask in named):
+    if any(not system.names_of(mask).issuperset(bits) for bits, mask in named) or any(
+        type(value) is not int or value not in (0, 1) for bits, _ in named for value in bits.values()
+    ):
         return None
     zeros = dict.fromkeys(system.names, 0)
     return tuple(
@@ -771,7 +794,10 @@ def replay_pni_witness(
     if states is None:
         return False
     sa, sb = states
-    trace = tuple(parse_action(t) for t in witness["trace"])
+    try:
+        trace = tuple(parse_action(t) for t in witness["trace"])
+    except ValueError:  # an entry that names no action
+        return False
     pa = comp.trace_probability(sa, scoped.initial, trace)
     pb = comp.trace_probability(sb, scoped.initial, trace)
     return (str(pa), str(pb)) == tuple(witness["probabilities"]) and pa != pb

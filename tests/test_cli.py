@@ -91,12 +91,23 @@ def test_compile_parse_error_exits_1(tmp_path, capsys):
     assert code == 1 and "parse error" in err
 
 
+def nested_source(kind, depth):
+    """``depth`` nested blocks around ``skip``, or parentheses around ``1``."""
+    if kind == "blocks":
+        return "low x;\n" + "{ " * depth + "skip" + " }" * depth + "\n"
+    return "low x; x := " + "(" * depth + "1" + ")" * depth + "\n"
+
+
+@pytest.mark.parametrize("kind", ["blocks", "parentheses"])
+def test_compile_source_nested_400_deep_exits_0(tmp_path, kind):
+    src = write(tmp_path, "deep.src", nested_source(kind, 400))
+    run = _cli("compile", src, "--out", str(tmp_path / "o.s"), "--meta", str(tmp_path / "o.json"))
+    assert run.returncode == 0, run.stderr
+
+
 @pytest.mark.parametrize(
     "text",
-    [
-        "low x;\n" + "{ " * 400 + "skip" + " }" * 400 + "\n",
-        "low x; x := " + "(" * 400 + "1" + ")" * 400 + "\n",
-    ],
+    [nested_source("blocks", 3000), nested_source("parentheses", 3000)],
     ids=["deep-blocks", "deep-parentheses"],
 )
 def test_compile_deeply_nested_source_exits_1_without_traceback(tmp_path, text):
@@ -193,6 +204,16 @@ def test_run_rejects_a_second_value_for_one_memory_address(tmp_path, capsys, com
     code, stdout, err = invoke(capsys, command, asm, "--mem=0=1", "--mem=0=2", "--faults", script)
     assert code == 64 and stdout == ""
     assert "a second --mem for address 0" in err
+
+
+@pytest.mark.parametrize("command", ["run", "inject"])
+@pytest.mark.parametrize("item", ["+0=1_0", "\u0660=\u0661", "0=+3", " 0 = 2", "0", "0=--3"])
+def test_run_rejects_a_memory_entry_that_is_not_ascii_decimal(tmp_path, capsys, command, item):
+    asm = write(tmp_path, "y.s", "load rl0 0\nout low rl0\n")
+    script = write(tmp_path, "faults.txt", "0: -\n")
+    code, stdout, err = invoke(capsys, command, asm, f"--mem={item}", "--faults", script)
+    assert code == 64 and stdout == ""
+    assert f"bad --mem entry {item!r}" in err
 
 
 def test_run_accepts_the_largest_word_value(tmp_path, capsys):

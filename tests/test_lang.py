@@ -1,9 +1,13 @@
 """Source language: parser, pretty-printer, reference interpreter."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ftnilab.faultlab import TAU, output
 from ftnilab.lang import (
+    BINOPS,
     Assign,
     BinOp,
     Const,
@@ -13,6 +17,8 @@ from ftnilab.lang import (
     Out,
     ParseError,
     Seq,
+    Skip,
+    SourceProgram,
     Var,
     While,
     eval_expr,
@@ -68,6 +74,20 @@ def test_precedence_and_parentheses():
     assert program.body == Assign("x", BinOp("*", BinOp("+", Const(1), Const(2)), Const(3)))
 
 
+@pytest.mark.parametrize(
+    "text, expr",
+    [
+        ("1 - 2 & 3", BinOp("-", Const(1), BinOp("&", Const(2), Const(3)))),
+        ("1 & 2 + 3", BinOp("+", BinOp("&", Const(1), Const(2)), Const(3))),
+        ("1 - 2 + 3", BinOp("+", BinOp("-", Const(1), Const(2)), Const(3))),
+        ("1 * 2 & 3", BinOp("&", BinOp("*", Const(1), Const(2)), Const(3))),
+        ("1 - (2 - 3)", BinOp("-", Const(1), BinOp("-", Const(2), Const(3)))),
+    ],
+)
+def test_and_binds_as_times_and_equal_bindings_nest_left(text, expr):
+    assert parse(f"low x; x := {text}").body == Assign("x", expr)
+
+
 def test_render_parse_round_trip():
     texts = [
         "low x; x := 1; out low x",
@@ -83,6 +103,55 @@ def test_render_parse_round_trip():
 
 def test_render_parse_round_trip_positive_guard():
     program = parse("high g; while g > 0 do g := g - 1", allow_positive_guards=True)
+    assert parse(render_source(program), allow_positive_guards=True) == program
+
+
+NAMES = ("x", "y", "h")
+EXPRS = st.recursive(
+    st.integers(0, 2**16).map(Const) | st.sampled_from(NAMES).map(Var),
+    lambda inner: st.builds(BinOp, st.sampled_from(BINOPS), inner, inner),
+    max_leaves=12,
+)
+
+
+def spine(cmd):
+    """The non-sequence commands of a left-nested sequence, in order."""
+    seconds = []
+    while isinstance(cmd, Seq):
+        seconds.append(cmd.second)
+        cmd = cmd.first
+    return [cmd, *reversed(seconds)]
+
+
+def compound(inner):
+    """Conditionals and loops over ``inner`` bodies, and sequences built as
+    the parser builds them: a left spine of non-sequence commands."""
+    return (
+        st.builds(If, EXPRS, inner, inner)
+        | st.builds(While, st.sampled_from(NAMES), inner, st.booleans())
+        | st.lists(inner, min_size=2, max_size=4).map(
+            lambda cmds: functools.reduce(Seq, [part for cmd in cmds for part in spine(cmd)])
+        )
+    )
+
+
+COMMANDS = st.recursive(
+    st.just(Skip())
+    | st.builds(Assign, st.sampled_from(NAMES), EXPRS)
+    | st.builds(Out, st.sampled_from(("low", "high")), EXPRS),
+    compound,
+    max_leaves=16,
+)
+PROGRAMS = st.builds(
+    SourceProgram,
+    st.tuples(*(st.tuples(st.just(name), st.sampled_from((LOW, HIGH))) for name in NAMES)),
+    COMMANDS,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(program=PROGRAMS)
+def test_parse_reads_back_every_rendered_program(program):
     assert parse(render_source(program), allow_positive_guards=True) == program
 
 

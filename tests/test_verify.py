@@ -196,11 +196,46 @@ def forged_step(pcs, rl0s, actions):
     ],
 )
 def test_ss_replay_rejects_a_forged_trace(text, trace):
-    """Each step re-executes as claimed and only the last one splits, but the
-    trace is not one the walk can take, on a strongly secure program."""
+    """Each step re-executes as claimed and only the last one splits, and the
+    initial fields match the first step, but the trace is not one the walk
+    can take, on a strongly secure program."""
     program, cfg = assemble(text), standard_config(1, 2, 2, (LOW, HIGH))
     assert check_strong_security(program, cfg).secure
-    assert not replay_ss_witness(program, cfg, {"trace": trace})
+    first = trace[0] if trace else forged_step((0, 0), (0, 0), ("tau", "tau"))
+    witness = {**ss_initial_fields(cfg, first), "trace": trace}
+    assert not replay_ss_witness(program, cfg, witness)
+
+
+def ss_leak_witness(text):
+    """A program, its config and its SS witness on ``standard_config(1, 1, 1,
+    (LOW, HIGH))``; the witness replays."""
+    program, cfg = assemble(text), standard_config(1, 1, 1, (LOW, HIGH))
+    witness = check_strong_security(program, cfg).witness
+    assert replay_ss_witness(program, cfg, witness)
+    return program, cfg, witness
+
+
+def test_ss_replay_rejects_a_step_with_a_cut_register_list():
+    program, cfg, witness = ss_leak_witness("out low rh0")
+    tampered = copy.deepcopy(witness)
+    tampered["trace"][0]["regs_a"] = [0]
+    assert not replay_ss_witness(program, cfg, tampered)
+
+
+def test_ss_replay_rejects_initial_fields_that_are_not_the_first_step():
+    program, cfg, witness = ss_leak_witness("out low rh0")
+    assert not replay_ss_witness(program, cfg, {**witness, "initial_low": {"bogus": 9}})
+    assert not replay_ss_witness(program, cfg, {**witness, "initial_high_b": {}})
+
+
+def test_ss_replay_rejects_a_cell_that_is_not_a_word():
+    program, cfg, witness = ss_leak_witness("jz l rh0\nmovek rl0 1\nl: out low rl0")
+    rh0 = cfg.layout.highs[0]
+    side = next(s for s in "ab" if witness["trace"][0][f"regs_{s}"][rh0])
+    tampered = copy.deepcopy(witness)
+    tampered["trace"][0][f"regs_{side}"][rh0] = 7
+    tampered[f"initial_high_{side}"][f"reg{rh0}"] = 7
+    assert not replay_ss_witness(program, cfg, tampered)
 
 
 def test_ss_single_nop_secure():
@@ -249,12 +284,41 @@ def test_ss_witnesses_of_random_programs_replay():
                 assert replay_ss_witness(program, cfg, verdict.witness), (width, draw)
 
 
+def ss_initial_fields(cfg, first):
+    """The ``initial_*`` fields of an SS witness whose first step is ``first``."""
+    nregs = len(cfg.registers)
+
+    def named(side, level):
+        data = first[f"regs_{side}"] + first[f"mem_{side}"]
+        cells = cfg.cells_of_level(level)
+        return {f"reg{c}" if c < nregs else f"mem{c - nregs}": data[c] for c in cells}
+
+    return {
+        "initial_low": named("a", LOW),
+        "initial_high_a": named("a", HIGH),
+        "initial_high_b": named("b", HIGH),
+    }
+
+
 def reference_replay_ss_witness(program, cfg, witness):
     """``replay_ss_witness`` in its per-step form, kept as the reference for
-    its checks and their order: side keys built per step, and the low parts
-    compared as tuples of cells."""
+    its checks and their order: the cell lists and initial fields first, then
+    side keys built per step, and the low parts compared as tuples of cells."""
     lows = cfg.cells_of_level(LOW)
     trace = witness["trace"]
+    if not trace:
+        return False
+    for entry in trace:
+        for side in "ab":
+            for key, size in ((f"regs_{side}", len(cfg.registers)), (f"mem_{side}", cfg.memory_size)):
+                cells = entry[key]
+                if not isinstance(cells, list) or len(cells) != size:
+                    return False
+                if any(type(v) is not int or not 0 <= v < cfg.word_values for v in cells):
+                    return False
+    for key, fields in ss_initial_fields(cfg, trace[0]).items():
+        if witness.get(key) != fields:
+            return False
     pcs = (0, 0)
     for i, entry in enumerate(trace):
         states = [
@@ -282,7 +346,7 @@ def reference_replay_ss_witness(program, cfg, witness):
         last = i == len(trace) - 1
         if (seen[0] != seen[1]) != last:
             return False
-    return bool(trace)
+    return True
 
 
 def ss_witness_mutations(witness, word_values):
@@ -862,6 +926,26 @@ def test_pni_replay_rejects_a_forged_start(text, initial_low, high_b, trace, pro
         "probabilities": probabilities,
     }
     assert not replay_pni_witness(program, cfg, env, witness)
+
+
+def test_poni_and_pni_replays_reject_a_bit_value_other_than_0_or_1():
+    """A witness names each bit 0 or 1; a 3 is not read as its bit 0."""
+    program, cfg = assemble("out low rh0"), standard_config(1, 1, 1, (LOW, HIGH))
+    env = uniform_environment(Fraction(1, 4), cfg.data_bit_names())
+    poni = check_poni(program, cfg, CheckConfig(depth=3)).witness
+    pni = check_pni(program, cfg, env, CheckConfig(depth=3)).witness
+    assert poni["initial_high_b"] == pni["initial_high_b"] == {"rh0_0": 1, "m1_0": 0}
+    assert replay_poni_witness(program, cfg, poni) and replay_pni_witness(program, cfg, env, pni)
+    assert not replay_poni_witness(program, cfg, {**poni, "initial_high_b": {"rh0_0": 3}})
+    assert not replay_pni_witness(program, cfg, env, {**pni, "initial_high_b": {"rh0_0": 3}})
+
+
+def test_pni_replay_rejects_a_trace_entry_that_names_no_action():
+    program, cfg = assemble("out low rh0"), standard_config(1, 1, 1, (LOW, HIGH))
+    env = uniform_environment(Fraction(1, 4), cfg.data_bit_names())
+    witness = check_pni(program, cfg, env, CheckConfig(depth=3)).witness
+    assert replay_pni_witness(program, cfg, env, witness)
+    assert not replay_pni_witness(program, cfg, env, {**witness, "trace": ["bogus"]})
 
 
 def test_pni_constant_program_secure_across_family():
