@@ -215,13 +215,20 @@ class _Parser:
         return node
 
     # commands -------------------------------------------------------------
-    def command(self) -> Cmd:
+    def command(self, braced: bool = False) -> Cmd:
+        """Statements separated by ``;``; ``braced``, a block, whose ``{``
+        and ``}`` are taken here.  Conditional and loop bodies call this
+        straight for a block, so a nest of them costs two frames a level."""
+        if braced:
+            self.take("{")
         node = self.basic()
         while self.at(";"):
             self.take(";")
             if self.peek() is None or self.at("}"):
                 break
             node = Seq(node, self.basic())
+        if braced:
+            self.take("}")
         return node
 
     def basic(self) -> Cmd:
@@ -229,10 +236,7 @@ class _Parser:
         if tok is None:
             raise self.error("expected a statement")
         if tok.text == "{":
-            self.take()
-            node = self.command()
-            self.take("}")
-            return node
+            return self.command(True)
         if tok.text == "skip":
             self.take()
             return Skip()
@@ -246,9 +250,9 @@ class _Parser:
             self.take()
             guard = self.expr()
             self.take("then")
-            then_cmd = self.basic()
+            then_cmd = self.command(True) if self.at("{") else self.basic()
             self.take("else")
-            else_cmd = self.basic()
+            else_cmd = self.command(True) if self.at("{") else self.basic()
             return If(guard, then_cmd, else_cmd)
         if tok.text == "while":
             self.take()
@@ -269,7 +273,8 @@ class _Parser:
             if not self.at("do"):
                 raise self.error("while guard must be a variable")
             self.take("do")
-            return While(name, self.basic(), positive)
+            body = self.command(True) if self.at("{") else self.basic()
+            return While(name, body, positive)
         if tok.kind == "id" and tok.text not in _KEYWORDS:
             self.take()
             self.take(":=")

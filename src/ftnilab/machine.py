@@ -261,6 +261,8 @@ class CellLayout:
 
     * ``lows`` and ``highs``, the cells of each level (``cells_of_level``),
       and ``slot_of_cell``, each low cell's index in ``lows``;
+    * ``cell_names``, each cell's name in a strong-security witness,
+      ``reg<index>`` or ``mem<address>``;
     * ``cell_masks``, the bits of each cell in an encoded state, and
       ``low_mask``, ``high_mask`` and ``faulty_mask``, those of every low,
       high and data cell; ``pc_shift``, the offset of the pc above them;
@@ -275,6 +277,10 @@ class CellLayout:
         self.lows = cfg.cells_of_level(LOW)
         self.highs = cfg.cells_of_level(HIGH)
         self.slot_of_cell = {cell: slot for slot, cell in enumerate(self.lows)}
+        nregs = len(cfg.registers)
+        self.cell_names = tuple(
+            f"reg{cell}" if cell < nregs else f"mem{cell - nregs}" for cell in range(ncells)
+        )
         self.cell_masks = tuple(word << cell * cfg.width for cell in range(ncells))
         self.low_mask = sum(self.cell_masks[cell] for cell in self.lows)
         self.high_mask = sum(self.cell_masks[cell] for cell in self.highs)
@@ -470,9 +476,11 @@ def run(
 
     The run drives ``effect`` on one mutable cell list, ``regs + mem``,
     decoding the program once and building one ``MachineState`` at the end;
-    it gives what a fold of ``step`` gives.  ``step`` is the one-step form
-    that witness replay re-executes.  ``terminated`` says the pc is outside
-    the code after the last step.
+    it gives what a fold of ``step`` gives.  Strong-security witness replay
+    (``verify.replay_ss_witness``) drives ``effect`` the same way, on one
+    cell list per side; ``step`` is the one-step form, kept as the tests'
+    reference for both.  ``terminated`` says the pc is outside the code
+    after the last step.
     """
     ops = decode(program, cfg)
     width = cfg.width

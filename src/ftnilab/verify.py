@@ -25,7 +25,8 @@ All three checkers enumerate concrete state spaces at small word widths:
   order that steps alike.  ``_ss_witness`` writes the trace's lists
   straight from these values and the entry's low write, with no machine
   state built; ``replay_ss_witness`` is the one re-execution, on
-  ``machine.step``.
+  ``machine.effect`` over one cell list per side, as ``machine.run``
+  steps.
 * ``check_poni`` compares the sets of fault-annotated traces of low-equal
   initial states, with the fault locations made observable.
 * ``check_pni`` compares exact trace probabilities of low-equal initial
@@ -94,14 +95,13 @@ from .machine import (
     HIGH,
     LOW,
     OPERANDS,
+    CellLayout,
     Instruction,
     MachineConfig,
-    MachineState,
     RiscProgram,
     RiscSystem,
     decode,
     effect,
-    step as machine_step,
     validate_program,
 )
 from .seccomp import CompileResult
@@ -406,8 +406,10 @@ def _ss_witness(tables: _SSTables, chain: list[tuple]) -> dict:
     written straight into the trace lists: each state holds the low part and
     its entry's operands, and every other cell 0, and each side's low part
     after the step is the low part with its entry's low write."""
+    layout = tables.cfg.layout
     nregs = len(tables.cfg.registers)
     ncells = nregs + tables.cfg.memory_size
+    initial = None
     trace = []
     for (p, q), lo, e1, e2 in chain:
         if e1 is None:  # a fixed diagonal step keeps no entry; read its one
@@ -425,6 +427,8 @@ def _ss_witness(tables: _SSTables, chain: list[tuple]) -> dict:
                 low_after[write[0]] = write[1]
             sides.append((data, low_after))
         (a, after_a), (b, after_b) = sides
+        if initial is None:
+            initial = _ss_initial(layout, a, b)
         trace.append(
             {
                 "pc_a": p,
@@ -439,30 +443,24 @@ def _ss_witness(tables: _SSTables, chain: list[tuple]) -> dict:
                 "low_after_b": after_b,
             }
         )
-    return {**_ss_initial(tables.cfg, trace[0]), "trace": trace}
+    return {**initial, "trace": trace}
 
 
-def _ss_initial(cfg: MachineConfig, first: dict) -> dict:
-    """The ``initial_*`` fields of an SS witness whose first step is
-    ``first``: side a's low cells and each side's high cells, keyed
-    ``reg<index>`` or ``mem<address>``."""
-    nregs = len(cfg.registers)
-
-    def named(side: str, cells: tuple[int, ...]) -> dict:
-        data = first[f"regs_{side}"] + first[f"mem_{side}"]
-        return {f"reg{c}" if c < nregs else f"mem{c - nregs}": data[c] for c in cells}
-
-    lows, highs = cfg.layout.lows, cfg.layout.highs
+def _ss_initial(layout: CellLayout, cells_a: list[int], cells_b: list[int]) -> dict:
+    """The ``initial_*`` fields of an SS witness whose first step holds the
+    cells ``cells_a`` and ``cells_b`` (``regs + mem``): side a's low cells
+    and each side's high cells, keyed by ``CellLayout.cell_names``."""
+    names = layout.cell_names
     return {
-        "initial_low": named("a", lows),
-        "initial_high_a": named("a", highs),
-        "initial_high_b": named("b", highs),
+        "initial_low": {names[c]: cells_a[c] for c in layout.lows},
+        "initial_high_a": {names[c]: cells_a[c] for c in layout.highs},
+        "initial_high_b": {names[c]: cells_b[c] for c in layout.highs},
     }
 
 
 def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -> bool:
-    """Re-execute every step of the witness on ``machine.step``; the last one
-    must publicly differ.
+    """Re-execute every step of the witness on ``machine.effect``; the last
+    one must publicly differ.
 
     Every step's ``regs_*`` and ``mem_*`` are lists of words of the
     configuration's lengths, and the ``initial_*`` fields name the first
@@ -473,45 +471,66 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
     low parts.  Each step checks, in order: its pcs, its two low parts, then
     per side the public action and the low part after; then whether it
     splits.
+
+    One pass over the trace checks the lists and joins each side's into one
+    cell list, ``regs + mem``; each side then steps on its list as
+    ``machine.run`` does, and a pc outside the code is stuck: it stays, with
+    a silent action.
     """
-    lows = cfg.layout.lows
+    layout = cfg.layout
+    lows = layout.lows
+    nregs, nmem, values = len(cfg.registers), cfg.memory_size, cfg.word_values
     trace = witness["trace"]
-    fields = [entry[key] for entry in trace for key in ("regs_a", "mem_a", "regs_b", "mem_b")]
-    sizes = [len(cfg.registers), cfg.memory_size] * (2 * len(trace))
-    if not trace or [len(f) if type(f) is list else -1 for f in fields] != sizes:
+    if not trace:
         return False
-    cells = list(itertools.chain.from_iterable(fields))
-    if set(map(type, cells)) - {int}:
+    states = []  # per step, side a's cell list, then side b's
+    for entry in trace:
+        for regs_key, mem_key in (("regs_a", "mem_a"), ("regs_b", "mem_b")):
+            regs, mem = entry[regs_key], entry[mem_key]
+            if type(regs) is not list or type(mem) is not list:
+                return False
+            if len(regs) != nregs or len(mem) != nmem:
+                return False
+            cells = regs + mem
+            for value in cells:
+                if type(value) is not int or not 0 <= value < values:
+                    return False
+            states.append(cells)
+    if any(
+        witness.get(key) != named
+        for key, named in _ss_initial(layout, states[0], states[1]).items()
+    ):
         return False
-    if min(cells, default=0) < 0 or max(cells, default=0) >= cfg.word_values:
-        return False
-    if any(witness.get(key) != named for key, named in _ss_initial(cfg, trace[0]).items()):
-        return False
+    ops = decode(program, cfg)
+    end, width = len(ops), cfg.width
     last = len(trace) - 1
     pcs = (0, 0)
     for i, entry in enumerate(trace):
-        state_a = MachineState(entry["pc_a"], tuple(entry["regs_a"]), tuple(entry["mem_a"]))
-        state_b = MachineState(entry["pc_b"], tuple(entry["regs_b"]), tuple(entry["mem_b"]))
-        if (state_a.pc, state_b.pc) != pcs:
+        pc_a, pc_b = entry["pc_a"], entry["pc_b"]
+        if (pc_a, pc_b) != pcs:
             return False
-        cells_a, cells_b = state_a.regs + state_a.mem, state_b.regs + state_b.mem
+        cells_a, cells_b = states[2 * i], states[2 * i + 1]
         for cell in lows:
             if cells_a[cell] != cells_b[cell]:
                 return False
         seen = []
-        for state, action_key, after_key in (
-            (state_a, "action_a", "low_after_a"),
-            (state_b, "action_b", "low_after_b"),
+        for pc, cells, action_key, after_key in (
+            (pc_a, cells_a, "action_a", "low_after_a"),
+            (pc_b, cells_b, "action_b", "low_after_b"),
         ):
-            action, succ = machine_step(program, state, cfg) or (TAU, state)
-            public = low(action)
+            public = TAU  # a pc outside the code is stuck
+            if 0 <= pc < end:
+                instr = ops[pc]
+                action, value, pc = effect(instr, [cells[c] for c in instr.sources], pc, width)
+                if value is not None:
+                    cells[instr.dest] = value
+                public = low(action)
             if str(public) != entry[action_key]:
                 return False
-            cells = succ.regs + succ.mem
             lo = [cells[cell] for cell in lows]
             if lo != entry[after_key]:
                 return False
-            seen.append((public, lo, succ.pc))
+            seen.append((public, lo, pc))
         (public_a, lo_a, pc_a), (public_b, lo_b, pc_b) = seen
         pcs = (pc_a, pc_b)
         if (public_a != public_b or lo_a != lo_b) != (i == last):

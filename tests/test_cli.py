@@ -92,13 +92,18 @@ def test_compile_parse_error_exits_1(tmp_path, capsys):
 
 
 def nested_source(kind, depth):
-    """``depth`` nested blocks around ``skip``, or parentheses around ``1``."""
+    """``depth`` nested blocks around ``skip``, conditionals or loops each with
+    a block for a body, or parentheses around ``1``."""
     if kind == "blocks":
         return "low x;\n" + "{ " * depth + "skip" + " }" * depth + "\n"
+    if kind == "braced-if":
+        return "low x; " + "if x then { " * depth + "skip" + " } else skip" * depth + "\n"
+    if kind == "braced-while":
+        return "low x; " + "while x do { " * depth + "skip" + " }" * depth + "\n"
     return "low x; x := " + "(" * depth + "1" + ")" * depth + "\n"
 
 
-@pytest.mark.parametrize("kind", ["blocks", "parentheses"])
+@pytest.mark.parametrize("kind", ["blocks", "parentheses", "braced-if", "braced-while"])
 def test_compile_source_nested_400_deep_exits_0(tmp_path, kind):
     src = write(tmp_path, "deep.src", nested_source(kind, 400))
     run = _cli("compile", src, "--out", str(tmp_path / "o.s"), "--meta", str(tmp_path / "o.json"))

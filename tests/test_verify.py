@@ -349,10 +349,13 @@ def reference_replay_ss_witness(program, cfg, witness):
     return True
 
 
-def ss_witness_mutations(witness, word_values):
+def ss_witness_mutations(witness, word_values, code_length):
     """The witness with one field changed: per step, each pc +-1, each
-    ``regs``, ``mem`` and ``low_after`` cell + 1 mod the word, or the two
-    actions swapped; or the last step dropped, or repeated."""
+    ``regs``, ``mem`` and ``low_after`` cell + 1 mod the word, each ``regs``
+    and ``mem`` cell set to ``True``, ``word_values`` or -1, each ``regs``
+    list given as a tuple, or the two actions swapped; per later step, each
+    pc set to -1 or to ``code_length``, the first pc outside the code; or
+    the last step dropped, or repeated."""
     trace = witness["trace"]
 
     def changed(i, fields):
@@ -360,28 +363,52 @@ def ss_witness_mutations(witness, word_values):
 
     for i, entry in enumerate(trace):
         for side in "ab":
-            for delta in (1, -1):
-                yield changed(i, {f"pc_{side}": entry[f"pc_{side}"] + delta})
+            pc = entry[f"pc_{side}"]
+            for moved in (pc + 1, pc - 1, *((-1, code_length) if i else ())):
+                yield changed(i, {f"pc_{side}": moved})
             for key in (f"regs_{side}", f"mem_{side}", f"low_after_{side}"):
                 for cell, value in enumerate(entry[key]):
-                    cells = list(entry[key])
-                    cells[cell] = (value + 1) % word_values
-                    yield changed(i, {key: cells})
+                    bad = (True, word_values, -1) if key != f"low_after_{side}" else ()
+                    for replaced in ((value + 1) % word_values, *bad):
+                        cells = list(entry[key])
+                        cells[cell] = replaced
+                        yield changed(i, {key: cells})
+            yield changed(i, {f"regs_{side}": tuple(entry[f"regs_{side}"])})
         yield changed(i, {"action_a": entry["action_b"], "action_b": entry["action_a"]})
     yield {**witness, "trace": trace[:-1]}
     yield {**witness, "trace": trace + trace[-1:]}
 
 
+# Leaking programs whose witnesses pass through a ``jmp``, which
+# ``random_risc_program`` never draws: a diagonal jump to the leak, a
+# backward jump, and a jump on one side of a split pair, past a low write
+# or past a low output onto the last instruction.
+JMP_LEAKS = (
+    "jmp l1\nnop\nl1: out low rh0",
+    "jmp l1\nl0: out low rh0\nl1: jmp l0",
+    "jz l1 rh0\njmp l2\nl1: movek rl0 1\nl2: out low rl0",
+    "jz l1 rh0\njmp l2\nl1: out low rl0\nl2: nop",
+)
+
+
 def test_ss_replay_keeps_every_check_of_the_reference_replay():
-    """On every strong-security witness of a random pool, and on each of its
-    one-field mutations, ``replay_ss_witness`` answers as the per-step
-    reference does: the same bool, or an exception of the same type."""
+    """On every strong-security witness of a random pool and of the ``jmp``
+    leaks, and on each of its one-field mutations, ``replay_ss_witness``
+    answers as the per-step reference on ``machine.step`` does: the same
+    bool, or an exception of the same type."""
 
     def outcome(replay, program, cfg, witness):
         try:
             return replay(program, cfg, witness)
         except Exception as exc:  # the type is compared
             return type(exc)
+
+    def compare(program, cfg, witness, where):
+        assert replay_ss_witness(program, cfg, witness), where
+        for mutant in ss_witness_mutations(witness, cfg.word_values, len(program)):
+            expected = outcome(reference_replay_ss_witness, program, cfg, mutant)
+            assert outcome(replay_ss_witness, program, cfg, mutant) == expected, where
+            seen[expected] += 1
 
     seen = Counter()
     for width in (1, 2):
@@ -393,11 +420,15 @@ def test_ss_replay_keeps_every_check_of_the_reference_replay():
             if verdict.secure:
                 continue
             seen["witness"] += 1
-            assert replay_ss_witness(program, cfg, verdict.witness), (width, draw)
-            for witness in ss_witness_mutations(verdict.witness, cfg.word_values):
-                expected = outcome(reference_replay_ss_witness, program, cfg, witness)
-                assert outcome(replay_ss_witness, program, cfg, witness) == expected, (width, draw)
-                seen[expected] += 1
+            compare(program, cfg, verdict.witness, (width, draw))
+        for text in JMP_LEAKS:
+            program = assemble(text)
+            witness = check_strong_security(program, cfg).witness
+            jumps = {pc for pc, instr in enumerate(program.instructions) if instr.op == "jmp"}
+            assert any(
+                entry[f"pc_{side}"] in jumps for entry in witness["trace"] for side in "ab"
+            ), (width, text)
+            compare(program, cfg, witness, (width, text))
     assert seen["witness"] >= 150 and min(seen[True], seen[False]) >= 100, seen
 
 
