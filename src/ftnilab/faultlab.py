@@ -19,6 +19,10 @@ the composition and its trace counts hold only these codes and int states;
 ``trace_probability`` and the witnesses).  ``compose_step`` and
 ``enumerate_runs`` are the oracle the kernel is tested against: full
 actions and ``Fraction`` odds, sharing no code with ``Composition``.
+
+A fault is applied only by ``faulted_steps``.  An experiment's fault scope
+is one mask: POni walks the masks within it, and ``Composition`` cuts the
+attacker's fault sets to it, so the attacker is composed as given.
 """
 
 from __future__ import annotations
@@ -179,18 +183,6 @@ class TableSystem(FaultProneSystem):
         return self.transitions.get(state)
 
 
-def flip(system: FaultProneSystem, state: int, faults: Iterable[str]) -> int:
-    """Negate exactly the named bits; every one of them must be a faulty location."""
-    names = frozenset(faults)
-    bad = names - system.faulty_names
-    if bad:
-        unknown = [n for n in bad if n not in system._index]
-        if unknown:
-            raise ValueError(f"unknown locations: {sorted(unknown)}")
-        raise ValueError(f"cannot flip fault-tolerant locations: {sorted(bad)}")
-    return state ^ system.mask_of(names)
-
-
 # ---------------------------------------------------------------------------
 # Fault environments (attackers)
 # ---------------------------------------------------------------------------
@@ -247,26 +239,6 @@ class EnvironmentSpec:
                 raise ValueError(
                     f"fault distribution of {state} sums to {Fraction(total, den)}, not 1"
                 )
-
-    def restricted(self, scope: Iterable[str]) -> "EnvironmentSpec":
-        """Marginalize every distribution onto a fault scope.
-
-        Bits outside the scope are treated as never flipping: each drawn
-        set L is replaced by L ∩ scope, and probabilities of sets that collide
-        are summed, so the total mass stays exactly 1.  A spec whose sets all
-        lie within the scope already is returned as it is.
-        """
-        keep = frozenset(scope)
-        if all(keep.issuperset(subset) for dist in self.faults.values() for subset in dist):
-            return self
-        faults = {}
-        for state, dist in self.faults.items():
-            merged: FaultDist = {}
-            for subset, prob in dist.items():
-                clipped = frozenset(subset) & keep
-                merged[clipped] = merged.get(clipped, Fraction(0)) + prob
-            faults[state] = merged
-        return EnvironmentSpec(self.states, self.initial, dict(self.transitions), faults)
 
 
 def _subsets(names: tuple[str, ...]) -> Iterator[frozenset[str]]:
@@ -555,9 +527,11 @@ class Composition:
     built only at the interface: ``trace_distribution`` and
     ``trace_probability``.
 
-    ``charge``, when given, is called with the running number of faulted
-    steps taken (per composed state expanded, the distinct cuts of its
-    nonzero fault sets to ``system.relevant``) before each new expansion,
+    Each state's fault sets are cut to ``system.relevant(state) & scope``,
+    where ``scope`` is a mask of faulty bits, by default all of them: a flip
+    outside the scope never happens.  ``charge``, when given, is called with
+    the running number of faulted steps taken (per composed state expanded,
+    the distinct cuts of its nonzero fault sets) before each new expansion,
     and may raise to stop the run.
     """
 
@@ -565,10 +539,12 @@ class Composition:
         self,
         system: FaultProneSystem,
         env: EnvironmentSpec,
+        scope: Optional[int] = None,
         charge: Optional[Callable[[int], None]] = None,
     ):
         self.system = system
         self.env = env
+        self.scope = system.faulty_mask if scope is None else scope
         self.denominator = math.lcm(
             *(prob.denominator for dist in env.faults.values() for prob in dist.values())
         )
@@ -578,18 +554,17 @@ class Composition:
         self._steps: dict[tuple[int, str], list[tuple[int, int, int, str]]] = {}
         self._counts: dict[tuple, dict[tuple[int, ...], int]] = {}
 
-    def _cut_table(self, env_state: str, relevant: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def _cut_table(self, env_state: str, cut: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The attacker state's fault sets with nonzero odds, in sorted order,
-        as masks cut to ``relevant``, and their weights over ``denominator``,
-        with the weights of equal cuts summed, each cut in the place of its
-        first set.  A relevance mask lies within ``system.faulty_mask``, so
-        every other table is folded from the one cut to it, which is built
-        once per attacker state."""
-        key = (env_state, relevant)
+        as masks cut to ``cut``, and their weights over ``denominator``, with
+        the weights of equal cuts summed, each cut in the place of its first
+        set.  A cut lies within ``scope``, so every other table is folded
+        from the one cut to it, which is built once per attacker state."""
+        key = (env_state, cut)
         table = self._cut_tables.get(key)
         if table is None:
-            faulty = self.system.faulty_mask
-            if relevant == faulty:
+            scope = self.scope
+            if cut == scope:
                 dist = self.env.fault_distribution(env_state)
                 den, mask_of = self.denominator, self.system.mask_of
                 rows = [
@@ -598,10 +573,10 @@ class Composition:
                     if prob != 0
                 ]
             else:
-                rows = zip(*self._cut_table(env_state, faulty))
+                rows = zip(*self._cut_table(env_state, scope))
             summed: dict[int, int] = {}
             for mask, weight in rows:
-                summed[mask & relevant] = summed.get(mask & relevant, 0) + weight
+                summed[mask & cut] = summed.get(mask & cut, 0) + weight
             table = self._cut_tables[key] = (tuple(summed), tuple(summed.values()))
         return table
 
@@ -609,12 +584,12 @@ class Composition:
         """(observation code, weight over ``denominator``, successor, attacker
         state) entries, aggregated on identical (code, successor): the public
         faulted steps (see ``faulted_steps``), one per mask cut to
-        ``system.relevant(state)``."""
+        ``system.relevant(state) & scope``."""
         key = (state, env_state)
         entries = self._steps.get(key)
         if entries is None:
             system = self.system
-            masks, weights = self._cut_table(env_state, system.relevant(state))
+            masks, weights = self._cut_table(env_state, system.relevant(state) & self.scope)
             self.steps_taken += len(masks)
             if self.charge is not None:
                 self.charge(self.steps_taken)

@@ -396,10 +396,13 @@ def _decode_one(instr: Instruction, program: RiscProgram, cfg: MachineConfig) ->
 
 
 def decode(program: RiscProgram, cfg: MachineConfig) -> tuple[Decoded, ...]:
-    """Resolve every instruction once; the result is cached on the program."""
+    """Resolve every instruction once; the result is cached on the program.
+    A miss first runs ``validate_program``, so every run, step, checker and
+    replay refuses an ill-formed program alike, once per (program, config)."""
     cached = program._decoded
     if cached is not None and (cached[0] is cfg or cached[0] == cfg):
         return cached[1]
+    validate_program(program, cfg)
     ops = tuple(_decode_one(instr, program, cfg) for instr in program.instructions)
     program._decoded = (cfg, ops)
     return ops
@@ -524,7 +527,7 @@ class RiscSystem(FaultProneSystem):
     """
 
     def __init__(self, program: RiscProgram, cfg: MachineConfig):
-        validate_program(program, cfg)
+        decode(program, cfg)  # refuses an ill-formed program here
         self.program = program
         self.cfg = cfg
         self.pc_bits = max(1, (len(program)).bit_length())

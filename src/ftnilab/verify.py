@@ -64,7 +64,8 @@ of the union of its sides' relevance masks within the scope, in ascending
 order; every other mask repeats the step of its cut, an earlier mask, so
 the first splitting mask and the first mask to reach each successor pair,
 and with them the witnesses, are unchanged.  No list of every mask in
-scope is built.  The composition sums attacker weights per cut.
+scope is built.  The composition cuts the attacker's fault sets to the same
+scope mask and sums their weights per cut.
 
 Verdicts are ``secure-up-to-bound`` or ``violation``; violations carry a
 replayable witness.
@@ -102,7 +103,6 @@ from .machine import (
     RiscSystem,
     decode,
     effect,
-    validate_program,
 )
 from .seccomp import CompileResult
 
@@ -127,7 +127,10 @@ class CheckConfig:
     """Knobs shared by the checkers.
 
     ``fault_scope`` restricts which faulty locations an experiment exposes
-    (None exposes all of them); ``depth`` bounds trace length for the
+    (None exposes all of them).  Both fault checkers take it as one mask and
+    cut each state's faults to it: POni walks only the masks within it, and
+    PNI's ``Composition`` cuts the attacker's fault sets to it, so the
+    attacker is passed as given.  ``depth`` bounds trace length for the
     possibilistic and probabilistic checkers; ``budget`` is the one limit on
     work, charged by every checker: strong security, the running total of
     low assignments it walks over the point pairs it reaches before it walks
@@ -143,8 +146,9 @@ class CheckConfig:
     relevance masks, counted from those masks before any is listed; and PNI
     the running total of faulted steps the composition takes before it takes
     each state's, per canonical composed state the distinct cuts of its fault
-    sets; the timing sweep, its starts, as ``initial states``.  A negative
-    depth is refused; depth 0 is the vacuous bound.
+    sets to the bits in scope live there; the timing sweep, its starts, as
+    ``initial states``.  A negative depth is refused; depth 0 is the vacuous
+    bound.
     """
 
     depth: int = 4
@@ -477,6 +481,7 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
     ``machine.run`` does, and a pc outside the code is stuck: it stays, with
     a silent action.
     """
+    ops = decode(program, cfg)
     layout = cfg.layout
     lows = layout.lows
     nregs, nmem, values = len(cfg.registers), cfg.memory_size, cfg.word_values
@@ -501,7 +506,6 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
         for key, named in _ss_initial(layout, states[0], states[1]).items()
     ):
         return False
-    ops = decode(program, cfg)
     end, width = len(ops), cfg.width
     last = len(trace) - 1
     pcs = (0, 0)
@@ -694,16 +698,18 @@ def _witness_states(system: RiscSystem, witness: dict) -> tuple[int, int] | None
 
 
 def replay_poni_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -> bool:
-    """Drive both initial states through the fault sequence; they must split.
+    """Drive both initial states through the fault sequence; they must split
+    at its last step and only there, so an empty sequence is refused.
 
     A fault may name only a faulty location.
     """
     system = RiscSystem(program, cfg)
     states = _witness_states(system, witness)
-    if states is None:
+    trace = witness["trace"]
+    if states is None or not trace:
         return False
     sa, sb = states
-    for i, entry in enumerate(witness["trace"]):
+    for i, entry in enumerate(trace):
         if not system.faulty_names.issuperset(entry["faults"]):
             return False
         mask = system.mask_of(entry["faults"])
@@ -711,8 +717,7 @@ def replay_poni_witness(program: RiscProgram, cfg: MachineConfig, witness: dict)
         act_b, sb = faulted_step(system, sb, mask)
         if str(low(act_a)) != entry["low_a"] or str(low(act_b)) != entry["low_b"]:
             return False
-        last = i == len(witness["trace"]) - 1
-        if (low(act_a) != low(act_b)) != last:
+        if (low(act_a) != low(act_b)) != (i == len(trace) - 1):
             return False
     return True
 
@@ -739,7 +744,7 @@ def check_pni(
     (``CellLayout.faulty_names``), so the bit-level ``RiscSystem`` is built
     only to compose.
     """
-    validate_program(program, cfg)
+    decode(program, cfg)  # refuses an ill-formed program first
     faulty = cfg.layout.faulty_names
     scope = _scope_names(faulty, check)
     env.validate(faulty)
@@ -748,11 +753,15 @@ def check_pni(
             return Verdict("pni", "secure-up-to-bound", check.depth)
     except BudgetExceeded:
         pass
-    return _composed_pni(RiscSystem(program, cfg), env.restricted(scope), check)
+    system = RiscSystem(program, cfg)
+    return _composed_pni(system, env, system.mask_of(scope), check)
 
 
-def _composed_pni(system: RiscSystem, env: EnvironmentSpec, check: CheckConfig) -> Verdict:
-    """PNI by composition with an attacker already restricted to the scope.
+def _composed_pni(
+    system: RiscSystem, env: EnvironmentSpec, scope: int, check: CheckConfig
+) -> Verdict:
+    """PNI by composition with the attacker, its fault sets cut to the
+    ``scope`` mask.
 
     Distributions of length-``depth`` traces determine the probability of
     every shorter trace by marginalization, so equality is tested at the
@@ -764,7 +773,7 @@ def _composed_pni(system: RiscSystem, env: EnvironmentSpec, check: CheckConfig) 
     violating state of the first violating group.
     """
     comp = Composition(
-        system, env, lambda taken: _charge(taken, "faulted steps composed", check.budget)
+        system, env, scope, lambda taken: _charge(taken, "faulted steps composed", check.budget)
     )
     for states in _initial_groups(system, check.budget):
         ref_counts = comp.trace_counts(states[0], env.initial, check.depth)
@@ -805,10 +814,12 @@ def replay_pni_witness(
     witness: dict,
     check: CheckConfig = CheckConfig(),
 ) -> bool:
-    """Recompute the two trace probabilities claimed by the witness."""
+    """Recompute the two trace probabilities claimed by the witness, after
+    checking the program, the scope and the attacker as ``check_pni`` does."""
     system = RiscSystem(program, cfg)
-    scoped = env.restricted(_scope_names(system.faulty_names, check))
-    comp = Composition(system, scoped)
+    scope = system.mask_of(_scope_names(system.faulty_names, check))
+    env.validate(system.faulty_names)
+    comp = Composition(system, env, scope)
     states = _witness_states(system, witness)
     if states is None:
         return False
@@ -817,8 +828,8 @@ def replay_pni_witness(
         trace = tuple(parse_action(t) for t in witness["trace"])
     except ValueError:  # an entry that names no action
         return False
-    pa = comp.trace_probability(sa, scoped.initial, trace)
-    pb = comp.trace_probability(sb, scoped.initial, trace)
+    pa = comp.trace_probability(sa, env.initial, trace)
+    pb = comp.trace_probability(sb, env.initial, trace)
     return (str(pa), str(pb)) == tuple(witness["probabilities"]) and pa != pb
 
 

@@ -18,7 +18,6 @@ from ftnilab.faultlab import (
     environment_from_text,
     environment_to_text,
     faulted_step,
-    flip,
     low,
     output,
     scripted_environment,
@@ -34,30 +33,33 @@ def bits(spec: str):
     return faulty + [n for n in tail.split(",") if n], faulty
 
 
-def three_bit_system():
-    return TableSystem(*bits("a,b,c|"), {})
+def idle_three_bit_system():
+    """Every state steps silently to itself, so a faulted step's successor
+    is the flipped state."""
+    return TableSystem(*bits("a,b,c|"), {state: (TAU, state) for state in range(8)})
 
 
 def test_flip_named_bits_only():
-    system = three_bit_system()
+    system = idle_three_bit_system()
     state = system.state_of({"a": 0, "b": 1, "c": 0})
-    flipped = flip(system, state, {"a", "c"})
+    _, flipped = faulted_step(system, state, system.mask_of({"a", "c"}))
     assert system.bits_of(flipped) == {"a": 1, "b": 1, "c": 1}
 
 
 def test_flip_empty_set_is_identity():
-    system = three_bit_system()
+    system = idle_three_bit_system()
     state = system.state_of({"a": 0, "b": 1, "c": 0})
-    assert flip(system, state, set()) == state
+    assert faulted_step(system, state, 0) == (TAU, state)
 
 
 def test_flip_is_an_involution():
-    system = three_bit_system()
+    system = idle_three_bit_system()
     rng = Random(7)
     for _ in range(50):
         state = rng.randrange(8)
-        names = {n for n in "abc" if rng.randrange(2)}
-        assert flip(system, flip(system, state, names), names) == state
+        mask = system.mask_of({n for n in "abc" if rng.randrange(2)})
+        _, once = faulted_step(system, state, mask)
+        assert faulted_step(system, once, mask) == (TAU, state)
 
 
 def test_system_names_the_faulty_bits_in_its_mask():
@@ -82,11 +84,12 @@ def test_system_rejects_duplicate_names(cls):
 
 
 def test_flip_rejects_fault_tolerant_locations():
+    """An attacker may flip only faulty locations."""
     system = TableSystem(*bits("a|t"), {})
-    with pytest.raises(ValueError):
-        flip(system, 0, {"t"})
-    with pytest.raises(ValueError):
-        flip(system, 0, {"nope"})
+    for names, message in (({"t"}, r"\['t'\]"), ({"nope"}, r"\['nope'\]")):
+        env = uniform_environment(Fraction(1, 4), names)
+        with pytest.raises(ValueError, match=f"fault set {message} not within faulty locations"):
+            env.validate(system.faulty_names)
 
 
 def test_low_projection_laws():
@@ -199,7 +202,7 @@ def test_termination_transparent_step():
 
 
 def test_trace_probability_empty_trace():
-    system = three_bit_system()
+    system = TableSystem(*bits("a,b,c|"), {})
     env = uniform_environment(Fraction(1, 2), system.faulty_names)
     assert Composition(system, env).trace_probability(0, "E0", ()) == 1
 
@@ -280,27 +283,6 @@ def test_scripted_environment_advances_on_low_then_steps():
     state = strike.advance(state, TAU)
     assert strike.fault_distribution(state) == {frozenset(): Fraction(1)}
     assert strike.advance(state, output("low", 0)) == state
-
-
-def test_scope_restriction_marginalizes_exactly():
-    env = uniform_environment(Fraction(1, 4), {"a", "b", "c"})
-    scoped = env.restricted({"a"})
-    dist = scoped.fault_distribution("E0")
-    assert set(dist) == {frozenset(), frozenset({"a"})}
-    assert dist[frozenset({"a"})] == Fraction(1, 4)
-    assert dist[frozenset()] == Fraction(3, 4)
-    assert sum(dist.values(), Fraction(0)) == 1
-
-
-def test_scope_restriction_onto_a_scope_holding_every_set_keeps_the_spec():
-    uniform = uniform_environment(Fraction(1, 4), {"a", "b"})
-    strike = scripted_environment(
-        [({frozenset(): Fraction(1)}, "low"), ({frozenset({"a"}): Fraction(1)}, "step")]
-    )
-    for env in (uniform, strike):
-        for scope in ({"a", "b"}, {"a", "b", "c"}):
-            assert env.restricted(scope) == env
-    assert strike.restricted({"b"}) != strike
 
 
 def test_table_system_is_deterministic_by_construction():

@@ -1,6 +1,7 @@
 """Machine semantics, assembler, bit encoding, structural comparison."""
 
 import itertools
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -11,9 +12,9 @@ from ftnilab.faultlab import (
     Action,
     FaultProneSystem,
     faulted_steps,
-    flip,
     low,
     output,
+    uniform_environment,
 )
 from ftnilab.machine import (
     HIGH,
@@ -364,8 +365,9 @@ def test_encoding_is_lsb_first():
 def test_pc_bits_are_fault_tolerant():
     cfg = cfg_w(1)
     system = RiscSystem(assemble("nop\nnop"), cfg)
-    with pytest.raises(ValueError, match="fault-tolerant"):
-        flip(system, 0, {"pc_0"})
+    assert system.mask_of({"pc_0"}) & system.faulty_mask == 0
+    with pytest.raises(ValueError, match=r"fault set \['pc_0'\] not within faulty locations"):
+        uniform_environment(Fraction(1, 2), {"pc_0"}).validate(system.faulty_names)
 
 
 def test_machine_step_determinism_through_bits():

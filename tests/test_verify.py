@@ -36,6 +36,7 @@ from ftnilab.machine import (
     disassemble,
     effect,
     initial_state,
+    run,
     standard_config,
     step,
 )
@@ -864,6 +865,14 @@ def test_poni_replay_rejects_a_forged_witness(text, witness):
     assert not replay_poni_witness(program, cfg, witness)
 
 
+def test_poni_replay_refuses_an_empty_trace():
+    """A trace with no step has no last step to split at."""
+    program, cfg = assemble(CONSTANT_OUT), tiny_cfg()
+    assert check_poni(program, cfg, CheckConfig(depth=3)).secure
+    witness = {"initial_low": {}, "initial_high_a": {}, "initial_high_b": {}, "trace": []}
+    assert not replay_poni_witness(program, cfg, witness)
+
+
 def test_poni_empty_program_secure():
     verdict = check_poni(RiscProgram(()), tiny_cfg(), CheckConfig(depth=4))
     assert verdict.secure
@@ -1023,13 +1032,19 @@ def test_pni_agrees_with_poni_on_examples():
     ],
 )
 def test_pni_refuses_a_bad_attacker_on_a_strongly_secure_program(faults, message):
-    # strong security would settle the program, but the attacker is checked first
+    # strong security would settle the program, but the attacker is checked
+    # first; the replay refuses it alike
     program, cfg = assemble(CONSTANT_OUT), tiny_cfg()
     assert check_strong_security(program, cfg).secure
     env = EnvironmentSpec(("E0",), "E0", {("E0", WILDCARD): "E0"}, {"E0": faults})
-    with pytest.raises(ValueError) as refused:
-        check_pni(program, cfg, env, CheckConfig(depth=3))
-    assert str(refused.value) == message
+    witness = {"initial_low": {}, "initial_high_a": {}, "initial_high_b": {}, "trace": ["tau"]}
+    for check in (
+        lambda: check_pni(program, cfg, env, CheckConfig(depth=3)),
+        lambda: replay_pni_witness(program, cfg, env, {**witness, "probabilities": ["1", "0"]}),
+    ):
+        with pytest.raises(ValueError) as refused:
+            check()
+        assert str(refused.value) == message
 
 
 def test_pni_builds_the_bit_level_system_only_to_compose(monkeypatch):
@@ -1097,7 +1112,7 @@ def test_pni_composes_when_strong_security_exceeds_the_budget(
         check_strong_security(program, cfg, check)
     for name, env in environment_family(scope):
         verdict = check_pni(program, cfg, env, check)
-        assert verdict == _composed_pni(system, env.restricted(scope), check), name
+        assert verdict == _composed_pni(system, env, system.mask_of(scope), check), name
         assert verdict.status == status, name
 
 
@@ -1595,6 +1610,85 @@ def test_pni_matches_the_run_oracle_under_an_observing_attacker(text, width):
     assert secure or replay_pni_witness(program, cfg, env, verdict.witness, check)
 
 
+# A two-bit fault scope inside wider attackers, each beside its copy written
+# inside the scope: independent flips of the wide bits give the same flips of
+# the scope's bits as the uniform attacker on the scope alone, and the strike
+# script's sets are clipped by hand, with the odds of equal clipped sets summed.
+SCOPE = ("rl0_0", "rh0_0")
+WIDE_STRIKE = scripted_environment(
+    [
+        (
+            {
+                frozenset(): Fraction(1, 2),
+                frozenset({"rl1_0"}): Fraction(1, 4),
+                frozenset({"rh0_0", "m1_0"}): Fraction(1, 4),
+            },
+            "step",
+        ),
+        (
+            {frozenset({"rl0_0", "rh1_0"}): Fraction(2, 3), frozenset({"rh0_0"}): Fraction(1, 3)},
+            "low",
+        ),
+    ]
+)
+CLIPPED_STRIKE = scripted_environment(
+    [
+        ({frozenset(): Fraction(3, 4), frozenset({"rh0_0"}): Fraction(1, 4)}, "step"),
+        ({frozenset({"rl0_0"}): Fraction(2, 3), frozenset({"rh0_0"}): Fraction(1, 3)}, "low"),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "wide, clipped",
+    [
+        pytest.param(
+            uniform_environment(Fraction(1, 4), tiny_cfg().layout.faulty_names),
+            uniform_environment(Fraction(1, 4), SCOPE),
+            id="uniform",
+        ),
+        pytest.param(WIDE_STRIKE, CLIPPED_STRIKE, id="strike"),
+    ],
+)
+def test_scope_cuts_a_wider_attacker_as_its_copy_inside_the_scope(wide, clipped):
+    """Under a scope, an attacker whose sets reach outside it composes as its
+    copy inside the scope: equal trace distributions and faulted step
+    totals, verdicts, replays and budget exits."""
+    cfg = tiny_cfg()
+    check = CheckConfig(depth=3, fault_scope=SCOPE)
+
+    def outcome(program, env, budget):
+        budgeted = dataclasses.replace(check, budget=budget)
+        try:
+            return check_pni(program, cfg, env, budgeted).to_json()
+        except BudgetExceeded as exc:
+            return str(exc)
+
+    violations = exits = 0
+    for text in [CONSTANT_OUT, LEAKY_OUT, "jz l0 rh0\nnop\nl0: out low rl0", *RANDOM_W1_DRAWS]:
+        program = assemble(text)
+        system = RiscSystem(program, cfg)
+        comps = [Composition(system, wide, system.mask_of(SCOPE)), Composition(system, clipped)]
+        for states in every_initial_group(system):
+            for state in states:
+                dist_wide, dist_clipped = (
+                    comp.trace_distribution(state, comp.env.initial, check.depth) for comp in comps
+                )
+                assert dist_wide == dist_clipped, text
+        assert comps[0].steps_taken == comps[1].steps_taken, text
+        verdict = check_pni(program, cfg, wide, check)
+        assert verdict == check_pni(program, cfg, clipped, check), text
+        if not verdict.secure:
+            violations += 1
+            for env in (wide, clipped):
+                assert replay_pni_witness(program, cfg, env, verdict.witness, check), text
+        for budget in (10, 40, 160):
+            found = outcome(program, wide, budget)
+            assert found == outcome(program, clipped, budget), (text, budget)
+            exits += isinstance(found, str)
+    assert violations and exits
+
+
 # -- bridging property -------------------------------------------------------------
 
 
@@ -1635,7 +1729,7 @@ def test_ss_secure_draws_are_pni_secure_by_composition():
         for depth in (2, 3):
             check = CheckConfig(depth=depth, fault_scope=scope)
             for name, env in environment_family(scope):
-                verdict = _composed_pni(system, env.restricted(scope), check)
+                verdict = _composed_pni(system, env, system.mask_of(scope), check)
                 assert verdict.secure, (name, depth, disassemble(program))
 
 
@@ -1871,6 +1965,44 @@ def test_fault_checkers_are_secure_on_the_width_4_corpus():
         env = uniform_environment(Fraction(1, 4), scope)
         pni = check_pni(program, cfg, env, CheckConfig(depth=3, fault_scope=scope))
         assert pni.status == "secure-up-to-bound", name
+
+
+# -- ill-formed programs -------------------------------------------------------------
+
+
+def _entry_points():
+    env = uniform_environment(Fraction(1, 4), ("rl0_0",))
+    empty = {"initial_low": {}, "initial_high_a": {}, "initial_high_b": {}, "trace": []}
+    return {
+        "strong-security": lambda program, cfg: check_strong_security(program, cfg),
+        "poni": lambda program, cfg: check_poni(program, cfg),
+        "pni": lambda program, cfg: check_pni(program, cfg, env),
+        "run": lambda program, cfg: run(program, initial_state(cfg), cfg, 10),
+        "step": lambda program, cfg: step(program, initial_state(cfg), cfg),
+        "replay-ss": lambda program, cfg: replay_ss_witness(program, cfg, empty),
+        "replay-poni": lambda program, cfg: replay_poni_witness(program, cfg, empty),
+        "replay-pni": lambda program, cfg: replay_pni_witness(
+            program, cfg, env, {**empty, "probabilities": ["1", "1"]}
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_entry_points()))
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("load rl0 7", "instruction 0: address 7 out of range", id="address"),
+        pytest.param("out low rx9", "instruction 0: unknown register 'rx9'", id="register"),
+        pytest.param(
+            "jlez l0 rl0\nl0: nop", "instruction 0: jlez requires the extension flag", id="jlez"
+        ),
+    ],
+)
+def test_every_entry_point_refuses_an_ill_formed_program(text, message, entry):
+    cfg = standard_config(1, 1, 1, (LOW, HIGH))
+    with pytest.raises(AssemblyError) as refused:
+        _entry_points()[entry](assemble(text), cfg)
+    assert str(refused.value) == message
 
 
 # -- random generators ---------------------------------------------------------------
