@@ -55,11 +55,11 @@ from .machine import (
     RiscProgram,
     RiscSystem,
     assemble,
+    decode,
     disassemble,
     initial_state,
     run as machine_run,
     structurally_equivalent,
-    validate_program,
 )
 from .verify import (
     DEFAULT_BUDGET,
@@ -232,12 +232,10 @@ def _inferred_config(program: RiscProgram, width: int) -> MachineConfig:
     Registers named rl* are low and rh* are high; anything else, and every
     memory cell, is treated as high (the conservative choice for secrecy).
     """
-    regs = tuple(
-        (name, LOW if name.startswith("rl") else HIGH)
-        for name in sorted(program.registers())
-    )
-    mem = tuple(HIGH for _ in range(program.max_address() + 1))
-    return MachineConfig(width, regs, mem, enable_jlez=True)
+    names = sorted({name for instr in program.instructions for name in instr.registers()})
+    regs = tuple((name, LOW if name.startswith("rl") else HIGH) for name in names)
+    cells = max((i.addr + 1 for i in program.instructions if i.addr is not None), default=0)
+    return MachineConfig(width, regs, (HIGH,) * cells, enable_jlez=True)
 
 
 def _load_program(asm_path: str, width: int | None):
@@ -247,7 +245,7 @@ def _load_program(asm_path: str, width: int | None):
         cfg = _config_from_meta(meta, width)
     else:
         cfg = _inferred_config(program, width or 8)
-    validate_program(program, cfg)
+    decode(program, cfg)  # refuses an ill-formed program; the checkers hit its cache
     return program, cfg, meta
 
 

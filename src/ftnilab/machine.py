@@ -116,25 +116,8 @@ class RiscProgram:
     def __hash__(self) -> int:
         return hash(self.instructions)
 
-    def resolve_label(self, label: str) -> int:
-        if label not in self._labels:
-            raise AssemblyError(f"unknown label {label!r}")
-        return self._labels[label]
-
     def labels(self) -> dict[str, int]:
         return dict(self._labels)
-
-    def registers(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for instr in self.instructions:
-            for reg in instr.registers():
-                if reg not in seen:
-                    seen.append(reg)
-        return tuple(seen)
-
-    def max_address(self) -> int:
-        addrs = [i.addr for i in self.instructions if i.addr is not None]
-        return max(addrs) if addrs else -1
 
 
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -217,12 +200,6 @@ class MachineConfig:
     def register_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.registers)
 
-    def register_index(self, name: str) -> int:
-        for i, (reg, _) in enumerate(self.registers):
-            if reg == name:
-                return i
-        raise KeyError(name)
-
     def registers_of_level(self, level: SecurityLevel) -> tuple[str, ...]:
         return tuple(name for name, lev in self.registers if lev is level)
 
@@ -266,12 +243,22 @@ class CellLayout:
     * ``cell_masks``, the bits of each cell in an encoded state, and
       ``low_mask``, ``high_mask`` and ``faulty_mask``, those of every low,
       high and data cell; ``pc_shift``, the offset of the pc above them;
+    * ``register_cells``, each register's cell by name (None for an absent
+      operand), which ``decode`` resolves operands in; a register named
+      twice, "pc" or "m<addr>" is refused with an ``AssemblyError``, as one
+      of its bit names, "<name>_<bit>", would be taken;
     * ``faulty_names``, the names of the data bits, and per pc width the
       bit-name table (``bit_names``), built on first use.
     """
 
     def __init__(self, cfg: MachineConfig):
         self.cfg = cfg
+        taken = {"pc", *(f"m{addr}" for addr in range(cfg.memory_size))}
+        self.register_cells: dict[str | None, int | None] = {None: None}
+        for cell, name in enumerate(cfg.register_names()):
+            if name in taken or name in self.register_cells:
+                raise AssemblyError(f"register {name!r} clashes with another location's bit names")
+            self.register_cells[name] = cell
         word = (1 << cfg.width) - 1
         ncells = len(cfg.registers) + cfg.memory_size
         self.lows = cfg.cells_of_level(LOW)
@@ -300,8 +287,6 @@ class CellLayout:
         if table is None:
             names = (*self.cfg.data_bit_names(), *(f"pc_{b}" for b in range(pc_bits)))
             index = {name: i for i, name in enumerate(names)}
-            if len(index) != len(names):
-                raise ValueError("location names must be unique")
             table = self._tables[pc_bits] = (names, index)
         return table
 
@@ -341,18 +326,6 @@ def initial_state(cfg: MachineConfig, mem: dict[int, int] | None = None) -> Mach
     return MachineState(0, (0,) * len(cfg.registers), tuple(cells))
 
 
-def validate_program(program: RiscProgram, cfg: MachineConfig) -> None:
-    names = {None, *cfg.register_names()}  # None: the operand is absent
-    for i, instr in enumerate(program.instructions):
-        if instr.reg not in names or instr.reg2 not in names:
-            reg = instr.reg if instr.reg not in names else instr.reg2
-            raise AssemblyError(f"instruction {i}: unknown register {reg!r}")
-        if instr.addr is not None and not (0 <= instr.addr < cfg.memory_size):
-            raise AssemblyError(f"instruction {i}: address {instr.addr} out of range")
-        if instr.op == "jlez" and not cfg.enable_jlez:
-            raise AssemblyError(f"instruction {i}: jlez requires the extension flag")
-
-
 def signed(value: int, width: int) -> int:
     """Two's-complement reading of a machine word."""
     half = 1 << (width - 1)
@@ -373,39 +346,47 @@ class Decoded(NamedTuple):
     channel: str | None
 
 
-def _decode_one(instr: Instruction, program: RiscProgram, cfg: MachineConfig) -> Decoded:
-    op = instr.op
-    reg = None if instr.reg is None else cfg.register_index(instr.reg)
-    reg2 = None if instr.reg2 is None else cfg.register_index(instr.reg2)
-    cell = None if instr.addr is None else len(cfg.registers) + instr.addr
-    if op == "load":
-        dest, sources = reg, (cell,)
-    elif op == "store":
-        dest, sources = cell, (reg,)
-    elif op == "movek":
-        dest, sources = reg, ()
-    elif op == "mover":
-        dest, sources = reg, (reg2,)
-    elif op in BINARY_OPS:
-        dest, sources = reg, (reg, reg2)
-    else:
-        dest, sources = None, () if reg is None else (reg,)
-    const = None if instr.value is None else instr.value & (cfg.word_values - 1)
-    target = None if instr.target is None else program.resolve_label(instr.target)
-    return Decoded(op, dest, sources, const, target, instr.channel)
-
-
 def decode(program: RiscProgram, cfg: MachineConfig) -> tuple[Decoded, ...]:
-    """Resolve every instruction once; the result is cached on the program.
-    A miss first runs ``validate_program``, so every run, step, checker and
-    replay refuses an ill-formed program alike, once per (program, config)."""
+    """The one gate from a program to its machine: one pass, cached on the
+    program, checks each instruction against the config and resolves it, so
+    every run, step, checker and replay refuses an ill-formed program alike.
+    The first bad instruction raises ``AssemblyError`` for its register,
+    its second register (both looked up in ``CellLayout.register_cells``),
+    its address or the ``jlez`` flag, checked in that order."""
     cached = program._decoded
     if cached is not None and (cached[0] is cfg or cached[0] == cfg):
         return cached[1]
-    validate_program(program, cfg)
-    ops = tuple(_decode_one(instr, program, cfg) for instr in program.instructions)
-    program._decoded = (cfg, ops)
-    return ops
+    cell_of = cfg.layout.register_cells
+    nregs, word = len(cfg.registers), cfg.word_values - 1
+    ops = []
+    for i, instr in enumerate(program.instructions):
+        op, addr = instr.op, instr.addr
+        for name in (instr.reg, instr.reg2):
+            if name not in cell_of:
+                raise AssemblyError(f"instruction {i}: unknown register {name!r}")
+        if addr is not None and not 0 <= addr < cfg.memory_size:
+            raise AssemblyError(f"instruction {i}: address {addr} out of range")
+        if op == "jlez" and not cfg.enable_jlez:
+            raise AssemblyError(f"instruction {i}: jlez requires the extension flag")
+        reg, reg2 = cell_of[instr.reg], cell_of[instr.reg2]
+        cell = None if addr is None else nregs + addr
+        if op == "load":
+            dest, sources = reg, (cell,)
+        elif op == "store":
+            dest, sources = cell, (reg,)
+        elif op == "movek":
+            dest, sources = reg, ()
+        elif op == "mover":
+            dest, sources = reg, (reg2,)
+        elif op in BINARY_OPS:
+            dest, sources = reg, (reg, reg2)
+        else:
+            dest, sources = None, () if reg is None else (reg,)
+        const = None if instr.value is None else instr.value & word
+        target = None if instr.target is None else program._labels[instr.target]
+        ops.append(Decoded(op, dest, sources, const, target, instr.channel))
+    program._decoded = (cfg, tuple(ops))
+    return program._decoded[1]
 
 
 def effect(
@@ -478,12 +459,12 @@ def run(
     """Fault-free execution; returns (output actions, final state, terminated).
 
     The run drives ``effect`` on one mutable cell list, ``regs + mem``,
-    decoding the program once and building one ``MachineState`` at the end;
-    it gives what a fold of ``step`` gives.  Strong-security witness replay
-    (``verify.replay_ss_witness``) drives ``effect`` the same way, on one
-    cell list per side; ``step`` is the one-step form, kept as the tests'
-    reference for both.  ``terminated`` says the pc is outside the code
-    after the last step.
+    decoding (and so checking) the program once and building one
+    ``MachineState`` at the end; it gives what a fold of ``step`` gives.
+    Strong-security witness replay (``verify.replay_ss_witness``) drives
+    ``effect`` the same way, on one cell list per side; ``step`` is the
+    one-step form, kept as the tests' reference for both.  ``terminated``
+    says the pc is outside the code after the last step.
     """
     ops = decode(program, cfg)
     width = cfg.width

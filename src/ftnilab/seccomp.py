@@ -41,11 +41,11 @@ from .lang import (
 from .machine import (
     HIGH,
     LOW,
+    AssemblyError,
     Instruction,
     MachineConfig,
     RiscProgram,
     SecurityLevel,
-    validate_program,
 )
 
 
@@ -269,6 +269,7 @@ class _Compiler:
         self.fresh = 0
         self.em = _Emitter()
         self.sites: list[tuple[str, str]] = []  # (else label, exit label) per padded site
+        self.jlez = False  # whether a loop with a positive guard was compiled
 
     # helpers ---------------------------------------------------------------
     def fresh_label(self, prefix: str) -> str:
@@ -503,6 +504,7 @@ class _Compiler:
         ex = self.fresh_label("ex")
         addr = self.v2p[cmd.var]
         jump_op = "jlez" if cmd.positive else "jz"
+        self.jlez |= cmd.positive
         self.em.pend(label)
         self.em.emit(Instruction("load", reg=reg, addr=addr))
         self.em.emit(Instruction("store", reg=reg, addr=addr))
@@ -547,8 +549,12 @@ def compile_program(src: SourceProgram, cfg: MachineConfig) -> CompileResult:
         compiler.em.emit(Instruction("nop"))
         timing = timing.then(Timing.exact(1))
         effect = effect.join(WriteEffect.HIGH_ONLY)
+    if compiler.jlez and not cfg.enable_jlez:
+        # The one check of ``decode`` that compiled code can fail: its registers
+        # come from the config's pools, its addresses are bounded in ``_Compiler``.
+        pc = next(pc for pc, instr in enumerate(compiler.em.instrs) if instr.op == "jlez")
+        raise AssemblyError(f"instruction {pc}: jlez requires the extension flag")
     program = RiscProgram(compiler.em.instrs)
-    validate_program(program, cfg)
     labels = program.labels()
     jz_of = {i.target: pc for pc, i in enumerate(program.instructions) if i.op == "jz"}
     sites = tuple(

@@ -486,10 +486,12 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
     lows = layout.lows
     nregs, nmem, values = len(cfg.registers), cfg.memory_size, cfg.word_values
     trace = witness["trace"]
-    if not trace:
+    if type(trace) is not list or not trace:
         return False
     states = []  # per step, side a's cell list, then side b's
     for entry in trace:
+        if type(entry) is not dict:
+            return False
         for regs_key, mem_key in (("regs_a", "mem_a"), ("regs_b", "mem_b")):
             regs, mem = entry[regs_key], entry[mem_key]
             if type(regs) is not list or type(mem) is not list:
@@ -681,11 +683,14 @@ def check_poni(
 
 def _witness_states(system: RiscSystem, witness: dict) -> tuple[int, int] | None:
     """The two initial states a POni or PNI witness names; unnamed bits are
-    0.  None when ``initial_low`` names anything but low data bits, an
-    ``initial_high_*`` anything but high data bits, or a value is not 0 or 1."""
+    0.  None when one is not a JSON object, ``initial_low`` names anything
+    but low data bits, an ``initial_high_*`` anything but high data bits, or
+    a value is not 0 or 1."""
     named = [(witness["initial_low"], system.low_mask)] + [
         (witness[f"initial_high_{side}"], system.high_mask) for side in "ab"
     ]
+    if any(type(bits) is not dict for bits, _ in named):
+        return None
     if any(not system.names_of(mask).issuperset(bits) for bits, mask in named) or any(
         type(value) is not int or value not in (0, 1) for bits, _ in named for value in bits.values()
     ):
@@ -706,13 +711,16 @@ def replay_poni_witness(program: RiscProgram, cfg: MachineConfig, witness: dict)
     system = RiscSystem(program, cfg)
     states = _witness_states(system, witness)
     trace = witness["trace"]
-    if states is None or not trace:
+    if states is None or type(trace) is not list or not trace:
         return False
     sa, sb = states
     for i, entry in enumerate(trace):
-        if not system.faulty_names.issuperset(entry["faults"]):
+        faults = entry.get("faults") if type(entry) is dict else None
+        if type(faults) is not list or any(
+            type(name) is not str or name not in system.faulty_names for name in faults
+        ):
             return False
-        mask = system.mask_of(entry["faults"])
+        mask = system.mask_of(faults)
         act_a, sa = faulted_step(system, sa, mask)
         act_b, sb = faulted_step(system, sb, mask)
         if str(low(act_a)) != entry["low_a"] or str(low(act_b)) != entry["low_b"]:
@@ -824,13 +832,16 @@ def replay_pni_witness(
     if states is None:
         return False
     sa, sb = states
+    texts = witness["trace"]
+    if type(texts) is not list or any(type(text) is not str for text in texts):
+        return False
     try:
-        trace = tuple(parse_action(t) for t in witness["trace"])
+        trace = tuple(parse_action(text) for text in texts)
     except ValueError:  # an entry that names no action
         return False
     pa = comp.trace_probability(sa, env.initial, trace)
     pb = comp.trace_probability(sb, env.initial, trace)
-    return (str(pa), str(pb)) == tuple(witness["probabilities"]) and pa != pb
+    return [str(pa), str(pb)] == witness["probabilities"] and pa != pb
 
 
 # ---------------------------------------------------------------------------
@@ -862,15 +873,14 @@ def check_timing_balance(
     silently idle in this model.
     """
     program = result.program
-    labels = program.labels()
+    ops = decode(program, cfg)
 
     def steps(start: int, end: int) -> int:
         seen = set()
         pc = start
         while start <= pc < end and pc not in seen:
             seen.add(pc)
-            instr = program.instructions[pc]
-            pc = labels[instr.target] if instr.op == "jmp" else pc + 1
+            pc = ops[pc].target if ops[pc].op == "jmp" else pc + 1
         return len(seen)
 
     sites = []

@@ -674,3 +674,52 @@ def test_bad_sidecar_exits_1(tmp_path, capsys, command, meta, message):
     code, stdout, err = invoke(capsys, *argv)
     assert code == 1 and stdout == ""
     assert err.startswith("side-car error: ") and message in err
+
+
+CLASH_COMMANDS = ["check-ss", "check-poni", "check-pni", "run", "inject"]
+
+
+def _refused_with_assembly_error(tmp_path, capsys, command, asm, register):
+    """Each command refuses the config before it reads the environment or
+    the fault script, both left empty here."""
+    env, faults = write(tmp_path, "env.txt", ""), write(tmp_path, "faults.txt", "")
+    argv = {
+        "check-ss": ["check", asm, "--mode", "ss"],
+        "check-poni": ["check", asm, "--mode", "poni", "--width", "1"],
+        "check-pni": ["check", asm, "--mode", "pni", "--env", env],
+        "run": ["run", asm],
+        "inject": ["inject", asm, "--faults", faults],
+    }[command]
+    code, stdout, err = invoke(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert err == (
+        f"assembly error: register {register!r} clashes with another location's bit names\n"
+    )
+
+
+@pytest.mark.parametrize("command", CLASH_COMMANDS)
+@pytest.mark.parametrize(
+    "text, register",
+    [
+        pytest.param("movek m0 1\nstore 0 m0\nout low m0\n", "m0", id="memory-cell"),
+        pytest.param("movek pc 1\nout low pc\n", "pc", id="pc"),
+    ],
+)
+def test_an_inferred_register_named_like_another_location_exits_1(
+    tmp_path, capsys, command, text, register
+):
+    asm = write(tmp_path, "clash.s", text)
+    _refused_with_assembly_error(tmp_path, capsys, command, asm, register)
+
+
+@pytest.mark.parametrize("command", CLASH_COMMANDS)
+@pytest.mark.parametrize("register", ["m0", "pc"])
+def test_a_sidecar_register_named_like_another_location_exits_1(
+    tmp_path, capsys, command, register
+):
+    out, meta_path = compile_ok(tmp_path, capsys)
+    meta = json.loads(Path(meta_path).read_text())
+    assert len(meta["memory_levels"]) == 2
+    meta["register_levels"][register] = "H"
+    Path(meta_path).write_text(json.dumps(meta))
+    _refused_with_assembly_error(tmp_path, capsys, command, out, register)

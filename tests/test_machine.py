@@ -34,7 +34,6 @@ from ftnilab.machine import (
     standard_config,
     step,
     structurally_equivalent,
-    validate_program,
 )
 from ftnilab.verify import default_scope, random_risc_program
 
@@ -61,11 +60,11 @@ def test_data_bit_names_are_the_faulty_locations_in_order(width, mem):
 
 def test_resolve_label_examples():
     program = assemble("nop\nl1: jmp l1")
-    assert program.resolve_label("l1") == 1
-    program = assemble("l0: nop")
-    assert program.resolve_label("l0") == 0
-    with pytest.raises(AssemblyError):
-        assemble("nop").resolve_label("lX")
+    assert program.labels() == {"l1": 1}
+    assert decode(program, cfg_w(1))[1].target == 1
+    assert assemble("l0: nop").labels() == {"l0": 0}
+    with pytest.raises(AssemblyError, match="unknown label 'lX'"):
+        assemble("jmp lX")
 
 
 def test_duplicate_label_rejected():
@@ -210,7 +209,7 @@ def test_jlez_always_jumps_at_width_one():
 def test_jlez_requires_extension_flag():
     cfg = cfg_w(2, enable_jlez=False)
     with pytest.raises(AssemblyError, match="jlez"):
-        validate_program(assemble("jlez l0 rl0\nl0: nop"), cfg)
+        decode(assemble("jlez l0 rl0\nl0: nop"), cfg)
 
 
 def test_stuck_when_pc_leaves_program():
@@ -315,12 +314,12 @@ def test_assembly_round_trip_random_corpus():
         assert disassemble(assemble(rendered)) == rendered
 
 
-def test_validate_program_checks_operands():
+def test_decode_checks_operands():
     cfg = cfg_w(2, mem=2)
     with pytest.raises(AssemblyError, match="unknown register"):
-        validate_program(assemble("movek r9 1"), cfg)
+        decode(assemble("movek r9 1"), cfg)
     with pytest.raises(AssemblyError, match="address"):
-        validate_program(assemble("load rl0 7"), cfg)
+        decode(assemble("load rl0 7"), cfg)
 
 
 def test_encode_decode_bijection_exhaustive_small_widths():

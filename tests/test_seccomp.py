@@ -8,6 +8,7 @@ from ftnilab.corpus import config_for_source, corpus_sources
 from ftnilab.lang import If, Seq, While, parse
 from ftnilab.machine import (
     LOW,
+    AssemblyError,
     disassemble,
     initial_state,
     step as machine_step,
@@ -281,6 +282,21 @@ def test_positive_guard_compiles_to_signed_jump():
     result, _ = compile_src("high g; while g > 0 do g := g - 1", jlez=True)
     assert any(i.op == "jlez" for i in result.program.instructions)
     assert all(i.op != "jz" for i in result.program.instructions)
+
+
+def test_positive_guard_on_a_config_without_jlez_is_refused_at_its_jump():
+    text = "low a; high g; a := 1; while g > 0 do { g := g - 1 }"
+    src = parse(text, allow_positive_guards=True)
+    with pytest.raises(AssemblyError) as refused:
+        compile_program(src, config_for_source(src, 2))
+    assert str(refused.value) == "instruction 4: jlez requires the extension flag"
+
+
+def test_a_type_error_after_a_positive_guard_wins_over_the_missing_jlez():
+    text = "low a; high g; while g > 0 do { g := g - 1 }; a := g"
+    src = parse(text, allow_positive_guards=True)
+    with pytest.raises(CompileError, match="variable g has level H"):
+        compile_program(src, config_for_source(src, 2))
 
 
 def test_compilation_is_deterministic():

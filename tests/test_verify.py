@@ -29,6 +29,7 @@ from ftnilab.machine import (
     LOW,
     AssemblyError,
     Instruction,
+    MachineConfig,
     MachineState,
     RiscProgram,
     assemble,
@@ -227,6 +228,12 @@ def test_ss_replay_rejects_initial_fields_that_are_not_the_first_step():
     program, cfg, witness = ss_leak_witness("out low rh0")
     assert not replay_ss_witness(program, cfg, {**witness, "initial_low": {"bogus": 9}})
     assert not replay_ss_witness(program, cfg, {**witness, "initial_high_b": {}})
+
+
+def test_ss_replay_rejects_a_trace_that_is_not_a_list_of_steps():
+    program, cfg, witness = ss_leak_witness("out low rh0")
+    for trace in (5, [5], [witness["trace"][0]["regs_a"]]):
+        assert not replay_ss_witness(program, cfg, {**witness, "trace": trace})
 
 
 def test_ss_replay_rejects_a_cell_that_is_not_a_word():
@@ -855,6 +862,26 @@ def forged_poni_witness(initial_low, high_b, faults, lows):
             forged_poni_witness({}, {"rl0_0": 1}, [], ("low!0", "low!1")),
             id="high-names-a-low-bit",
         ),
+        pytest.param(
+            SKIPPED_OUT,
+            forged_poni_witness([], {"rh0_0": 1}, [], ("low!0", "low!1")),
+            id="low-not-an-object",
+        ),
+        pytest.param(
+            SKIPPED_OUT,
+            {**forged_poni_witness({}, {"rh0_0": 1}, [], ("low!0", "low!1")), "trace": 5},
+            id="trace-not-a-list",
+        ),
+        pytest.param(
+            SKIPPED_OUT,
+            {**forged_poni_witness({}, {"rh0_0": 1}, [], ("low!0", "low!1")), "trace": [5]},
+            id="step-not-an-object",
+        ),
+        pytest.param(
+            SKIPPED_OUT,
+            forged_poni_witness({}, {"rh0_0": 1}, [["x"]], ("low!0", "low!1")),
+            id="fault-not-a-name",
+        ),
     ],
 )
 def test_poni_replay_rejects_a_forged_witness(text, witness):
@@ -952,6 +979,9 @@ def test_pni_replay_rejects_a_changed_probability_or_high_value():
         pytest.param(
             "out low rl0", {}, {"rl0_0": 1}, ["low!0"], ["1", "0"], id="high-names-a-low-bit"
         ),
+        pytest.param(SKIPPED_OUT, [], {"rh0_0": 1}, ["low!0"], ["1", "0"], id="low-not-an-object"),
+        pytest.param(SKIPPED_OUT, {}, {"rh0_0": 1}, 5, ["1", "0"], id="trace-not-a-list"),
+        pytest.param(SKIPPED_OUT, {}, {"rh0_0": 1}, [1], ["1", "0"], id="action-not-a-string"),
     ],
 )
 def test_pni_replay_rejects_a_forged_start(text, initial_low, high_b, trace, probabilities):
@@ -1851,7 +1881,7 @@ def timing_cases():
         cfg = configs[seed % 2]
         program = random_risc_program(Random(seed), cfg, 8)
         jumps = [(pc, instr.target) for pc, instr in enumerate(program) if instr.target]
-        if all(program.resolve_label(target) > pc for pc, target in jumps):
+        if all(program.labels()[target] > pc for pc, target in jumps):
             raw = CompileResult(program, Timing.exact(1), WriteEffect.ANY, {}, {}, (), cfg.width, ())
             yield f"random {seed}", raw, cfg
 
@@ -1987,19 +2017,44 @@ def _entry_points():
     }
 
 
+CLASHING_CONFIG = MachineConfig(1, (("rl0", LOW), ("m0", HIGH)), (LOW, HIGH))
+
+
 @pytest.mark.parametrize("entry", list(_entry_points()))
 @pytest.mark.parametrize(
-    "text, message",
+    "text, message, cfg",
     [
-        pytest.param("load rl0 7", "instruction 0: address 7 out of range", id="address"),
-        pytest.param("out low rx9", "instruction 0: unknown register 'rx9'", id="register"),
+        pytest.param("load rl0 7", "instruction 0: address 7 out of range", None, id="address"),
+        pytest.param("out low rx9", "instruction 0: unknown register 'rx9'", None, id="register"),
+        pytest.param("mover rl0 rx9", "instruction 0: unknown register 'rx9'", None, id="reg2"),
         pytest.param(
-            "jlez l0 rl0\nl0: nop", "instruction 0: jlez requires the extension flag", id="jlez"
+            "jlez l0 rl0\nl0: nop",
+            "instruction 0: jlez requires the extension flag",
+            None,
+            id="jlez",
+        ),
+        pytest.param(
+            "jlez l0 rx9\nl0: load rl0 7",
+            "instruction 0: unknown register 'rx9'",
+            None,
+            id="register-before-flag",
+        ),
+        pytest.param(
+            "nop\nload rl0 7",
+            "instruction 1: address 7 out of range",
+            None,
+            id="second-instruction",
+        ),
+        pytest.param(
+            "nop",
+            "register 'm0' clashes with another location's bit names",
+            CLASHING_CONFIG,
+            id="config",
         ),
     ],
 )
-def test_every_entry_point_refuses_an_ill_formed_program(text, message, entry):
-    cfg = standard_config(1, 1, 1, (LOW, HIGH))
+def test_every_entry_point_refuses_an_ill_formed_program(text, message, cfg, entry):
+    cfg = cfg or standard_config(1, 1, 1, (LOW, HIGH))
     with pytest.raises(AssemblyError) as refused:
         _entry_points()[entry](assemble(text), cfg)
     assert str(refused.value) == message
