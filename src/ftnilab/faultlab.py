@@ -23,13 +23,21 @@ actions and ``Fraction`` odds, sharing no code with ``Composition``.
 A fault is applied only by ``faulted_steps``.  An experiment's fault scope
 is one mask: POni walks the masks within it, and ``Composition`` cuts the
 attacker's fault sets to it, so the attacker is composed as given.
+
+An attacker state's fault distribution is a product: a joint table over
+sets of bits times independent one-bit flips, each with its own odds.  The
+uniform attacker is the empty set with odds 1 times one flip per bit, so it
+is n factors, not 2^n sets.  ``Composition`` cuts the factors to each
+state's live bits in scope and multiplies only those; the joint
+distribution over every set is built only by
+``EnvironmentSpec.fault_distribution``, the oracle's view.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -199,14 +207,26 @@ class EnvironmentSpec:
     ``transitions`` maps (state, observation) to the next state; an entry with
     the observation ``WILDCARD`` catches every observation not listed
     explicitly, which keeps the table finite for wide machine words.
-    ``faults[state]`` is an exact probability distribution over sets of
-    location names (absent sets have probability zero).
+    A state's fault distribution is the product of two factors:
+    ``faults[state]``, the joint table, an exact probability distribution
+    over sets of location names (absent sets have probability zero), and
+    ``flips[state]``, which maps a location name to the odds that the state
+    flips it, independently of the joint table and of every other flip.
+    The joint table names no bit the state flips.  ``flips`` defaults to
+    none, so an attacker given by joint tables alone is built as before; a
+    state that flips nothing is dropped from it, so equal attackers compare
+    equal.
     """
 
     states: tuple[str, ...]
     initial: str
     transitions: dict[tuple[str, object], str]
     faults: dict[str, FaultDist]
+    flips: dict[str, dict[str, Fraction]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        flips = {state: odds for state, odds in self.flips.items() if odds}
+        object.__setattr__(self, "flips", flips)
 
     def advance(self, state: str, observation: Action) -> str:
         key = (state, observation)
@@ -218,9 +238,19 @@ class EnvironmentSpec:
         raise ValueError(f"environment has no transition from {state} on {observation}")
 
     def fault_distribution(self, state: str) -> FaultDist:
-        return self.faults[state]
+        """The state's joint distribution over every fault set: the joint
+        table times each flip, expanded here and nowhere else."""
+        dist = self.faults[state]
+        for name, odds in sorted(self.flips.get(state, {}).items()):
+            with_flip = {subset | {name}: prob * odds for subset, prob in dist.items()}
+            dist = {subset: prob * (1 - odds) for subset, prob in dist.items()}
+            dist.update(with_flip)
+        return dist
 
     def validate(self, faulty: frozenset[str]) -> None:
+        """Check the joint tables and the flips of every state: their bits
+        are faulty, the joint odds are nonnegative and sum to 1, each flip's
+        odds lie in [0, 1], and no flip names a bit of its joint table."""
         if self.initial not in self.states:
             raise ValueError("initial state missing from state set")
         for state in self.states:
@@ -239,6 +269,14 @@ class EnvironmentSpec:
                 raise ValueError(
                     f"fault distribution of {state} sums to {Fraction(total, den)}, not 1"
                 )
+            joint = frozenset().union(*dist)
+            for name, odds in self.flips.get(state, {}).items():
+                if name not in faulty:
+                    raise ValueError(f"fault set {[name]} not within faulty locations")
+                if not 0 <= odds <= 1:
+                    raise ValueError(f"flip odds {odds} of {name} in {state} outside [0, 1]")
+                if name in joint:
+                    raise ValueError(f"{state} flips {name}, which its fault sets name")
 
 
 def _subsets(names: tuple[str, ...]) -> Iterator[frozenset[str]]:
@@ -248,22 +286,19 @@ def _subsets(names: tuple[str, ...]) -> Iterator[frozenset[str]]:
 
 
 def uniform_environment(epsilon: Fraction, faulty: Iterable[str]) -> EnvironmentSpec:
-    """Single-state attacker flipping each faulty bit independently with odds epsilon."""
+    """Single-state attacker flipping each faulty bit independently with odds
+    epsilon: the joint table {empty set: 1} and one flip per bit, so its size
+    is linear in the number of bits."""
     eps = Fraction(epsilon)
     if not 0 <= eps <= 1:
         raise ValueError("epsilon must lie in [0, 1]")
-    names = tuple(sorted(set(faulty)))
-    n = len(names)
-    dist: FaultDist = {}
-    for subset in _subsets(names):
-        k = len(subset)
-        dist[subset] = eps**k * (1 - eps) ** (n - k)
     state = "E0"
     return EnvironmentSpec(
         states=(state,),
         initial=state,
         transitions={(state, WILDCARD): state},
-        faults={state: dist},
+        faults={state: {frozenset(): Fraction(1)}},
+        flips={state: dict.fromkeys(sorted(set(faulty)), eps)},
     )
 
 
@@ -312,13 +347,20 @@ def environment_to_text(env: EnvironmentSpec) -> str:
     for state in env.states:
         for subset, prob in sorted(env.faults[state].items(), key=lambda kv: sorted(kv[0])):
             lines.append(f"fault {state} {_render_fault_set(subset)} {prob}")
+        for name, odds in sorted(env.flips.get(state, {}).items()):
+            lines.append(f"flip {state} {name} {odds}")
     return "\n".join(lines) + "\n"
 
 
 def environment_from_text(text: str) -> EnvironmentSpec:
+    """Parse the table format: ``start S``, ``trans S obs S'``, ``fault S
+    set p/q`` (the joint table) and ``flip S loc p/q`` (one independent
+    flip).  A state with flips and no ``fault`` line has the joint table
+    {empty set: 1}."""
     initial: str | None = None
     transitions: dict[tuple[str, object], str] = {}
     faults: dict[str, FaultDist] = {}
+    flips: dict[str, dict[str, Fraction]] = {}
     states: list[str] = []
 
     def note_state(name: str) -> None:
@@ -352,13 +394,22 @@ def environment_from_text(text: str) -> EnvironmentSpec:
                 if subset in dist:
                     raise ValueError(f"a second fault set {set_text} for {state}")
                 dist[subset] = Fraction(prob_text)
+            elif parts[0] == "flip" and len(parts) == 4:
+                state, name, odds_text = parts[1:]
+                note_state(state)
+                odds = flips.setdefault(state, {})
+                if name in odds:
+                    raise ValueError(f"a second flip of {name} for {state}")
+                odds[name] = Fraction(odds_text)
             else:
                 raise ValueError(f"unrecognized directive {parts[0]!r}")
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"environment table line {lineno}: {exc}") from exc
     if initial is None:
         raise ValueError("environment table declares no start state")
-    return EnvironmentSpec(tuple(states), initial, transitions, faults)
+    for state in flips:
+        faults.setdefault(state, {frozenset(): Fraction(1)})
+    return EnvironmentSpec(tuple(states), initial, transitions, faults, flips)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +571,8 @@ class Composition:
     """Memoizing view of a system composed with one environment.
 
     Probabilities are kept as integer weights over one common denominator,
-    ``denominator``: the lcm of the environment's fault-probability
+    ``denominator``: the lcm over the attacker's states of the lcm of the
+    joint table's denominators times the product of the flips'
     denominators.  A step's weights sum to ``denominator``, and a trace of
     length n has a count over ``denominator ** n``.  Steps and traces carry
     the system's observation codes; Fractions and ``Action`` objects are
@@ -532,7 +584,7 @@ class Composition:
     outside the scope never happens.  ``charge``, when given, is called with
     the running number of faulted steps taken (per composed state expanded,
     the distinct cuts of its nonzero fault sets) before each new expansion,
-    and may raise to stop the run.
+    and before a new cut table is built, and may raise to stop the run.
     """
 
     def __init__(
@@ -545,8 +597,26 @@ class Composition:
         self.system = system
         self.env = env
         self.scope = system.faulty_mask if scope is None else scope
+        mask_of = system.mask_of
+        # per attacker state: the joint table's nonzero rows in sorted order,
+        # as (mask, weight over the table's lcm), that lcm, and the flips in
+        # name order as (mask, odds)
+        self._factors: dict[str, tuple[list, int, list]] = {}
+        for state, dist in env.faults.items():
+            den = math.lcm(*(prob.denominator for prob in dist.values()))
+            rows = [
+                (mask_of(subset), prob.numerator * (den // prob.denominator))
+                for subset, prob in sorted(dist.items(), key=lambda item: sorted(item[0]))
+                if prob != 0
+            ]
+            odds = sorted(env.flips.get(state, {}).items())
+            flips = [(mask_of((name,)), p) for name, p in odds]
+            self._factors[state] = (rows, den, flips)
         self.denominator = math.lcm(
-            *(prob.denominator for dist in env.faults.values() for prob in dist.values())
+            *(
+                den * math.prod(odds.denominator for _, odds in flips)
+                for _, den, flips in self._factors.values()
+            )
         )
         self.charge = charge
         self.steps_taken = 0
@@ -555,29 +625,43 @@ class Composition:
         self._counts: dict[tuple, dict[tuple[int, ...], int]] = {}
 
     def _cut_table(self, env_state: str, cut: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The attacker state's fault sets with nonzero odds, in sorted order,
-        as masks cut to ``cut``, and their weights over ``denominator``, with
-        the weights of equal cuts summed, each cut in the place of its first
-        set.  A cut lies within ``scope``, so every other table is folded
-        from the one cut to it, which is built once per attacker state."""
+        """The attacker state's nonzero fault sets cut to ``cut``, as masks,
+        and their weights over ``denominator``.  The joint table's rows are
+        cut and the weights of equal cuts summed, each cut in the place of
+        its first row in sorted order; each is then joined with every choice
+        of the flips inside ``cut`` with nonzero odds, in the sorted order of
+        their names.  A flip outside ``cut`` drops out, as its two weights
+        sum to its denominator.  So a uniform attacker's cuts come in the
+        order that its expanded table, sorted and cut, would give.  A new
+        table is charged as the step that needs it before it is built."""
         key = (env_state, cut)
         table = self._cut_tables.get(key)
         if table is None:
-            scope = self.scope
-            if cut == scope:
-                dist = self.env.fault_distribution(env_state)
-                den, mask_of = self.denominator, self.system.mask_of
-                rows = [
-                    (mask_of(subset), prob.numerator * (den // prob.denominator))
-                    for subset, prob in sorted(dist.items(), key=lambda item: sorted(item[0]))
-                    if prob != 0
-                ]
-            else:
-                rows = zip(*self._cut_table(env_state, scope))
-            summed: dict[int, int] = {}
+            rows, den, flips = self._factors[env_state]
+            joint: dict[int, int] = {}
             for mask, weight in rows:
-                summed[mask & cut] = summed.get(mask & cut, 0) + weight
-            table = self._cut_tables[key] = (tuple(summed), tuple(summed.values()))
+                joint[mask & cut] = joint.get(mask & cut, 0) + weight
+            inside = [(mask, odds) for mask, odds in flips if mask & cut]
+            if self.charge is not None:
+                split = sum(0 < odds < 1 for _, odds in inside)
+                self.charge(self.steps_taken + (len(joint) << split))
+            # the flips' choices, from the last name back, each list in the
+            # sorted order of the chosen names: the empty choice first, then
+            # every choice with the first name, then the rest
+            choices = [(0, 1)]
+            for mask, odds in reversed(inside):
+                hit, miss = odds.numerator, odds.denominator - odds.numerator
+                with_flip = [(mask | m, hit * w) for m, w in choices] if hit else []
+                without = [(m, miss * w) for m, w in choices] if miss else []
+                if without and without[0][0] == 0:
+                    choices = without[:1] + with_flip + without[1:]
+                else:
+                    choices = with_flip + without
+            scale = self.denominator // (den * math.prod(odds.denominator for _, odds in inside))
+            table = self._cut_tables[key] = (
+                tuple(j | m for j in joint for m, _ in choices),
+                tuple(scale * jw * w for jw in joint.values() for _, w in choices),
+            )
         return table
 
     def step(self, state: int, env_state: str) -> list[tuple[int, int, int, str]]:

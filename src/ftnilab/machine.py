@@ -350,9 +350,11 @@ def decode(program: RiscProgram, cfg: MachineConfig) -> tuple[Decoded, ...]:
     """The one gate from a program to its machine: one pass, cached on the
     program, checks each instruction against the config and resolves it, so
     every run, step, checker and replay refuses an ill-formed program alike.
-    The first bad instruction raises ``AssemblyError`` for its register,
-    its second register (both looked up in ``CellLayout.register_cells``),
-    its address or the ``jlez`` flag, checked in that order."""
+    The first bad instruction raises ``AssemblyError`` for its opcode (one
+    of ``OPERANDS``), a missing operand field that ``OPERANDS`` lists for
+    it, its register, its second register (both looked up in
+    ``CellLayout.register_cells``), its address or the ``jlez`` flag,
+    checked in that order."""
     cached = program._decoded
     if cached is not None and (cached[0] is cfg or cached[0] == cfg):
         return cached[1]
@@ -361,6 +363,12 @@ def decode(program: RiscProgram, cfg: MachineConfig) -> tuple[Decoded, ...]:
     ops = []
     for i, instr in enumerate(program.instructions):
         op, addr = instr.op, instr.addr
+        fields = OPERANDS.get(op)
+        if fields is None:
+            raise AssemblyError(f"instruction {i}: unknown opcode {op!r}")
+        for field in fields:
+            if getattr(instr, field) is None:
+                raise AssemblyError(f"instruction {i}: {op} lacks its {field} operand")
         for name in (instr.reg, instr.reg2):
             if name not in cell_of:
                 raise AssemblyError(f"instruction {i}: unknown register {name!r}")

@@ -479,13 +479,14 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
     One pass over the trace checks the lists and joins each side's into one
     cell list, ``regs + mem``; each side then steps on its list as
     ``machine.run`` does, and a pc outside the code is stuck: it stays, with
-    a silent action.
+    a silent action.  A field that is missing or of the wrong type makes
+    the replay fail, as the three replays do alike.
     """
     ops = decode(program, cfg)
     layout = cfg.layout
     lows = layout.lows
     nregs, nmem, values = len(cfg.registers), cfg.memory_size, cfg.word_values
-    trace = witness["trace"]
+    trace = witness.get("trace")
     if type(trace) is not list or not trace:
         return False
     states = []  # per step, side a's cell list, then side b's
@@ -493,7 +494,7 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
         if type(entry) is not dict:
             return False
         for regs_key, mem_key in (("regs_a", "mem_a"), ("regs_b", "mem_b")):
-            regs, mem = entry[regs_key], entry[mem_key]
+            regs, mem = entry.get(regs_key), entry.get(mem_key)
             if type(regs) is not list or type(mem) is not list:
                 return False
             if len(regs) != nregs or len(mem) != nmem:
@@ -512,7 +513,7 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
     last = len(trace) - 1
     pcs = (0, 0)
     for i, entry in enumerate(trace):
-        pc_a, pc_b = entry["pc_a"], entry["pc_b"]
+        pc_a, pc_b = entry.get("pc_a"), entry.get("pc_b")
         if (pc_a, pc_b) != pcs:
             return False
         cells_a, cells_b = states[2 * i], states[2 * i + 1]
@@ -531,10 +532,10 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
                 if value is not None:
                     cells[instr.dest] = value
                 public = low(action)
-            if str(public) != entry[action_key]:
+            if str(public) != entry.get(action_key):
                 return False
             lo = [cells[cell] for cell in lows]
-            if lo != entry[after_key]:
+            if lo != entry.get(after_key):
                 return False
             seen.append((public, lo, pc))
         (public_a, lo_a, pc_a), (public_b, lo_b, pc_b) = seen
@@ -686,8 +687,8 @@ def _witness_states(system: RiscSystem, witness: dict) -> tuple[int, int] | None
     0.  None when one is not a JSON object, ``initial_low`` names anything
     but low data bits, an ``initial_high_*`` anything but high data bits, or
     a value is not 0 or 1."""
-    named = [(witness["initial_low"], system.low_mask)] + [
-        (witness[f"initial_high_{side}"], system.high_mask) for side in "ab"
+    named = [(witness.get("initial_low"), system.low_mask)] + [
+        (witness.get(f"initial_high_{side}"), system.high_mask) for side in "ab"
     ]
     if any(type(bits) is not dict for bits, _ in named):
         return None
@@ -706,11 +707,11 @@ def replay_poni_witness(program: RiscProgram, cfg: MachineConfig, witness: dict)
     """Drive both initial states through the fault sequence; they must split
     at its last step and only there, so an empty sequence is refused.
 
-    A fault may name only a faulty location.
+    A fault may name only a faulty location, and a missing field fails.
     """
     system = RiscSystem(program, cfg)
     states = _witness_states(system, witness)
-    trace = witness["trace"]
+    trace = witness.get("trace")
     if states is None or type(trace) is not list or not trace:
         return False
     sa, sb = states
@@ -723,7 +724,7 @@ def replay_poni_witness(program: RiscProgram, cfg: MachineConfig, witness: dict)
         mask = system.mask_of(faults)
         act_a, sa = faulted_step(system, sa, mask)
         act_b, sb = faulted_step(system, sb, mask)
-        if str(low(act_a)) != entry["low_a"] or str(low(act_b)) != entry["low_b"]:
+        if str(low(act_a)) != entry.get("low_a") or str(low(act_b)) != entry.get("low_b"):
             return False
         if (low(act_a) != low(act_b)) != (i == len(trace) - 1):
             return False
@@ -823,7 +824,8 @@ def replay_pni_witness(
     check: CheckConfig = CheckConfig(),
 ) -> bool:
     """Recompute the two trace probabilities claimed by the witness, after
-    checking the program, the scope and the attacker as ``check_pni`` does."""
+    checking the program, the scope and the attacker as ``check_pni`` does;
+    a missing field fails."""
     system = RiscSystem(program, cfg)
     scope = system.mask_of(_scope_names(system.faulty_names, check))
     env.validate(system.faulty_names)
@@ -832,7 +834,7 @@ def replay_pni_witness(
     if states is None:
         return False
     sa, sb = states
-    texts = witness["trace"]
+    texts = witness.get("trace")
     if type(texts) is not list or any(type(text) is not str for text in texts):
         return False
     try:
@@ -841,7 +843,7 @@ def replay_pni_witness(
         return False
     pa = comp.trace_probability(sa, env.initial, trace)
     pb = comp.trace_probability(sb, env.initial, trace)
-    return [str(pa), str(pb)] == witness["probabilities"] and pa != pb
+    return [str(pa), str(pb)] == witness.get("probabilities") and pa != pb
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,42 @@ def test_check_poni_violation_exit_3_with_witness(tmp_path, capsys):
     assert doc["witness"]["trace"]
 
 
+def test_check_pni_reads_flip_lines_as_their_expansion(tmp_path, capsys):
+    # a state with flip lines and no fault line has the joint table {-: 1};
+    # the verdict is that of the same attacker written as its fault sets
+    asm = write(tmp_path, "leak.s", "load rh0 0\nout low rh0\n")
+    flips = "start E0\ntrans E0 * E0\nflip E0 rh0_0 1/4\nflip E0 m0_0 1/4\n"
+    expanded = (
+        "start E0\ntrans E0 * E0\nfault E0 - 9/16\nfault E0 rh0_0 3/16\n"
+        "fault E0 m0_0 3/16\nfault E0 m0_0,rh0_0 1/16\n"
+    )
+    outputs = []
+    for name, text in (("flips.txt", flips), ("sets.txt", expanded)):
+        code, stdout, err = invoke(
+            capsys, "check", asm, "--mode", "pni", "--width", "1", "--depth", "3",
+            "--env", write(tmp_path, name, text),
+        )
+        assert code == 3, err
+        outputs.append(stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_check_refuses_a_program_outside_the_syntax_at_decode(tmp_path, capsys, monkeypatch):
+    # assemble refuses these in text; a program built in code meets decode
+    from ftnilab.machine import Instruction, RiscProgram
+
+    out, _ = compile_ok(tmp_path, capsys)
+    for instr, message in (
+        (Instruction("bogus"), "unknown opcode 'bogus'"),
+        (Instruction("load", reg="rl0"), "load lacks its addr operand"),
+    ):
+        monkeypatch.setattr("ftnilab.cli.assemble", lambda text: RiscProgram([instr]))
+        for mode in ("ss", "poni"):
+            code, stdout, err = invoke(capsys, "check", out, "--mode", mode, "--width", "1")
+            assert (code, stdout) == (1, "")
+            assert f"assembly error: instruction 0: {message}" in err
+
+
 def test_check_pni_requires_env(tmp_path, capsys):
     out, _ = compile_ok(tmp_path, capsys)
     code, _, err = invoke(capsys, "check", out, "--mode", "pni")
@@ -380,6 +416,11 @@ def test_check_pni_with_env_file(tmp_path, capsys):
         ),
         ("trans E0 * E0\nfault E0 - 1", "line 3: a second transition of E0 on *"),
         ("start E0\nfault E0 - 1", "line 3: a second start state 'E0'"),
+        ("flip E0 rl0_0 1/4\nflip E0 rl0_0 1/2", "line 4: a second flip of rl0_0 for E0"),
+        ("fault E0 rl0_0 1\nflip E0 rl0_0 1/4", "E0 flips rl0_0, which its fault sets name"),
+        ("flip E0 rl0_0 3/2", "flip odds 3/2 of rl0_0 in E0 outside [0, 1]"),
+        ("flip E0 rl0_0 -1/4", "flip odds -1/4 of rl0_0 in E0 outside [0, 1]"),
+        ("flip E0 pc_0 1/4", "fault set ['pc_0'] not within faulty locations"),
     ],
 )
 def test_check_pni_rejects_bad_environment(tmp_path, capsys, fault_line, message):

@@ -335,6 +335,16 @@ def test_trace_probability_matches_run_enumeration_for_every_short_trace():
             assert fresh.trace_probability(state, "E1", (output("low", 7),)) == 0
 
 
+# two attacker states that read tau and low!0 and catch the rest
+OBSERVING_TRANSITIONS = {
+    ("E0", TAU): "E0",
+    ("E0", output("low", 0)): "E1",
+    ("E0", "*"): "E0",
+    ("E1", TAU): "E1",
+    ("E1", "*"): "E0",
+}
+
+
 def random_attacker(rng: Random, faulty: frozenset[str]) -> EnvironmentSpec:
     """Two attacker states that read tau and low!0 and catch the rest, each
     with random integer odds over a random choice of fault sets, some of
@@ -349,14 +359,7 @@ def random_attacker(rng: Random, faulty: frozenset[str]) -> EnvironmentSpec:
         odds = [rng.randrange(4) for _ in chosen]
         odds[rng.randrange(len(odds))] += 1  # some mass, so the odds normalise
         faults[state] = {sub: Fraction(w, sum(odds)) for sub, w in zip(chosen, odds)}
-    transitions = {
-        ("E0", TAU): "E0",
-        ("E0", output("low", 0)): "E1",
-        ("E0", "*"): "E0",
-        ("E1", TAU): "E1",
-        ("E1", "*"): "E0",
-    }
-    return EnvironmentSpec(("E0", "E1"), "E0", transitions, faults)
+    return EnvironmentSpec(("E0", "E1"), "E0", OBSERVING_TRANSITIONS, faults)
 
 
 def test_composition_step_equals_the_oracle_step_grouped_by_public_action():
@@ -399,3 +402,215 @@ def test_trace_counts_with_a_prefix_follow_only_the_matching_steps():
         fresh = Composition(system, env)
         assert fresh.trace_probability(state, "E0", (output("high", 5),) * 3) == 0
         assert fresh.steps_taken == 4  # the start state's 4 fault sets, and no more
+
+
+# -- product-form attackers ---------------------------------------------------------
+
+
+def expanded(env: EnvironmentSpec) -> EnvironmentSpec:
+    """The same attacker with each state's product expanded into its joint
+    table, and no flips."""
+    faults = {state: env.fault_distribution(state) for state in env.states}
+    return EnvironmentSpec(env.states, env.initial, env.transitions, faults)
+
+
+FLIP_ODDS = (Fraction(0), Fraction(1), Fraction(1, 4), Fraction(1, 2), Fraction(2, 3))
+
+
+def random_product_attacker(rng: Random, faulty) -> EnvironmentSpec:
+    """Two attacker states that read tau and low!0 and catch the rest; each
+    flips a random part of the faulty bits, some with odds 0 or 1, and has
+    a random joint table over some subsets of the others, some of odds 0."""
+    names = sorted(faulty)
+    faults, flips = {}, {}
+    for state in ("E0", "E1"):
+        flipped = [name for name in names if rng.randrange(2)]
+        rest = [name for name in names if name not in flipped]
+        subsets = [
+            frozenset(combo)
+            for r in range(len(rest) + 1)
+            for combo in itertools.combinations(rest, r)
+        ]
+        chosen = rng.sample(subsets, rng.randint(1, min(len(subsets), 4)))
+        odds = [rng.randrange(4) for _ in chosen]
+        odds[rng.randrange(len(odds))] += 1  # some mass, so the odds normalise
+        faults[state] = {sub: Fraction(w, sum(odds)) for sub, w in zip(chosen, odds)}
+        flips[state] = {name: rng.choice(FLIP_ODDS) for name in flipped}
+    return EnvironmentSpec(("E0", "E1"), "E0", OBSERVING_TRANSITIONS, faults, flips)
+
+
+def test_uniform_attacker_is_the_empty_set_times_one_flip_per_bit():
+    env = uniform_environment(Fraction(1, 4), {"c", "a", "b"})
+    assert env.faults == {"E0": {frozenset(): Fraction(1)}}
+    assert env.flips == {"E0": {"a": Fraction(1, 4), "b": Fraction(1, 4), "c": Fraction(1, 4)}}
+    assert environment_to_text(env) == (
+        "start E0\ntrans E0 * E0\nfault E0 - 1\n"
+        "flip E0 a 1/4\nflip E0 b 1/4\nflip E0 c 1/4\n"
+    )
+    assert uniform_environment(Fraction(1, 4), ()).flips == {}
+
+
+def test_fault_distribution_expands_the_product():
+    env = EnvironmentSpec(
+        ("E0",),
+        "E0",
+        {("E0", "*"): "E0"},
+        {"E0": {frozenset(): Fraction(1, 3), frozenset({"a"}): Fraction(2, 3)}},
+        {"E0": {"b": Fraction(1, 4)}},
+    )
+    assert env.fault_distribution("E0") == {
+        frozenset(): Fraction(1, 4),
+        frozenset({"a"}): Fraction(1, 2),
+        frozenset({"b"}): Fraction(1, 12),
+        frozenset({"a", "b"}): Fraction(1, 6),
+    }
+    env.validate(frozenset({"a", "b"}))
+
+
+def test_uniform_cut_tables_equal_those_of_the_expanded_table_in_order():
+    """A uniform attacker's cut tables list the cuts in the order its
+    expanded table, sorted and cut, gives them, with the same weights over
+    the same denominator, so the composition expands states in one order
+    and a budget trips at one count."""
+    rng = Random(71)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        system = random_table_system(rng, n_locations=n, n_faulty=rng.randint(0, n))
+        env = uniform_environment(rng.choice(FLIP_ODDS), system.faulty_names)
+        product, joint = Composition(system, env), Composition(system, expanded(env))
+        assert product.denominator == joint.denominator
+        for cut in range(system.faulty_mask + 1):
+            cut &= system.faulty_mask
+            assert product._cut_table("E0", cut) == joint._cut_table("E0", cut)
+
+
+def test_product_cut_tables_hold_the_expanded_odds():
+    rng = Random(72)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        system = random_table_system(rng, n_locations=n, n_faulty=rng.randint(0, n))
+        env = random_product_attacker(rng, system.faulty_names)
+        env.validate(system.faulty_names)
+        product, joint = Composition(system, env), Composition(system, expanded(env))
+        for state in env.states:
+            for cut in range(system.faulty_mask + 1):
+                cut &= system.faulty_mask
+                masks, weights = product._cut_table(state, cut)
+                assert len(set(masks)) == len(masks)
+                assert {
+                    mask: Fraction(weight, product.denominator)
+                    for mask, weight in zip(masks, weights)
+                } == {
+                    mask: Fraction(weight, joint.denominator)
+                    for mask, weight in zip(*joint._cut_table(state, cut))
+                }
+
+
+def test_composition_step_equals_the_oracle_step_on_product_attackers():
+    rng = Random(73)
+    for _ in range(40):
+        system = random_table_system(rng, n_locations=4, n_faulty=rng.randint(1, 4))
+        env = random_product_attacker(rng, system.faulty_names)
+        comp = Composition(system, env)
+        for state in system.all_states():
+            for env_state in env.states:
+                oracle: dict = {}
+                for action, prob, succ, e2 in compose_step(system, state, env_state, env):
+                    key = (low(action), succ, e2)
+                    oracle[key] = oracle.get(key, Fraction(0)) + prob
+                assert oracle == {
+                    (system.observations[code], succ, e2): Fraction(weight, comp.denominator)
+                    for code, weight, succ, e2 in comp.step(state, env_state)
+                }
+
+
+def test_trace_distributions_of_product_attackers_match_run_enumeration():
+    rng = Random(74)
+    for _ in range(6):
+        system = random_table_system(rng, n_locations=3, n_faulty=3)
+        env = random_product_attacker(rng, system.faulty_names)
+        comp = Composition(system, env)
+        for state in system.all_states():
+            by_runs: dict = {}
+            for run in enumerate_runs(system, env, state, "E0", 3):
+                by_runs[run.trace] = by_runs.get(run.trace, Fraction(0)) + run.probability
+            by_runs = {t: p for t, p in by_runs.items() if p != 0}
+            dist = {t: p for t, p in comp.trace_distribution(state, "E0", 3).items() if p != 0}
+            assert by_runs == dist
+
+
+def test_a_cut_table_is_charged_before_it_is_built():
+    # 12 flips inside the cut make 4,096 cuts; a charge that refuses them
+    # stops the step before the table exists
+    names = [f"b{i}" for i in range(12)]
+    system = TableSystem(names, names, {0: (TAU, 0)})
+    seen = []
+
+    def charge(taken):
+        seen.append((taken, len(comp._cut_tables)))
+        raise RuntimeError("over")
+
+    comp = Composition(system, uniform_environment(Fraction(1, 4), names), charge=charge)
+    with pytest.raises(RuntimeError, match="over"):
+        comp.step(0, "E0")
+    assert seen == [(4096, 0)] and comp._cut_tables == {}
+
+
+def test_product_attacker_table_round_trip():
+    rng = Random(75)
+    for _ in range(20):
+        env = random_product_attacker(rng, {"a", "b", "c", "d"})
+        assert environment_from_text(environment_to_text(env)) == env
+
+
+def test_a_state_with_flips_and_no_fault_line_has_the_empty_set_joint():
+    env = environment_from_text("start E0\ntrans E0 * E0\nflip E0 a 1/4\nflip E0 b 1/4\n")
+    assert env.faults == {"E0": {frozenset(): Fraction(1)}}
+    assert env == uniform_environment(Fraction(1, 4), {"a", "b"})
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("flip E0 a 1/4\nflip E0 a 1/4", "line 4: a second flip of a for E0"),
+        ("flip E0 a half", "line 3: "),
+    ],
+)
+def test_environment_table_refuses_a_bad_flip_line(lines, message):
+    with pytest.raises(ValueError, match=message):
+        environment_from_text(f"start E0\ntrans E0 * E0\n{lines}\n")
+
+
+NOTHING = {frozenset(): Fraction(1)}
+
+
+@pytest.mark.parametrize(
+    "faults, flips, message",
+    [
+        pytest.param(
+            {frozenset({"a"}): Fraction(1)}, {"a": Fraction(1, 4)},
+            "E0 flips a, which its fault sets name", id="joint-bit",
+        ),
+        pytest.param(
+            {frozenset({"a"}): Fraction(0), **NOTHING}, {"a": Fraction(1, 4)},
+            "E0 flips a, which its fault sets name", id="joint-bit-of-odds-0",
+        ),
+        pytest.param(
+            NOTHING, {"a": Fraction(3, 2)}, r"flip odds 3/2 of a in E0 outside \[0, 1\]",
+            id="above-1",
+        ),
+        pytest.param(
+            NOTHING, {"a": Fraction(-1, 4)}, r"flip odds -1/4 of a in E0 outside \[0, 1\]",
+            id="negative",
+        ),
+        pytest.param(
+            NOTHING, {"t": Fraction(1, 4)}, r"fault set \['t'\] not within faulty locations",
+            id="fault-tolerant",
+        ),
+    ],
+)
+def test_validate_refuses_a_bad_flip(faults, flips, message):
+    system = TableSystem(*bits("a,b|t"), {})
+    env = EnvironmentSpec(("E0",), "E0", {("E0", "*"): "E0"}, {"E0": faults}, {"E0": flips})
+    with pytest.raises(ValueError, match=message):
+        env.validate(system.faulty_names)

@@ -17,6 +17,8 @@ from ftnilab.faultlab import (
     Composition,
     EnvironmentSpec,
     enumerate_runs,
+    environment_from_text,
+    environment_to_text,
     faulted_step,
     low,
     output,
@@ -2084,3 +2086,130 @@ def test_random_programs_fit_a_machine_without_memory():
         program = random_risc_program(Random(seed), cfg, 8)
         RiscSystem(program, cfg)
         assert not {"load", "store"} & {instr.op for instr in program.instructions}
+
+
+# -- product-form attackers ---------------------------------------------------------
+
+
+def _pni_outcome(program, cfg, env, check):
+    try:
+        return check_pni(program, cfg, env, check).to_json()
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def _differential_cells():
+    """(program, config, whether to check the full scope too): the corpus at
+    widths 1-3, at full scope only at width 1, where the expanded attacker
+    stays small, and random pools at widths 1-3, a machine of three cells at
+    width 3, each at both scopes."""
+    for name, text in CORPUS:
+        src = parse(text)
+        for width in (1, 2, 3):
+            cfg = config_for_source(src, width)
+            yield compile_program(src, cfg).program, cfg, width == 1
+    for width, draws, memory in ((1, 60, (LOW, HIGH)), (2, 20, (LOW, HIGH)), (3, 10, (HIGH,))):
+        rng = Random(40 + width)
+        cfg = standard_config(width, 1, 1, memory)
+        for _ in range(draws):
+            yield random_risc_program(rng, cfg, 8), cfg, True
+
+
+def test_pni_on_a_product_attacker_equals_pni_on_its_expansion():
+    """Each attacker of ``environment_family``, and a random two-state
+    attacker with a joint table on some bits and flips on the others, gives
+    the verdict and witness (or budget exit) that the same attacker gives
+    with its product expanded into joint tables."""
+    from test_faultlab import expanded, random_product_attacker
+
+    rng = Random(83)
+    verdicts = Counter()
+    for program, cfg, full in _differential_cells():
+        system = RiscSystem(program, cfg)
+        for scope in (default_scope(system), None) if full else (default_scope(system),):
+            names = tuple(sorted(system.faulty_names)) if scope is None else scope
+            check = CheckConfig(depth=3, fault_scope=scope)
+            attackers = [env for _, env in environment_family(names)]
+            attackers.append(random_product_attacker(rng, names))
+            for env in attackers:
+                found = _pni_outcome(program, cfg, env, check)
+                assert found == _pni_outcome(program, cfg, expanded(env), check)
+                verdicts[found["status"] if type(found) is dict else "exit"] += 1
+    assert verdicts["violation"] >= 10 and verdicts["secure-up-to-bound"] >= 500, verdicts
+
+
+def test_environment_family_table_round_trip():
+    for scope in ((), ("rl0_0",), ("rl0_0", "rh0_0", "m0_1")):
+        for name, env in environment_family(scope):
+            assert environment_from_text(environment_to_text(env)) == env, name
+
+
+@pytest.mark.parametrize("entry", list(_entry_points()))
+@pytest.mark.parametrize(
+    "instr, message",
+    [
+        pytest.param(Instruction("bogus"), "instruction 0: unknown opcode 'bogus'", id="opcode"),
+        pytest.param(
+            Instruction("load", reg="rl0"), "instruction 0: load lacks its addr operand", id="addr"
+        ),
+        pytest.param(
+            Instruction("out", reg="rl0"),
+            "instruction 0: out lacks its channel operand",
+            id="channel",
+        ),
+        pytest.param(
+            Instruction("movek", reg="rx9"),
+            "instruction 0: movek lacks its value operand",
+            id="field-before-register",
+        ),
+    ],
+)
+def test_every_entry_point_refuses_an_instruction_outside_the_syntax(instr, message, entry):
+    """``decode`` checks the opcode, then the fields ``OPERANDS`` lists for
+    it, before the registers: programs built in code, not assembled, meet
+    the gate that ``assemble`` keeps for text."""
+    cfg = standard_config(1, 1, 1, (LOW, HIGH))
+    with pytest.raises(AssemblyError) as refused:
+        _entry_points()[entry](RiscProgram([instr]), cfg)
+    assert str(refused.value) == message
+
+
+def _witness_pool():
+    """(replay, witness) pairs of real violations: SS, POni and PNI
+    witnesses of random programs at width 1."""
+    cfg = standard_config(1, 1, 1, (LOW, HIGH))
+    check = CheckConfig(depth=3)
+    env = uniform_environment(Fraction(1, 4), cfg.layout.faulty_names)
+    rng = Random(84)
+    pool = []
+    kinds = Counter()
+    while min(kinds["ss"], kinds["poni"], kinds["pni"]) < 4:
+        program = random_risc_program(rng, cfg, 6)
+        for kind, verdict, replay in (
+            ("ss", check_strong_security(program, cfg), replay_ss_witness),
+            ("poni", check_poni(program, cfg, check), replay_poni_witness),
+            (
+                "pni",
+                check_pni(program, cfg, env, check),
+                functools.partial(replay_pni_witness, env=env, check=check),
+            ),
+        ):
+            if not verdict.secure and kinds[kind] < 4:
+                kinds[kind] += 1
+                assert replay(program, cfg, witness=verdict.witness)
+                pool.append((kind, program, cfg, replay, verdict.witness))
+    return pool
+
+
+def test_replays_return_false_on_a_witness_missing_any_field():
+    for kind, program, cfg, replay, witness in _witness_pool():
+        for key in witness:
+            cut = {k: v for k, v in witness.items() if k != key}
+            assert replay(program, cfg, witness=cut) is False, (kind, key)
+        for i, entry in enumerate(witness["trace"]):
+            if type(entry) is not dict:
+                continue
+            for key in entry:
+                cut = copy.deepcopy(witness)
+                del cut["trace"][i][key]
+                assert replay(program, cfg, witness=cut) is False, (kind, i, key)
