@@ -1,6 +1,6 @@
 """Frontier run: how far each checker reaches as the machine word widens.
 
-    python3 tools/frontier.py [--widths 1,2,3,4,5,8] [--pni-widths 1,2,3,4] > frontier.json
+    python3 tools/frontier.py [--widths 1,2,3,4,5,8] > frontier.json
 
 Runs three checkers, under the default budget, on two suites of programs:
 
@@ -20,13 +20,12 @@ Each (checker, suite, width) cell runs in a child process of its own, so its
 peak RSS (``ru_maxrss``) is its own.  Each check gets 20 s of wall time
 (``signal.alarm``) and the child at most 512 MiB of address space;
 a check that runs out of either stops the cell, and the checks after it are
-recorded as not run.  A violation's witness is replayed.  Widths of the PNI
-column outside ``--pni-widths`` (default: every width) are recorded as not
-run.  Per cell the record holds the seconds spent in the checks, the
-verdict counts, the budget exits with the charge that tripped, the
-timeouts, the checks not run, the slowest check with its seconds and the
-peak RSS in MB; per checker and suite, ``reach`` is the largest width up
-to which every check of every cell returned a verdict.
+recorded as not run.  A violation's witness is replayed.  Per cell the
+record holds the seconds spent in the checks, the verdict counts, the
+budget exits with the charge that tripped, the timeouts, the checks not
+run, the slowest check with its seconds and the peak RSS in MB; per
+checker and suite, ``reach`` is the largest width up to which every check
+of every cell returned a verdict.
 
 The JSON document goes to stdout, and each cell's record, as it is made,
 to stderr.  The exit code is 1 if a witness fails to replay or a child
@@ -171,7 +170,6 @@ def returned(cell: dict) -> bool:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--widths", default="1,2,3,4,5,8")
-    parser.add_argument("--pni-widths", default=None)
     parser.add_argument("--cell", nargs=3, help=argparse.SUPPRESS)  # one cell, in a child
     args = parser.parse_args(argv)
     if args.cell:
@@ -179,7 +177,6 @@ def main(argv: list[str]) -> int:
         print(json.dumps(run_cell(checker, suite, int(width))))
         return 0
     widths = [int(w) for w in args.widths.split(",")]
-    pni_widths = widths if args.pni_widths is None else [int(w) for w in args.pni_widths.split(",")]
     cells, reach, failed = [], {}, False
     for checker in CHECKERS:
         for suite in SUITES:
@@ -187,19 +184,16 @@ def main(argv: list[str]) -> int:
             reaching = True
             for width in widths:
                 cell = {"checker": checker, "suite": suite, "width": width}
-                if checker == "pni" and width not in pni_widths:
-                    cell["not_run"] = "outside --pni-widths"
+                child = subprocess.run(
+                    [sys.executable, __file__, "--cell", checker, suite, str(width)],
+                    capture_output=True,
+                    text=True,
+                )
+                if child.returncode == 0:
+                    cell.update(json.loads(child.stdout))
                 else:
-                    child = subprocess.run(
-                        [sys.executable, __file__, "--cell", checker, suite, str(width)],
-                        capture_output=True,
-                        text=True,
-                    )
-                    if child.returncode == 0:
-                        cell.update(json.loads(child.stdout))
-                    else:
-                        cell["child_failed"] = child.stderr.strip().splitlines()[-1:]
-                    failed = failed or child.returncode != 0 or bool(cell.get("replay_failures"))
+                    cell["child_failed"] = child.stderr.strip().splitlines()[-1:]
+                failed = failed or child.returncode != 0 or bool(cell.get("replay_failures"))
                 reaching = reaching and returned(cell)
                 if reaching:
                     reach[checker][suite] = width
@@ -214,7 +208,6 @@ def main(argv: list[str]) -> int:
             "limit_s": LIMIT_S,
             "memory_cap_mb": MEMORY_CAP >> 20,
             "widths": widths,
-            "pni_widths": pni_widths,
         },
         "reach": reach,
         "cells": cells,
