@@ -87,6 +87,10 @@ class Instruction(NamedTuple):
         return tuple(r for r in (self.reg, self.reg2) if r is not None)
 
 
+# Every operand field of ``Instruction``: all but the opcode and the label.
+OPERAND_FIELDS = Instruction._fields[2:]
+
+
 class RiscProgram:
     """An ordered, well-formed instruction list with resolvable labels."""
 
@@ -352,7 +356,8 @@ def decode(program: RiscProgram, cfg: MachineConfig) -> tuple[Decoded, ...]:
     every run, step, checker and replay refuses an ill-formed program alike.
     The first bad instruction raises ``AssemblyError`` for its opcode (one
     of ``OPERANDS``), a missing operand field that ``OPERANDS`` lists for
-    it, its register, its second register (both looked up in
+    it, a present one that it does not list, an ``out`` channel outside
+    ``CHANNELS``, its register, its second register (both looked up in
     ``CellLayout.register_cells``), its address or the ``jlez`` flag,
     checked in that order."""
     cached = program._decoded
@@ -369,6 +374,13 @@ def decode(program: RiscProgram, cfg: MachineConfig) -> tuple[Decoded, ...]:
         for field in fields:
             if getattr(instr, field) is None:
                 raise AssemblyError(f"instruction {i}: {op} lacks its {field} operand")
+        for field in OPERAND_FIELDS:
+            if field not in fields and getattr(instr, field) is not None:
+                raise AssemblyError(f"instruction {i}: {op} takes no {field} operand")
+        if instr.channel is not None and instr.channel not in CHANNELS:
+            raise AssemblyError(
+                f"instruction {i}: channel must be low or high, got {instr.channel!r}"
+            )
         for name in (instr.reg, instr.reg2):
             if name not in cell_of:
                 raise AssemblyError(f"instruction {i}: unknown register {name!r}")

@@ -19,12 +19,12 @@ All three checkers enumerate concrete state spaces at small word widths:
   part to the next pc the code gives and builds no summary.  The first
   low part that reaches each successor is the same, so verdicts and
   witnesses are those of the full walk.  Each witness step is read off its
-  summary entry (a fixed step's is built with the witness): the low part,
-  the first value of the one high cell the step reads that yields the
-  entry, and every other cell 0, which is the first state in high-vector
-  order that steps alike.  ``_ss_witness`` writes the trace's lists
-  straight from these values and the entry's low write, with no machine
-  state built; ``replay_ss_witness`` is the one re-execution, on
+  summary entry (a fixed step's is built with the witness, uncharged): the
+  low part, the first value of the one high cell the step reads that
+  yields the entry, and every other cell 0, which is the first state in
+  high-vector order that steps alike.  ``_ss_witness`` writes the trace's
+  lists straight from these values and the entry's low write, with no
+  machine state built; ``replay_ss_witness`` is the one re-execution, on
   ``machine.effect`` over one cell list per side, as ``machine.run``
   steps.
 * ``check_poni`` compares the sets of fault-annotated traces of low-equal
@@ -280,24 +280,30 @@ class _SSTables:
             else None
             for pc, op in enumerate(self.ops)
         }
-        self._entries: dict[tuple[int, tuple], tuple] = {}
+        # a silent step has its one entry whatever it reads, and the pc past
+        # the end is stuck; neither runs ``effect``
+        end = len(self.ops)
+        self._entries: dict[tuple[int, tuple], tuple] = {
+            (pc,): ((TAU, (), pc + 1, ()),) for pc in range(end) if self.silent[pc]
+        }
+        self._entries[end,] = ((TAU, (), end, ()),)
 
     def entries(self, pc: int, lo: tuple) -> tuple:
-        """The sorted summary entries of pc from the low part ``lo``."""
+        """The sorted summary entries of pc from the low part ``lo``; a new
+        summary is charged before it is built."""
         key = (pc, *map(lo.__getitem__, self.touched.get(pc, ())))
         if key not in self._entries:
+            highs = sum(c not in self.slot_of_cell for c in self.ops[pc].sources)
+            self.evaluations += self.cfg.word_values**highs
+            _charge(self.evaluations, "summary evaluations", self.budget)
             self._entries[key] = self._summarize(pc, lo)
         return self._entries[key]
 
     def _summarize(self, pc: int, lo: tuple) -> tuple:
-        if not 0 <= pc < len(self.ops):
-            return ((TAU, (), pc, ()),)
-        if self.silent[pc]:
-            return ((TAU, (), pc + 1, ()),)
+        """The sorted entries of the instruction at pc from the low part
+        ``lo``, uncharged."""
         instr = self.ops[pc]
         slots = self.slot_of_cell
-        self.evaluations += self.cfg.word_values ** sum(c not in slots for c in instr.sources)
-        _charge(self.evaluations, "summary evaluations", self.budget)
         every = range(self.cfg.word_values)
         value_sets = [(lo[slots[c]],) if c in slots else every for c in instr.sources]
         dest = slots.get(instr.dest)
@@ -309,10 +315,7 @@ class _SSTables:
             key = (low(action), write, nxt)
             if key not in out:
                 out[key] = (*key, tuple(zip(instr.sources, args)))
-        entries = tuple(out.values())
-        if len(entries) == 1:
-            return entries
-        return tuple(sorted(entries, key=lambda e: (str(e[0]), e[1], e[2])))
+        return tuple(sorted(out.values(), key=lambda e: (str(e[0]), e[1], e[2])))
 
 
 def check_strong_security(
@@ -339,8 +342,13 @@ def _ss_split(tables: _SSTables) -> list[tuple] | None:
     a low part whose two steps differ publicly.  A pair is walked over the
     low slots its two instructions touch, except that a diagonal pair whose
     step is fixed goes to its one next pc for the all-zero low part, and
-    its step keeps no entries (``_ss_witness`` reads them back); the running
-    total of low assignments walked is charged before each pair.
+    its step keeps no entries (``_ss_witness`` builds them uncharged); the
+    running total of low assignments walked is charged before each pair.
+
+    Each other pair is one comparison loop per low part, over the sorted
+    entries of p, then of q: the first pair of entries whose public actions
+    or low writes differ is the split, and every pair before it records its
+    next point pair, if new, in that a-major order.
     """
     nlows, budget = len(tables.lows), tables.budget
     values = tables.cfg.word_values
@@ -371,23 +379,13 @@ def _ss_split(tables: _SSTables) -> list[tuple] | None:
             lows = zeros
         for lo in lows:
             e1s, e2s = tables.entries(p, lo), tables.entries(q, lo)
-            if len(e1s) == 1 and len(e2s) == 1:  # the common case, compared directly
-                a, b = e1s[0], e2s[0]
-                if a[0] != b[0] or a[1] != b[1]:
-                    return _chain(parent, (pair, lo, a, b))
-                succ = (a[2], b[2])
-                if succ not in parent:
-                    parent[succ] = (pair, lo, a, b)
-                    queue.append(succ)
-                continue
-            split = next(((a, b) for a in e1s for b in e2s if a[:2] != b[:2]), None)
-            if split is not None:
-                return _chain(parent, (pair, lo, *split))
-            for e1 in e1s:
-                for e2 in e2s:
-                    succ = (e1[2], e2[2])
+            for a in e1s:
+                for b in e2s:
+                    if a[0] != b[0] or a[1] != b[1]:
+                        return _chain(parent, (pair, lo, a, b))
+                    succ = (a[2], b[2])
                     if succ not in parent:
-                        parent[succ] = (pair, lo, e1, e2)
+                        parent[succ] = (pair, lo, a, b)
                         queue.append(succ)
     return None
 
@@ -416,8 +414,10 @@ def _ss_witness(tables: _SSTables, chain: list[tuple]) -> dict:
     initial = None
     trace = []
     for (p, q), lo, e1, e2 in chain:
-        if e1 is None:  # a fixed diagonal step keeps no entry; read its one
-            e1 = e2 = tables.entries(p, lo)[0]
+        if e1 is None:  # a fixed diagonal step keeps no entry: a silent one's
+            # is in the tables, any other reads only low cells, so its one is
+            # built here; neither read is charged, as the walk is over
+            e1 = e2 = (tables.entries if tables.silent[p] else tables._summarize)(p, lo)[0]
         base = [0] * ncells
         for cell, value in zip(tables.lows, lo):
             base[cell] = value
@@ -480,7 +480,9 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
     cell list, ``regs + mem``; each side then steps on its list as
     ``machine.run`` does, and a pc outside the code is stuck: it stays, with
     a silent action.  A field that is missing or of the wrong type makes
-    the replay fail, as the three replays do alike.
+    the replay fail, as the three replays do alike: every field a checker
+    writes as an int must be an ``int``, so neither ``1.0`` nor ``True``
+    stands for 1, and each side steps on the pc the replay computed.
     """
     ops = decode(program, cfg)
     layout = cfg.layout
@@ -504,17 +506,19 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
                 if type(value) is not int or not 0 <= value < values:
                     return False
             states.append(cells)
-    if any(
-        witness.get(key) != named
-        for key, named in _ss_initial(layout, states[0], states[1]).items()
-    ):
-        return False
+    for key, named in _ss_initial(layout, states[0], states[1]).items():
+        given = witness.get(key)
+        if given != named:
+            return False
+        for value in given.values():
+            if type(value) is not int:
+                return False
     end, width = len(ops), cfg.width
     last = len(trace) - 1
     pcs = (0, 0)
     for i, entry in enumerate(trace):
         pc_a, pc_b = entry.get("pc_a"), entry.get("pc_b")
-        if (pc_a, pc_b) != pcs:
+        if (pc_a, pc_b) != pcs or type(pc_a) is not int or type(pc_b) is not int:
             return False
         cells_a, cells_b = states[2 * i], states[2 * i + 1]
         for cell in lows:
@@ -522,8 +526,8 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
                 return False
         seen = []
         for pc, cells, action_key, after_key in (
-            (pc_a, cells_a, "action_a", "low_after_a"),
-            (pc_b, cells_b, "action_b", "low_after_b"),
+            (pcs[0], cells_a, "action_a", "low_after_a"),
+            (pcs[1], cells_b, "action_b", "low_after_b"),
         ):
             public = TAU  # a pc outside the code is stuck
             if 0 <= pc < end:
@@ -535,8 +539,12 @@ def replay_ss_witness(program: RiscProgram, cfg: MachineConfig, witness: dict) -
             if str(public) != entry.get(action_key):
                 return False
             lo = [cells[cell] for cell in lows]
-            if lo != entry.get(after_key):
+            given = entry.get(after_key)
+            if lo != given:
                 return False
+            for value in given:
+                if type(value) is not int:
+                    return False
             seen.append((public, lo, pc))
         (public_a, lo_a, pc_a), (public_b, lo_b, pc_b) = seen
         pcs = (pc_a, pc_b)

@@ -689,6 +689,19 @@ def test_check_ss_budget_trips_before_a_summary(tmp_path, asm, width, budget, ev
     assert "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("budget", ["2", "3"])
+def test_check_ss_split_met_within_the_budget_exits_3(tmp_path, capsys, monkeypatch, budget):
+    # the walk charges 2 low assignments and 2 summary evaluations before it
+    # meets the split at (1, 1); the witness reads the fixed step at (0, 0)
+    # back uncharged, so a budget of 2 reports the violation too
+    asm = write(tmp_path, "p.s", "movek rl0 1\nout low rh0\n")
+    monkeypatch.setenv("FTNI_BUDGET", budget)
+    code, stdout, err = invoke(capsys, "check", asm, "--mode", "ss", "--width", "1")
+    assert code == 3, err
+    program, cfg, _ = _load_program(asm, 1)
+    assert replay_ss_witness(program, cfg, json.loads(stdout)["witness"])
+
+
 PADDED_IF = "high h; low x; if h then h := 1 else skip; out low 3\n"
 LEVELS_WITH_X = {"rl0": "L", "rl1": "L", "rh0": "X", "rh1": "H"}
 

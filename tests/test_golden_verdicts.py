@@ -13,20 +13,22 @@ leak, and its configuration interleaves low and high cells (``rl0``,
 checkers lay out and name the cells of each level.  The width-2 pool keeps
 its SS witnesses too: 16 of its 20 draws leak, with chains of 1 to 8 steps,
 so they pin which reached point pair the pair walk reports and the path it
-takes there.
+takes there.  Every stored witness is also replayed as read from the file,
+so a replay cannot come to refuse what a checker writes.
 
 Regenerate (only when a verdict change is intended) with
 ``PYTHONPATH=src python tests/test_golden_verdicts.py > tests/golden_verdicts.json``.
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 from ftnilab.corpus import config_for_source, corpus_sources
 from ftnilab.faultlab import uniform_environment
-from ftnilab.machine import HIGH, LOW, RiscSystem, disassemble, standard_config
+from ftnilab.machine import HIGH, LOW, RiscSystem, assemble, disassemble, standard_config
 from ftnilab.seccomp import compile_program
 from ftnilab.verify import (
     CheckConfig,
@@ -35,6 +37,9 @@ from ftnilab.verify import (
     check_strong_security,
     default_scope,
     random_risc_program,
+    replay_pni_witness,
+    replay_poni_witness,
+    replay_ss_witness,
 )
 
 GOLDEN = Path(__file__).with_name("golden_verdicts.json")
@@ -90,6 +95,32 @@ def render(doc: dict) -> str:
 
 def test_verdicts_match_golden_file():
     assert render(compute_golden()) == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_every_stored_witness_replays_as_loaded():
+    """Each violation witness of the golden file, read back from its JSON,
+    replays on its program: the pool's stored assembly on the pool's config,
+    with PNI against the uniform attacker on the default scope.  (No corpus
+    program leaks.)"""
+    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    replayed = Counter()
+    for pool, width in (("random_w1", 1), ("random_w2", 2)):
+        cfg = standard_config(width, 1, 1, (LOW, HIGH))
+        for entry in doc[pool]:
+            program = assemble(entry["asm"])
+            scope = default_scope(RiscSystem(program, cfg))
+            check = CheckConfig(depth=DEPTH, fault_scope=scope)
+            env = uniform_environment(EPSILON, scope)
+            replays = {
+                "ss": lambda witness: replay_ss_witness(program, cfg, witness),
+                "poni": lambda witness: replay_poni_witness(program, cfg, witness),
+                "pni": lambda witness: replay_pni_witness(program, cfg, env, witness, check),
+            }
+            for kind, replay in replays.items():
+                if entry[kind]["status"] == "violation":
+                    assert replay(entry[kind]["witness"]), (pool, entry["asm"], kind)
+                    replayed[kind] += 1
+    assert replayed == {"ss": 65, "poni": 4, "pni": 4}
 
 
 if __name__ == "__main__":

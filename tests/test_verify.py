@@ -327,10 +327,12 @@ def reference_replay_ss_witness(program, cfg, witness):
                 if any(type(v) is not int or not 0 <= v < cfg.word_values for v in cells):
                     return False
     for key, fields in ss_initial_fields(cfg, trace[0]).items():
-        if witness.get(key) != fields:
+        if witness.get(key) != fields or not is_ints(witness[key].values()):
             return False
     pcs = (0, 0)
     for i, entry in enumerate(trace):
+        if not is_ints((entry["pc_a"], entry["pc_b"])):
+            return False
         states = [
             MachineState(
                 entry[f"pc_{side}"], tuple(entry[f"regs_{side}"]), tuple(entry[f"mem_{side}"])
@@ -348,7 +350,7 @@ def reference_replay_ss_witness(program, cfg, witness):
             if str(low(action)) != entry[f"action_{side}"]:
                 return False
             lo = list(_cells(succ, lows))
-            if lo != entry[f"low_after_{side}"]:
+            if lo != entry[f"low_after_{side}"] or not is_ints(entry[f"low_after_{side}"]):
                 return False
             seen.append((low(action), lo))
             succs.append(succ.pc)
@@ -359,13 +361,45 @@ def reference_replay_ss_witness(program, cfg, witness):
     return True
 
 
+def is_ints(values):
+    return all(type(value) is int for value in values)
+
+
+def retyped(value):
+    """The values equal to the int ``value`` that JSON can spell otherwise:
+    its float, and its bool when it is 0 or 1."""
+    return (float(value), *((bool(value),) if value in (0, 1) else ()))
+
+
+def ss_witness_retypings(witness):
+    """The witness with one int field given as an equal float or bool: each
+    ``initial_*`` value, and per step each pc and ``low_after`` cell."""
+    for key in ("initial_low", "initial_high_a", "initial_high_b"):
+        for name, value in witness[key].items():
+            for replaced in retyped(value):
+                yield {**witness, key: {**witness[key], name: replaced}}
+    trace = witness["trace"]
+    for i, entry in enumerate(trace):
+        for side in "ab":
+            fields = [(f"pc_{side}", replaced) for replaced in retyped(entry[f"pc_{side}"])]
+            after = entry[f"low_after_{side}"]
+            for cell, value in enumerate(after):
+                for replaced in retyped(value):
+                    cells = list(after)
+                    cells[cell] = replaced
+                    fields.append((f"low_after_{side}", cells))
+            for key, replaced in fields:
+                yield {**witness, "trace": [*trace[:i], {**entry, key: replaced}, *trace[i + 1 :]]}
+
+
 def ss_witness_mutations(witness, word_values, code_length):
     """The witness with one field changed: per step, each pc +-1, each
     ``regs``, ``mem`` and ``low_after`` cell + 1 mod the word, each ``regs``
-    and ``mem`` cell set to ``True``, ``word_values`` or -1, each ``regs``
-    list given as a tuple, or the two actions swapped; per later step, each
-    pc set to -1 or to ``code_length``, the first pc outside the code; or
-    the last step dropped, or repeated."""
+    and ``mem`` cell set to ``True``, ``word_values``, -1 or its float, each
+    ``regs`` list given as a tuple, or the two actions swapped; per later
+    step, each pc set to -1 or to ``code_length``, the first pc outside the
+    code; the last step dropped, or repeated; or one of
+    ``ss_witness_retypings``."""
     trace = witness["trace"]
 
     def changed(i, fields):
@@ -378,7 +412,9 @@ def ss_witness_mutations(witness, word_values, code_length):
                 yield changed(i, {f"pc_{side}": moved})
             for key in (f"regs_{side}", f"mem_{side}", f"low_after_{side}"):
                 for cell, value in enumerate(entry[key]):
-                    bad = (True, word_values, -1) if key != f"low_after_{side}" else ()
+                    bad = (True, word_values, -1, float(value))
+                    if key == f"low_after_{side}":
+                        bad = ()
                     for replaced in ((value + 1) % word_values, *bad):
                         cells = list(entry[key])
                         cells[cell] = replaced
@@ -387,6 +423,7 @@ def ss_witness_mutations(witness, word_values, code_length):
         yield changed(i, {"action_a": entry["action_b"], "action_b": entry["action_a"]})
     yield {**witness, "trace": trace[:-1]}
     yield {**witness, "trace": trace + trace[-1:]}
+    yield from ss_witness_retypings(witness)
 
 
 # Leaking programs whose witnesses pass through a ``jmp``, which
@@ -440,6 +477,24 @@ def test_ss_replay_keeps_every_check_of_the_reference_replay():
             ), (width, text)
             compare(program, cfg, witness, (width, text))
     assert seen["witness"] >= 150 and min(seen[True], seen[False]) >= 100, seen
+
+
+def test_ss_replay_refuses_a_float_or_bool_for_an_int():
+    """A pc, low part after or initial cell that equals the checker's int but
+    is a float or bool fails the replay; nothing raises."""
+    retypings = 0
+    for width in (1, 2):
+        rng = Random(20 + width)
+        cfg = standard_config(width, 1, 1, (LOW, HIGH), True)
+        programs = [random_risc_program(rng, cfg, 8) for _ in range(40)]
+        for program in programs + [assemble(text) for text in JMP_LEAKS]:
+            verdict = check_strong_security(program, cfg)
+            if verdict.secure:
+                continue
+            for mutant in ss_witness_retypings(verdict.witness):
+                assert replay_ss_witness(program, cfg, mutant) is False, (width, mutant)
+                retypings += 1
+    assert retypings >= 500, retypings
 
 
 def test_ss_witness_high_parts_are_the_first_matching_high_vectors():
@@ -2024,7 +2079,7 @@ CLASHING_CONFIG = MachineConfig(1, (("rl0", LOW), ("m0", HIGH)), (LOW, HIGH))
 
 @pytest.mark.parametrize("entry", list(_entry_points()))
 @pytest.mark.parametrize(
-    "text, message, cfg",
+    "source, message, cfg",
     [
         pytest.param("load rl0 7", "instruction 0: address 7 out of range", None, id="address"),
         pytest.param("out low rx9", "instruction 0: unknown register 'rx9'", None, id="register"),
@@ -2053,12 +2108,45 @@ CLASHING_CONFIG = MachineConfig(1, (("rl0", LOW), ("m0", HIGH)), (LOW, HIGH))
             CLASHING_CONFIG,
             id="config",
         ),
+        pytest.param(
+            Instruction("out", channel="bogus", reg="rh0"),
+            "instruction 0: channel must be low or high, got 'bogus'",
+            None,
+            id="channel",
+        ),
+        pytest.param(
+            Instruction("jmp", target="l0", reg="rh0", label="l0"),
+            "instruction 0: jmp takes no reg operand",
+            None,
+            id="unlisted-reg",
+        ),
+        pytest.param(
+            Instruction("nop", reg="rl0"),
+            "instruction 0: nop takes no reg operand",
+            None,
+            id="unlisted-nop-reg",
+        ),
+        pytest.param(
+            Instruction("movek", reg="rl0", value=1, addr=0),
+            "instruction 0: movek takes no addr operand",
+            None,
+            id="unlisted-addr",
+        ),
+        pytest.param(
+            Instruction("out", channel="bogus", reg="rh0", reg2="rx9"),
+            "instruction 0: out takes no reg2 operand",
+            None,
+            id="unlisted-before-channel",
+        ),
     ],
 )
-def test_every_entry_point_refuses_an_ill_formed_program(text, message, cfg, entry):
+def test_every_entry_point_refuses_an_ill_formed_program(source, message, cfg, entry):
+    """``source`` is assembly text, or one instruction built in code that
+    ``assemble`` would refuse as text."""
     cfg = cfg or standard_config(1, 1, 1, (LOW, HIGH))
+    program = assemble(source) if type(source) is str else RiscProgram([source])
     with pytest.raises(AssemblyError) as refused:
-        _entry_points()[entry](assemble(text), cfg)
+        _entry_points()[entry](program, cfg)
     assert str(refused.value) == message
 
 
